@@ -5,7 +5,9 @@ SP 800-38D) except SHA-256, which comes from the standard library.  The
 timing simulators never invoke these routines — they model crypto engine
 latency analytically — but the functional protection engine
 (:mod:`repro.core.functional`) uses them to demonstrate end-to-end
-confidentiality and integrity on real bytes.
+confidentiality and integrity on real bytes, and every record of the
+host↔accelerator channel (:mod:`repro.host.channel`, which
+:mod:`repro.serve` runs on) is sealed with :class:`AesGcm`.
 """
 
 from repro.crypto.aes import AES

@@ -14,15 +14,30 @@ in the low bits.  The same function both encrypts and decrypts.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from repro.common.errors import ConfigError
 from repro.crypto.aes import AES
 
+_BLOCK_MASK = (1 << 128) - 1
+
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
-    """XOR two equal-length byte strings."""
+    """XOR two equal-length byte strings (as two big integers, one XOR)."""
     if len(a) != len(b):
         raise ConfigError(f"xor_bytes length mismatch: {len(a)} vs {len(b)}")
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
+
+
+def _keystream(aes: AES, counters: Iterable[int], nbytes: int) -> bytes:
+    """The first ``nbytes`` of ``AES(c)`` for each counter block ``c``.
+
+    ``counters`` yields ⌈nbytes/16⌉ counter blocks as 128-bit integers,
+    each encrypted by one :meth:`AES.encrypt_int` call.
+    """
+    encrypt = aes.encrypt_int
+    stream = b"".join([encrypt(counter).to_bytes(16, "big") for counter in counters])
+    return stream[:nbytes]
 
 
 class CtrMode:
@@ -46,13 +61,8 @@ class CtrMode:
         if nbytes < 0:
             raise ConfigError(f"nbytes must be non-negative, got {nbytes}")
         base = int.from_bytes(counter_block, "big")
-        out = bytearray()
-        lane = 0
-        while len(out) < nbytes:
-            block = ((base + lane) & ((1 << 128) - 1)).to_bytes(16, "big")
-            out.extend(self._aes.encrypt_block(block))
-            lane += 1
-        return bytes(out[:nbytes])
+        lanes = range(-(-nbytes // 16))
+        return _keystream(self._aes, ((base + lane) & _BLOCK_MASK for lane in lanes), nbytes)
 
     def transform(self, counter_block: bytes, data: bytes) -> bytes:
         """Encrypt or decrypt ``data`` (XOR with the keystream)."""

@@ -4,7 +4,9 @@ The paper's CHaiDNN retrofit adds AES-GCM cores for memory protection
 (§VI-C), and the host↔accelerator channel (§II) needs an AEAD for user
 data and kernels in flight.  This composes the in-repo AES, CTR and
 GHASH primitives into the standard GCM construction with a 96-bit IV.
-Verified against the classic NIST/McGrew-Viega test vectors in
+The hash subkey ``H`` and its GHASH tables are derived once per key, so
+sealing ``n`` bytes costs ⌈n/16⌉ + 1 block encryptions.  Verified
+against the classic NIST/McGrew-Viega test vectors in
 ``tests/test_crypto_gcm.py``.
 """
 
@@ -12,9 +14,11 @@ from __future__ import annotations
 
 from repro.common.errors import ConfigError, IntegrityError
 from repro.crypto.aes import AES
-from repro.crypto.ctr import xor_bytes
+from repro.crypto.ctr import _keystream, xor_bytes
 from repro.crypto.ghash import Ghash
 from repro.crypto.mac import constant_time_equal
+
+_LOW32 = 0xFFFFFFFF
 
 
 class AesGcm:
@@ -32,48 +36,27 @@ class AesGcm:
     def _j0(self, iv: bytes) -> int:
         return (int.from_bytes(iv, "big") << 32) | 1
 
-    def _ctr_stream(self, j0: int, nbytes: int) -> bytes:
-        out = bytearray()
-        counter = j0
-        while len(out) < nbytes:
-            counter = (counter & ~0xFFFFFFFF) | ((counter + 1) & 0xFFFFFFFF)
-            out.extend(self._aes.encrypt_block(counter.to_bytes(16, "big")))
-        return bytes(out[:nbytes])
+    def _ctr(self, j0: int, data: bytes) -> bytes:
+        """XOR ``data`` with the keystream of counters inc32(J0), inc32²(J0), …"""
+        prefix = j0 & ~_LOW32
+        counters = (prefix | (j0 + i) & _LOW32 for i in range(1, -(-len(data) // 16) + 1))
+        return xor_bytes(data, _keystream(self._aes, counters, len(data)))
 
-    def _ghash_tagged(self, aad: bytes, ciphertext: bytes) -> bytes:
-        """GHASH over padded AAD ‖ padded ciphertext ‖ length block."""
-        def pad(data: bytes) -> bytes:
-            rem = len(data) % 16
-            return data + bytes(16 - rem) if rem else data
-
-        body = pad(aad) + pad(ciphertext)
-        lengths = ((len(aad) * 8) << 64 | (len(ciphertext) * 8)).to_bytes(16, "big")
-        # Reuse the raw polynomial evaluation: digest() appends its own
-        # length block, so evaluate manually here.
-        from repro.crypto.ghash import gf128_mul
-
-        y = 0
-        h = int.from_bytes(self._aes.encrypt_block(bytes(16)), "big")
-        for offset in range(0, len(body), 16):
-            y = gf128_mul(y ^ int.from_bytes(body[offset : offset + 16], "big"), h)
-        y = gf128_mul(y ^ int.from_bytes(lengths, "big"), h)
-        return y.to_bytes(16, "big")
+    def _tag(self, j0: int, aad: bytes, ciphertext: bytes) -> bytes:
+        digest = self._ghash.digest(ciphertext, aad)
+        return xor_bytes(self._aes.encrypt_block(j0.to_bytes(16, "big")), digest)
 
     def encrypt(self, iv: bytes, plaintext: bytes, aad: bytes = b"") -> tuple[bytes, bytes]:
         """Returns (ciphertext, 16-byte tag)."""
         self._check_iv(iv)
         j0 = self._j0(iv)
-        ciphertext = xor_bytes(plaintext, self._ctr_stream(j0, len(plaintext)))
-        digest = self._ghash_tagged(aad, ciphertext)
-        tag = xor_bytes(self._aes.encrypt_block(j0.to_bytes(16, "big")), digest)
-        return ciphertext, tag
+        ciphertext = self._ctr(j0, plaintext)
+        return ciphertext, self._tag(j0, aad, ciphertext)
 
     def decrypt(self, iv: bytes, ciphertext: bytes, tag: bytes, aad: bytes = b"") -> bytes:
         """Verify then decrypt; raises :class:`IntegrityError` on mismatch."""
         self._check_iv(iv)
         j0 = self._j0(iv)
-        digest = self._ghash_tagged(aad, ciphertext)
-        expected = xor_bytes(self._aes.encrypt_block(j0.to_bytes(16, "big")), digest)
-        if not constant_time_equal(expected, tag):
+        if not constant_time_equal(self._tag(j0, aad, ciphertext), tag):
             raise IntegrityError("GCM tag mismatch: message was tampered with")
-        return xor_bytes(ciphertext, self._ctr_stream(j0, len(ciphertext)))
+        return self._ctr(j0, ciphertext)

@@ -450,8 +450,11 @@ class TraceCache:
                     return value
                 continue
             try:
-                text = faults.call_with_retries(path.read_text, "spill_read",
-                                                path.name)
+                # A missing spill is a cold miss, not a transient error:
+                # no backoff (injected io faults still retry).
+                text = faults.call_with_retries(
+                    path.read_text, "spill_read", path.name,
+                    no_retry=(FileNotFoundError,))
             except OSError:
                 continue
             payload, digest = split_spill(text)

@@ -1,5 +1,7 @@
 """AES cipher: FIPS-197 known answers, inverse cipher, batch equivalence."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +31,15 @@ class TestSbox:
 
     def test_sbox_is_permutation(self):
         assert sorted(SBOX) == list(range(256))
+
+    def test_tables_pinned(self):
+        """The whole derived S-box and its inverse, byte for byte."""
+        assert hashlib.sha256(SBOX).hexdigest() == (
+            "c2d8e5eed6cbebd8625fc18f81486a7733c04f9b0129ffbe974c68b90308b4f2"
+        )
+        assert hashlib.sha256(INV_SBOX).hexdigest() == (
+            "93631b0726f6fe6629daa743ee51b49f4477ed07391b68eeea0672a4a90018aa"
+        )
 
 
 class TestFipsVectors:
@@ -92,8 +103,9 @@ class TestValidation:
 
 
 class TestBatchEquivalence:
-    @pytest.mark.parametrize("key_len", [16, 32])
+    @pytest.mark.parametrize("key_len", [16, 24, 32])
     def test_batch_matches_scalar(self, key_len):
+        """The T-table scalar cipher against the byte-wise NumPy one."""
         key = bytes(range(key_len))
         rng = np.random.default_rng(1)
         blocks = rng.integers(0, 256, size=(32, 16), dtype=np.uint8)

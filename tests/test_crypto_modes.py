@@ -129,6 +129,12 @@ class TestGhash:
         with pytest.raises(ConfigError):
             Ghash(bytes(8))
 
+    @given(st.binary(min_size=16, max_size=16),
+           st.integers(min_value=0, max_value=2**128 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_table_multiply_matches_bit_serial(self, h, x):
+        assert Ghash(h).mul(x) == gf128_mul(x, int.from_bytes(h, "big"))
+
 
 class TestMacs:
     @pytest.mark.parametrize("mac_cls", [GcmMac, HmacSha256Mac])

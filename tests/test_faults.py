@@ -354,6 +354,43 @@ class TestCorruptSpills:
         assert disk_cache.peek(key) == {"ok": 1}
 
 
+class TestColdMisses:
+    def test_cold_miss_never_backs_off(self, disk_cache, monkeypatch):
+        """A spill that does not exist is a miss, not a transient read
+        error: a cold lookup builds at once, with no backoff."""
+        delays = []
+
+        def backoff(attempt, token="", **kwargs):
+            delays.append(token)
+            return 0.0
+
+        monkeypatch.setattr(faults, "backoff_delay", backoff)
+        built = disk_cache.get_or_build(("gop-profile", "cold"),
+                                        lambda: {"ok": 1})
+        assert built == {"ok": 1}
+        # A trace key tries its .bin spill, then the legacy .json name.
+        assert disk_cache.peek(("dnn-trace", "cold")) is None
+        assert delays == []
+
+    def test_injected_read_faults_still_retry(self, disk_cache, monkeypatch):
+        key = ("gop-profile", "flaky")
+        disk_cache.put(key, {"ok": 1})
+        disk_cache.clear()
+        faults.install("spill_read:io:1.0@seed=0")
+        attempts = []
+        real_maybe_fault = faults.maybe_fault
+
+        def counting(point, context, attempt=None, event=None):
+            attempts.append(point)
+            real_maybe_fault(point, context, attempt, event)
+
+        monkeypatch.setattr(faults, "maybe_fault", counting)
+        monkeypatch.setattr(faults, "backoff_delay",
+                            lambda attempt, token="", **kwargs: 0.0)
+        assert disk_cache.peek(key) is None  # every attempt faulted
+        assert attempts == ["spill_read"] * faults.RETRY_ATTEMPTS
+
+
 class TestNativeDemotion:
     def test_auto_session_demotes_to_python_once(self, monkeypatch, capsys):
         from repro.core import engine_backend
