@@ -11,7 +11,7 @@ unconditional spec parse or env lookup per call).
 from __future__ import annotations
 
 from repro.sim import faults
-from repro.sim.scheduler import dnn_spec, graph_spec, prefetch_sweeps
+from repro.sim.scheduler import dnn_spec, graph_spec, prefetch_artifacts
 
 _QUICK_SPECS = (
     dnn_spec("AlexNet", "Cloud"),
@@ -39,11 +39,11 @@ def test_faults_disabled_warm_rerun(benchmark, disk_cache):
     directly comparable to the scheduler warm-rerun number: the layer
     being linked in must not tax the cache/queue/compute seams."""
     faults.install(None)
-    prefetch_sweeps(_QUICK_SPECS, jobs=1)  # cold pass fills both tiers
+    prefetch_artifacts(_QUICK_SPECS, jobs=1)  # cold pass fills both tiers
 
     def warm_rerun():
         disk_cache.clear()  # fresh process: memory tier gone
-        return prefetch_sweeps(_QUICK_SPECS, jobs=1)
+        return prefetch_artifacts(_QUICK_SPECS, jobs=1)
 
     summary = benchmark(warm_rerun)
     assert summary["cached"] == len(_QUICK_SPECS)

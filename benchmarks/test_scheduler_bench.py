@@ -16,7 +16,6 @@ from repro.sim.scheduler import (
     gop_profile_spec,
     graph_spec,
     prefetch_artifacts,
-    prefetch_sweeps,
 )
 
 _QUICK_SPECS = (
@@ -38,11 +37,11 @@ _QUICK_ARTIFACTS = _QUICK_SPECS + (
 
 def test_warm_disk_cache_rerun(benchmark, disk_cache):
     """Quick-suite rerun from a warm disk cache: restores, prices nothing."""
-    prefetch_sweeps(_QUICK_SPECS, jobs=1)  # cold pass fills both tiers
+    prefetch_artifacts(_QUICK_SPECS, jobs=1)  # cold pass fills both tiers
 
     def warm_rerun():
         disk_cache.clear()  # simulate a fresh process: memory tier gone
-        summary = prefetch_sweeps(_QUICK_SPECS, jobs=1)
+        summary = prefetch_artifacts(_QUICK_SPECS, jobs=1)
         return summary
 
     summary = benchmark(warm_rerun)
@@ -60,7 +59,7 @@ def test_cross_workload_prefetch_cold(benchmark, disk_cache):
         for pattern in ("*.json", "*.bin"):
             for spill in disk_cache.cache_dir.glob(pattern):
                 spill.unlink()
-        return prefetch_sweeps(_QUICK_SPECS, jobs=4)
+        return prefetch_artifacts(_QUICK_SPECS, jobs=4)
 
     summary = benchmark(cold_prefetch)
     assert summary["priced"] == len(_QUICK_SPECS)
@@ -85,7 +84,7 @@ def test_warm_artifact_graph_rerun(benchmark, disk_cache):
 
 def test_prefetched_sweeps_serve_the_drivers(disk_cache):
     """After a prefetch, a driver-side sweep is a pure cache hit."""
-    prefetch_sweeps(_QUICK_SPECS, jobs=1)
+    prefetch_artifacts(_QUICK_SPECS, jobs=1)
     before = disk_cache.stats()["misses"]
     sweep = dnn_sweep("AlexNet", "Cloud")
     assert disk_cache.stats()["misses"] == before

@@ -141,10 +141,10 @@ class LazyAccessList(list):
     """A phase's access list, materialized from its column batch on demand.
 
     Warm loads of columnar (v3) trace spills rebuild phases directly
-    from read-only column views; ``vectorizes=True`` schemes price the
-    columns and never look at individual accesses, so the ``MemAccess``
-    objects are constructed only if something actually reads the list —
-    the per-access fallback path, JSON re-encoding, or the losslessness
+    from read-only column views; pricing sessions price the columns and
+    never look at individual accesses, so the ``MemAccess`` objects are
+    constructed only if something actually reads the list — the
+    per-access reference walk, JSON re-encoding, or the losslessness
     tests.  ``len()`` is answered from the batch without materializing.
     Mutation materializes first, so ordering is always preserved.
     """
@@ -203,7 +203,7 @@ class AccessBatch:
     """Structure-of-arrays view of a sequence of :class:`MemAccess`.
 
     Generators keep emitting ``MemAccess`` objects; consumers that price
-    whole traces (the protection schemes' ``price_batch`` fast path)
+    whole traces (the protection schemes' ``pricing_session()``)
     operate on these parallel columns instead of walking objects one at
     a time.  The conversion is lossless: ``to_accesses()`` returns the
     original objects when the batch was built from them, and

@@ -165,7 +165,8 @@ class EventSink:
     routes a whole batch's events with a few vectorized operations
     instead of one Python call per event.
 
-    Categories mirror :class:`~repro.core.metadata_cache.SegmentProbe`:
+    Categories follow the outcomes of the per-line
+    :meth:`~repro.core.metadata_cache.MetadataCache.access` walk:
 
     ``misses``
         probed lines that were not resident (fetched with the stream);
@@ -942,29 +943,12 @@ class LruEngine:
                     self.walk_tree(seeds, sink, flood=flood)
 
     # -- closed-form flood paths ----------------------------------------
-    def clean_walk_ready(self, floor_address: int) -> bool:
-        """Whether a clean ascending probe of distinct lines at or above
-        ``floor_address`` is guaranteed an all-miss clean conveyor.
-
-        True exactly when the set is fully associative, holds no dirty
-        line, and holds nothing at or above ``floor_address`` — then
-        every such probe misses, every eviction is clean, and no chain
-        can fire, which is :meth:`flood_clean`'s precondition.
-        """
-        if self.n_sets != 1:
-            return False
-        window = slice(self._head[0], self._tail[0])
-        valid = self._valid[0][window]
-        if self._dirty[0][window][valid].any():
-            return False
-        lines = self._lines[0][window][valid]
-        return not bool((lines >= floor_address).any())
-
     def flood_clean(self, lines: np.ndarray, sink: EventSink,
                     miss_sink: list | None = None) -> None:
         """Closed-form all-miss clean probe: one bulk ring replacement.
 
-        Preconditions (caller-checked, see :meth:`clean_walk_ready`):
+        Preconditions (caller-checked by :meth:`probe_run_batch`'s
+        flood-adjacent guard before :meth:`walk_tree` takes this path):
         fully associative, no resident line dirty, and none of ``lines``
         (distinct, ascending) resident.  Under them the probe is a pure
         conveyor — every line misses and every eviction is clean — so

@@ -1,13 +1,13 @@
 """ctypes wrapper around the compiled LRU engine (``_lru_native.c``).
 
-:class:`NativeLruEngine` exposes the same surface as
+:class:`NativeLruEngine` exposes the same pricing surface as
 :class:`~repro.core.lru_engine.LruEngine` — ``load_state`` /
-``export_state`` / ``flush`` / ``probe_lines`` / ``probe_range`` plus
-the ``flood_clean`` / ``clean_walk_ready`` closed-form hooks — but the
-per-line work (touches, evictions, write-back chains) runs inside the
-shared library.  All state lives in NumPy arrays owned here and passed
-to C as raw pointers, so state import/export and the closed-form guards
-stay vectorized Python while the hot loop is machine code.
+``export_state`` / ``flush`` / ``probe_lines`` / ``probe_range`` /
+``walk_tree`` / ``probe_run_batch`` — but the per-line work (touches,
+evictions, write-back chains) runs inside the shared library.  All
+state lives in NumPy arrays owned here and passed to C as raw pointers,
+so state import/export stays vectorized Python while the hot loop is
+machine code.
 
 Event delivery is chunked: C appends misses / writebacks / parent
 misses to three fixed buffers and *pauses* (returning the resume index,
@@ -324,26 +324,3 @@ class NativeLruEngine:
             if done:
                 break
         self._apply_counts(sink, before)
-
-    # -- closed-form hooks ----------------------------------------------
-    def clean_walk_ready(self, floor_address: int) -> bool:
-        """Whether an ascending clean probe of lines ``>= floor_address``
-        is guaranteed an all-miss clean conveyor (see the Python engine)."""
-        if self.n_sets != 1:
-            return False
-        head, tail = int(self._heads[0]), int(self._tails[0])
-        valid = self._ring_valid[head:tail].view(bool)
-        if self._ring_dirty[head:tail][valid].any():
-            return False
-        lines = self._ring_lines[head:tail][valid]
-        return not bool((lines >= floor_address).any())
-
-    def flood_clean(self, lines: np.ndarray, sink: EventSink,
-                    miss_sink: list | None = None) -> None:
-        """All-miss clean conveyor (preconditions as the Python engine).
-
-        The compiled probe loop *is* the bulk replace here — per line it
-        costs one hash probe and one ring append — so the closed form
-        shares the exact code path the equivalence tests pin.
-        """
-        self.probe_lines(lines, False, sink, miss_sink)

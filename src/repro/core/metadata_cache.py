@@ -14,8 +14,7 @@ outcomes into DRAM traffic.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 from repro.common.errors import ConfigError
 from repro.common.stats import StatsGroup
@@ -28,29 +27,6 @@ class CacheOutcome:
 
     hit: bool
     writeback_address: int | None = None
-
-
-@dataclass
-class SegmentProbe:
-    """Result of probing a run of consecutive metadata lines.
-
-    The three lists carry the line addresses of every event the probe
-    produced, in the order the per-line walk would have produced them:
-
-    ``misses``
-        lines of the probed segment that were not resident (each costs
-        one line fetch);
-    ``writebacks``
-        dirty lines evicted while the segment streamed through — both
-        direct victims and lines evicted further down a writeback chain;
-    ``parent_misses``
-        ancestor lines that missed while a writeback chain updated the
-        parents of evicted dirty lines (integrity-tree traffic).
-    """
-
-    misses: list[int] = field(default_factory=list)
-    writebacks: list[int] = field(default_factory=list)
-    parent_misses: list[int] = field(default_factory=list)
 
 
 class MetadataCache:
@@ -84,9 +60,6 @@ class MetadataCache:
             OrderedDict() for _ in range(self._n_sets)
         ]
         self.stats = StatsGroup("metadata_cache")
-        #: Segment probes answered by the closed-form resident fast path
-        #: (diagnostic only; not part of the hit/miss stats contract).
-        self.fast_probes = 0
 
     def _align(self, address: int) -> int:
         return address - (address % self.line_bytes)
@@ -122,112 +95,6 @@ class MetadataCache:
         lines[line] = dirty
         return CacheOutcome(hit=False, writeback_address=writeback)
 
-    def probe_segment(
-        self,
-        base_address: int,
-        n_lines: int,
-        *,
-        dirty: bool = False,
-        parent_of: Callable[[int], int | None] | None = None,
-    ) -> SegmentProbe:
-        """Touch ``n_lines`` consecutive lines starting at ``base_address``.
-
-        Semantically identical to calling :meth:`access` once per line in
-        ascending address order and following every dirty eviction's
-        writeback chain (the parent of an evicted dirty line is obtained
-        from ``parent_of`` and accessed dirty, which can itself evict —
-        the chain is followed before the next segment line is touched).
-        The per-line bookkeeping is inlined, so a segment probe is the
-        fast path the batched pricing of cached/tree schemes builds on:
-        one call per sequential run instead of one :class:`CacheOutcome`
-        per line.
-        """
-        probe = SegmentProbe()
-        line = self._align(base_address)
-        if self._probe_resident_fast_path(line, n_lines, dirty):
-            return probe
-        hits = 0
-        fully_associative = self.ways is None
-        if fully_associative:
-            lines = self._sets[0]
-        capacity = self._set_capacity()
-        for _ in range(n_lines):
-            if not fully_associative:
-                lines = self._set_of(line)
-            if line in lines:
-                if dirty:
-                    lines[line] = True
-                lines.move_to_end(line)
-                hits += 1
-            else:
-                probe.misses.append(line)
-                victim = None
-                if len(lines) >= capacity:
-                    victim, victim_dirty = lines.popitem(last=False)
-                    if not victim_dirty:
-                        victim = None
-                # Allocate before the writeback chain runs: the per-line
-                # walk inserts inside access() and chains afterwards, and
-                # the chain's parent allocations must see this line.
-                lines[line] = dirty
-                if victim is not None:
-                    self.stats.add("writebacks")
-                    self._follow_chain(victim, parent_of, probe)
-            line += self.line_bytes
-        if hits:
-            self.stats.add("hits", hits)
-        if probe.misses:
-            self.stats.add("misses", len(probe.misses))
-        return probe
-
-    def _probe_resident_fast_path(self, line: int, n_lines: int,
-                                  dirty: bool) -> bool:
-        """Closed-form probe of a segment that sits entirely in the hot set.
-
-        When every line of the segment is already resident, the general
-        walk degenerates: no misses, no evictions, no writeback chains —
-        the only state change is recency (each line moves to MRU in
-        ascending order) and the dirty bits.  This is the common case for
-        metadata segments smaller than the cache's hot-set size that are
-        re-touched every iteration (e.g. a DNN layer's VN lines), so it
-        is handled here without the per-line miss/eviction bookkeeping.
-        Returns False (leaving the cache untouched) when any line is
-        absent; the caller then runs the general walk.
-        """
-        if n_lines > self.capacity_lines:
-            return False
-        segment = range(line, line + n_lines * self.line_bytes, self.line_bytes)
-        if not all(l in self._set_of(l) for l in segment):
-            return False
-        for l in segment:
-            lines = self._set_of(l)
-            if dirty:
-                lines[l] = True
-            lines.move_to_end(l)
-        self.stats.add("hits", n_lines)
-        self.fast_probes += 1
-        return True
-
-    def _follow_chain(
-        self,
-        victim: int,
-        parent_of: Callable[[int], int | None] | None,
-        probe: SegmentProbe,
-    ) -> None:
-        """Write back ``victim`` and update its ancestors, iteratively."""
-        queue = [victim]
-        while queue:
-            address = queue.pop()
-            probe.writebacks.append(address)
-            parent = parent_of(address) if parent_of is not None else None
-            if parent is None:
-                continue
-            outcome = self.access(parent, dirty=True)
-            if not outcome.hit:
-                probe.parent_misses.append(parent)
-            if outcome.writeback_address is not None:
-                queue.append(outcome.writeback_address)
-
     def contains(self, address: int) -> bool:
         """Non-mutating lookup (no recency update); used by tests."""
         line = self._align(address)
@@ -260,7 +127,8 @@ class MetadataCache:
         ]
         for lines in self._sets:
             lines.clear()
-        self.stats.add("writebacks", len(dirty))
+        # Count only real events, like the engine's ``add_counts``.
+        self.stats.add_counts({"writebacks": len(dirty)})
         return dirty
 
     @property

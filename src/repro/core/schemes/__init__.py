@@ -7,12 +7,12 @@ keeps working for every existing caller.
 Layout:
 
 * :mod:`~repro.core.schemes.base` — :class:`ProtectionScheme` interface
-  (per-access ``process`` + batched ``price_batch``),
+  (batched ``pricing_session()`` + the per-access ``process`` reference),
   :class:`ProtectionTraffic` accounting, :class:`NoProtection`.
 * :mod:`~repro.core.schemes.counter_mode` — the configurable
   :class:`CounterModeProtection` engine covering BP / MGX / MGX_VN /
-  MGX_MAC, with a vectorized ``price_batch`` fast path for the stateless
-  on-chip-VN configurations.
+  MGX_MAC, pricing stateless on-chip-VN configurations as NumPy column
+  arithmetic and cached ones on the reuse-distance LRU engine.
 * :mod:`~repro.core.schemes.factory` — ``make_*`` constructors and
   :func:`scheme_suite`.
 * :mod:`~repro.core.schemes.tnpu` — the TNPU-like comparison point.

@@ -7,13 +7,13 @@ needs (MACs, stored version numbers, integrity-tree nodes, cache
 writebacks).  The performance model then prices that traffic on the DRAM
 model.
 
-Schemes are priced either one access at a time (:meth:`ProtectionScheme.
-process`) or a whole :class:`~repro.core.access.AccessBatch` at once
-(:meth:`ProtectionScheme.price_batch`).  The batch entry point is the
-contract the sweep pipeline builds on: implementations may vectorize,
-but the result must be *exactly* equal — byte for byte, per traffic
-category — to processing the batch's accesses in order.  The default
-implementation guarantees that by delegating to :meth:`process`.
+Schemes price a stream of :class:`~repro.core.access.AccessBatch`
+through one API, :meth:`ProtectionScheme.pricing_session`; the sweep
+pipeline, streaming traces and the server all build on it.
+Implementations vectorize, but the result must be *exactly* equal —
+byte for byte, per traffic category — to processing the batches'
+accesses in order with :meth:`ProtectionScheme.process`, the per-access
+reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -139,50 +139,30 @@ class ProtectionScheme:
     name: str = "abstract"
 
     def process(self, access: MemAccess) -> ProtectionTraffic:
-        """Traffic generated by one block transfer."""
+        """Traffic generated by one block transfer (the reference walk)."""
         raise NotImplementedError
 
-    def price_batch(self, batch: AccessBatch) -> ProtectionTraffic:
-        """Traffic generated by a whole batch of block transfers.
-
-        Equivalent — byte for byte, per category — to processing the
-        batch's accesses in order and merging the results.  Subclasses
-        override this with vectorized fast paths where their pricing is
-        stateless; stateful schemes inherit this exact per-access walk.
-        """
-        traffic = ProtectionTraffic()
-        for access in batch.to_accesses():
-            traffic.merge(self.process(access))
-        return traffic
-
-    def price_trace(self, batches: list[AccessBatch]) -> list[ProtectionTraffic]:
-        """Traffic of a whole trace, one :class:`ProtectionTraffic` per batch.
-
-        Equivalent — byte for byte, per category, per batch — to calling
-        :meth:`price_batch` on each batch in order.  Stateful schemes
-        override this to amortize their internal state handling (the
-        reuse-distance LRU engine prices the entire metadata-line stream
-        of a trace in one pass); the default simply walks the batches.
-        """
-        return [self.price_batch(batch) for batch in batches]
-
     def pricing_session(self) -> "PricingSession":
-        """A stateful handle for pricing a stream of batches in order.
+        """The pricing API: a handle that prices a stream of batches in order.
 
         ``[session.price(b) for b in batches]`` followed by
-        ``session.close()`` equals :meth:`price_trace` on the same
-        batches exactly; the session form lets callers consume chunked
-        traces (generator phases) batch by batch without ever holding
-        the whole trace — stateful schemes keep their engine state open
-        across the stream instead of reloading it per batch.
+        ``session.close()`` equals calling :meth:`process` on every
+        access of every batch in order, per batch; callers consume
+        chunked traces (generator phases) batch by batch without ever
+        holding the whole trace — stateful schemes keep their engine
+        state open across the stream instead of reloading it per batch.
         """
         return PricingSession(self)
 
-    @property
-    def vectorizes(self) -> bool:
-        """Whether :meth:`price_batch` has a columnar fast path, letting
-        callers skip the structure-of-arrays conversion when it doesn't."""
-        return False
+    def price_batch(self, batch: AccessBatch) -> ProtectionTraffic:
+        """Traffic of one batch: a one-batch :meth:`pricing_session`."""
+        with self.pricing_session() as session:
+            return session.price(batch)
+
+    def _price_batch_stateless(self, batch: AccessBatch) -> ProtectionTraffic:
+        """Columnar pricing of a non-empty batch that needs no state
+        carried across batches (the base session's hook)."""
+        raise NotImplementedError
 
     def finish(self) -> ProtectionTraffic:
         """End-of-run traffic (dirty metadata writebacks).  Idempotent."""
@@ -200,22 +180,25 @@ class ProtectionScheme:
 class PricingSession:
     """In-order pricing of a batch stream with state held open.
 
-    The base session simply delegates each batch to
-    :meth:`ProtectionScheme.price_batch` and closes to a no-op, which is
-    already exact for stateless schemes.  Stateful schemes return a
-    subclass from :meth:`ProtectionScheme.pricing_session` that loads
-    engine state once, prices every batch against it, and writes the
-    state (and stats) back on :meth:`close` — so a multi-gigabyte trace
-    can stream through in bounded memory.  ``close`` is idempotent and,
-    mirroring :meth:`ProtectionScheme.price_trace`, is *not* called when
-    pricing raises: a failed run writes no state back.
+    The base session prices each batch with the scheme's stateless
+    columnar hook and closes to a no-op, which is exact for stateless
+    schemes.  Stateful schemes return a subclass from
+    :meth:`ProtectionScheme.pricing_session` that loads engine state
+    once, prices every batch against it, and writes the state (and
+    stats) back on :meth:`close` — so a multi-gigabyte trace can stream
+    through in bounded memory.  ``close`` is idempotent and, used as a
+    context manager, is *not* called when pricing raises: a failed run
+    writes no state back.
     """
 
     def __init__(self, scheme: ProtectionScheme) -> None:
         self._scheme = scheme
 
     def price(self, batch: AccessBatch) -> ProtectionTraffic:
-        return self._scheme.price_batch(batch)
+        if len(batch) == 0:
+            # Touch no stats, exactly like walking zero accesses.
+            return ProtectionTraffic()
+        return self._scheme._price_batch_stateless(batch)
 
     def close(self) -> None:
         """Write accumulated state back to the scheme.  Idempotent."""
@@ -242,13 +225,7 @@ class NoProtection(ProtectionScheme):
         self.stats.add("data_bytes", access.size)
         return traffic
 
-    @property
-    def vectorizes(self) -> bool:
-        return True
-
-    def price_batch(self, batch: AccessBatch) -> ProtectionTraffic:
-        if len(batch) == 0:
-            return ProtectionTraffic()
+    def _price_batch_stateless(self, batch: AccessBatch) -> ProtectionTraffic:
         stream = stream_mask(batch)
         traffic = ProtectionTraffic(
             data_seq=int(batch.size[stream].sum()),

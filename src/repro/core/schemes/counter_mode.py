@@ -31,28 +31,26 @@ Modelling notes
 
 Batch pricing
 -------------
-On-chip-VN configurations without a metadata cache are *stateless*: the
-traffic of an access is a pure function of the access.  For those,
-:meth:`CounterModeProtection.price_batch` evaluates the same arithmetic
-as :meth:`~CounterModeProtection.process` over whole NumPy columns at
-once.
+Every batch is priced through :meth:`CounterModeProtection.
+pricing_session`.  On-chip-VN configurations without a metadata cache
+are *stateless*: the traffic of an access is a pure function of the
+access, so their session evaluates the same arithmetic as
+:meth:`~CounterModeProtection.process` over whole NumPy columns at once.
 
 Cached/tree configurations (BP, MGX_MAC) are order-dependent through the
 LRU metadata cache — but only their *sequential* accesses mutate it:
 gathers and per-access-MAC transfers price with closed-form arithmetic
-that never touches LRU state.  :meth:`CounterModeProtection.price_trace`
-therefore decomposes every batch into its pure component (data
-amplification, gather MAC/VN/tree costs — evaluated as NumPy columns)
-and the ordered sequence of *sequential runs*, and streams the runs —
-each touching its metadata lines exactly once in ascending order, per
-the stream-buffer guarantee — through one
-:class:`~repro.core.lru_engine.LruEngine` pass per trace, integrity-tree
-walks and write-back chains included.  Runs at least as large as the
-cache take the closed-form flood path instead.
-:meth:`~CounterModeProtection.price_batch` prices a one-batch trace the
-same way.  Both batch paths are pinned byte-for-byte against the
-per-access walk by ``tests/test_batch_pricing.py``, and the engine
-against :meth:`MetadataCache.access` by ``tests/test_lru_engine.py``.
+that never touches LRU state.  Their session therefore decomposes every
+batch into its pure component (data amplification, gather MAC/VN/tree
+costs — evaluated as NumPy columns) and the ordered sequence of
+*sequential runs*, and streams the runs — each touching its metadata
+lines exactly once in ascending order, per the stream-buffer guarantee
+— through one :class:`~repro.core.lru_engine.LruEngine` pass per
+session, integrity-tree walks and write-back chains included.  Runs at
+least as large as the cache take the closed-form flood path instead.
+Sessions are pinned byte-for-byte against the per-access walk by
+``tests/test_batch_pricing.py``, and the engine against
+:meth:`MetadataCache.access` by ``tests/test_lru_engine.py``.
 """
 
 from __future__ import annotations
@@ -249,27 +247,6 @@ class CounterModeProtection(ProtectionScheme):
         self._account(access, traffic)
         return traffic
 
-    @property
-    def vectorizes(self) -> bool:
-        return True
-
-    def price_batch(self, batch: AccessBatch) -> ProtectionTraffic:
-        """Batch pricing: fully vectorized when stateless, segment-walked
-        otherwise.
-
-        On-chip-VN cacheless configurations evaluate the identical
-        integer arithmetic over whole columns.  Cached configurations
-        vectorize their pure component (amplification, gather metadata)
-        and replay only the sequential runs against the LRU cache, via
-        segment probes.  Both are byte-for-byte equal to the per-access
-        walk.
-        """
-        if len(batch) == 0:
-            return super().price_batch(batch)
-        if self._cache is not None:
-            return self._price_batch_cached(batch)
-        return self._price_batch_stateless(batch)
-
     def finish(self) -> ProtectionTraffic:
         """Flush the metadata cache: every dirty line becomes a writeback."""
         traffic = ProtectionTraffic()
@@ -429,26 +406,10 @@ class CounterModeProtection(ProtectionScheme):
         self._account_batch(batch, traffic)
         return traffic
 
-    def price_trace(self, batches: list[AccessBatch]) -> list[ProtectionTraffic]:
-        """One engine pass over the whole trace's metadata-line stream.
-
-        Cached/tree configurations load the LRU state into the
-        reuse-distance engine once, stream every batch's sequential runs
-        (and the walks and write-back chains they trigger) through it,
-        and store the final state back — byte-identical to pricing the
-        batches one at a time, without per-batch state churn.  The same
-        session object serves chunked traces through
-        :meth:`pricing_session` (``sim/perf.run`` streams generator
-        phases batch by batch without materializing the trace).
-        """
-        if not batches:
-            return []
-        session = self.pricing_session()
-        traffics = [session.price(batch) for batch in batches]
-        session.close()
-        return traffics
-
     def pricing_session(self) -> PricingSession:
+        """Stateless columnar pricing without a cache; otherwise one
+        reuse-distance engine pass over the session's metadata-line
+        stream (:class:`_EngineSession`)."""
         if self._cache is None:
             return PricingSession(self)
         return _EngineSession(self)
@@ -544,19 +505,15 @@ class CounterModeProtection(ProtectionScheme):
             self._level_bases_array = bases
         return bases
 
-    def _price_batch_cached(self, batch: AccessBatch) -> ProtectionTraffic:
-        """Engine-backed pricing for cached/tree configurations.
+    def _price_batch_engine(self, batch: AccessBatch, engine: LruEngine,
+                            sink: EventSink) -> ProtectionTraffic:
+        """Engine-backed pricing of one batch for cached/tree configurations.
 
         Pure components — data amplification, per-access MACs, gather
         MAC/VN/tree costs — are NumPy column sums (gathers never mutate
         the LRU cache, so hoisting them out of order is exact).  The
-        sequential runs stream through the reuse-distance engine; a
-        single batch rides the same path as a whole trace.
+        sequential runs stream through the reuse-distance engine.
         """
-        return self.price_trace([batch])[0]
-
-    def _price_batch_engine(self, batch: AccessBatch, engine: LruEngine,
-                            sink: EventSink) -> ProtectionTraffic:
         cols = self._batch_columns(batch)
         stream = cols.stream
         traffic = ProtectionTraffic(
@@ -663,7 +620,7 @@ class CounterModeProtection(ProtectionScheme):
         """Closed-form LRU outcome for a run at least as large as the cache.
 
         Mirrors the flood paths of :meth:`_mac_segment` and
-        :meth:`_vn_flood` (stream case): flush everything ahead of the
+        :meth:`_vn_flood`: flush everything ahead of the
         reuse-free stream, then count the stream — and, for VN runs, the
         tree levels it sweeps — without touching per-line state.
         """
@@ -820,7 +777,7 @@ class CounterModeProtection(ProtectionScheme):
         """One sequential run of MAC lines through the metadata cache.
 
         The stream buffer guarantees each distinct MAC line is touched
-        once, in ascending order — one segment probe.
+        once, in ascending order.
         """
         assert self._cache is not None
         first_line = (self._mac_base + first_granule * ENTRY_BYTES) // CACHE_BLOCK
@@ -835,31 +792,27 @@ class CounterModeProtection(ProtectionScheme):
             if writes:
                 traffic.mac_seq += n_lines * CACHE_BLOCK
             return
-        probe = self._cache.probe_segment(
-            first_line * CACHE_BLOCK, n_lines, dirty=writes,
-            parent_of=self._parent_of,
-        )
-        self._route_probe(traffic, probe, sequential=True)
+        self._touch_lines(traffic, first_line * CACHE_BLOCK, n_lines, writes)
 
-    def _route_probe(self, traffic: ProtectionTraffic, probe, sequential: bool,
-                     category: str | None = None) -> None:
-        """Attribute a segment probe's events to the traffic buckets.
+    def _touch_lines(self, traffic: ProtectionTraffic, base_address: int,
+                     n_lines: int, writes: bool) -> list[int]:
+        """Access ``n_lines`` consecutive lines in ascending order.
 
-        Misses fetch with the stream; writebacks and the ancestor misses
-        of their chains land at effectively random addresses, so both are
-        scattered (exactly as the per-line walk routed them).
+        Misses fetch with the stream; each dirty victim's write-back
+        chain is followed before the next line is touched.  Returns the
+        missed line addresses.
         """
-        for address in probe.misses:
-            self._route_metadata(
-                traffic, address, CACHE_BLOCK, sequential=sequential,
-                category=category,
-            )
-        for address in probe.writebacks:
-            self._route_metadata(traffic, address, CACHE_BLOCK, sequential=False)
-        for address in probe.parent_misses:
-            self._route_metadata(
-                traffic, address, CACHE_BLOCK, sequential=False, category="tree"
-            )
+        missed = []
+        for address in range(base_address, base_address + n_lines * CACHE_BLOCK,
+                             CACHE_BLOCK):
+            outcome = self._cache.access(address, dirty=writes)
+            if not outcome.hit:
+                self._route_metadata(traffic, address, CACHE_BLOCK,
+                                     sequential=True)
+                missed.append(address)
+            if outcome.writeback_address is not None:
+                self._handle_writeback(traffic, outcome.writeback_address)
+        return missed
 
     def _flush_as_writebacks(self, traffic: ProtectionTraffic) -> None:
         """Evict everything from the cache ahead of a flooding stream."""
@@ -877,27 +830,25 @@ class CounterModeProtection(ProtectionScheme):
 
     def _vn_segment(self, traffic: ProtectionTraffic, address: int, end: int,
                     writes: bool) -> None:
-        """One sequential run of VN lines: segment probe + tree walk."""
+        """One sequential run of VN lines, then the tree walk of its misses."""
         assert self._cache is not None and self._tree is not None
         first_line = (address // CACHE_BLOCK) // _ENTRIES_PER_LINE
         last_line = ((end - 1) // CACHE_BLOCK) // _ENTRIES_PER_LINE
         n_lines = last_line - first_line + 1
         if n_lines >= self._cache.capacity_lines:
-            self._vn_flood(traffic, n_lines, writes, stream=True)
+            self._vn_flood(traffic, n_lines, writes)
             return
-        probe = self._cache.probe_segment(
-            self._vn_base + first_line * CACHE_BLOCK, n_lines, dirty=writes,
-            parent_of=self._parent_of,
+        missed = self._touch_lines(
+            traffic, self._vn_base + first_line * CACHE_BLOCK, n_lines, writes
         )
-        self._route_probe(traffic, probe, sequential=True, category="vn")
-        if probe.misses:
+        if missed:
             missed_leaves = [
-                (line - self._vn_base) // CACHE_BLOCK for line in probe.misses
+                (line - self._vn_base) // CACHE_BLOCK for line in missed
             ]
-            self._walk_tree(traffic, missed_leaves, stream=True)
+            self._walk_tree(traffic, missed_leaves)
 
-    def _vn_flood(self, traffic: ProtectionTraffic, n_lines: int, writes: bool,
-                  stream: bool) -> None:
+    def _vn_flood(self, traffic: ProtectionTraffic, n_lines: int,
+                  writes: bool) -> None:
         """Closed-form LRU outcome for a VN-line range larger than the cache.
 
         A reuse-free stream of ``n_lines`` distinct lines through an LRU
@@ -909,10 +860,9 @@ class CounterModeProtection(ProtectionScheme):
         """
         assert self._tree is not None
         self._flush_as_writebacks(traffic)
-        key = "vn_seq" if stream else "vn_scat"
-        setattr(traffic, key, getattr(traffic, key) + n_lines * CACHE_BLOCK)
+        traffic.vn_seq += n_lines * CACHE_BLOCK
         if writes:  # read-modify-write: the fetched lines go back out dirty
-            setattr(traffic, key, getattr(traffic, key) + n_lines * CACHE_BLOCK)
+            traffic.vn_seq += n_lines * CACHE_BLOCK
         tree_nodes = 0
         remaining = n_lines
         for _level in range(self._tree.stored_levels):
@@ -920,9 +870,8 @@ class CounterModeProtection(ProtectionScheme):
             tree_nodes += remaining
             if remaining == 1:
                 break
-        tkey = "tree_seq" if stream else "tree_scat"
         factor = 2 if writes else 1  # writes update the path as well
-        setattr(traffic, tkey, getattr(traffic, tkey) + factor * tree_nodes * CACHE_BLOCK)
+        traffic.tree_seq += factor * tree_nodes * CACHE_BLOCK
 
     def _vn_gather(self, access: MemAccess, traffic: ProtectionTraffic) -> None:
         """Stored-VN cost of a gather spread across ``spread_bytes``.
@@ -962,13 +911,13 @@ class CounterModeProtection(ProtectionScheme):
         factor = 2 if writes else 1
         traffic.tree_scat += factor * tree_fetches * CACHE_BLOCK
 
-    def _walk_tree(
-        self, traffic: ProtectionTraffic, missed_leaves: list[int], stream: bool
-    ) -> None:
+    def _walk_tree(self, traffic: ProtectionTraffic,
+                   missed_leaves: list[int]) -> None:
         """Verify missed VN lines: probe ancestors until a cached one.
 
         Contiguous leaves share ancestors, so the walk proceeds level by
-        level over the *unique* parent set of the nodes that missed.
+        level over the *unique* parent set of the nodes that missed; the
+        missed nodes fetch with the stream.
         """
         assert self._cache is not None and self._tree is not None
         tree = self._tree
@@ -981,7 +930,7 @@ class CounterModeProtection(ProtectionScheme):
                 outcome = self._cache.access(address, dirty=False)
                 if not outcome.hit:
                     self._route_metadata(
-                        traffic, address, CACHE_BLOCK, sequential=stream, category="tree"
+                        traffic, address, CACHE_BLOCK, sequential=True, category="tree"
                     )
                     pending.append(parent)
                 if outcome.writeback_address is not None:
@@ -1073,7 +1022,7 @@ class _BatchColumns:
 
     Every column mirrors a quantity the scalar walk computes per access;
     the batch paths consume them either as vectorized sums (pure
-    components) or as scalars driving the ordered segment probes.
+    components) or as the run columns the LRU engine probes in order.
     """
 
     end: np.ndarray
@@ -1095,9 +1044,9 @@ class _EngineSession(PricingSession):
 
     Loads the metadata cache's LRU state into the reuse-distance engine
     once, prices every batch of the stream against it, and writes state
-    and hit/miss/writeback counts back on :meth:`close` — the factored
-    body of the old whole-trace ``price_trace`` pass, so a list of
-    batches and a generator of batches price byte-identically.
+    and hit/miss/writeback counts back on :meth:`close`, so a list of
+    batches and a generator of batches price byte-identically and the
+    per-access reference continues from the same cache contents.
     """
 
     def __init__(self, scheme: CounterModeProtection) -> None:

@@ -356,15 +356,18 @@ def main(argv: list[str] | None = None) -> int:
         sections.append(result.to_text() + f"\n\n[{eid} completed in {elapsed:.1f}s]")
         print(f"{eid}: done in {elapsed:.1f}s", file=sys.stderr)
     cache = TRACE_CACHE.stats()
-    kinds = ", ".join(
-        f"{cache[f'{kind}_misses']} {kind}" for kind in ARTIFACT_KINDS
-    )
-    print(
-        f"trace cache: {cache['hits']} hits, {cache['disk_hits']} disk hits, "
-        f"{cache['misses']} misses ({kinds}), {cache['entries']} entries, "
-        f"{cache['engine_backend']} pricing engine",
-        file=sys.stderr,
-    )
+    if TRACE_CACHE.enabled:
+        kinds = ", ".join(
+            f"{cache[f'{kind}_misses']} {kind}" for kind in ARTIFACT_KINDS
+        )
+        summary = (f"{cache['hits']} hits, {cache['disk_hits']} disk hits, "
+                   f"{cache['misses']} misses ({kinds}), "
+                   f"{cache['entries']} entries")
+    else:
+        # A disabled cache counts nothing: every artifact was built.
+        summary = "disabled (--no-cache)"
+    print(f"trace cache: {summary}, {cache['engine_backend']} pricing engine",
+          file=sys.stderr)
     report = ("\n\n" + "=" * 72 + "\n\n").join(sections)
     if args.output:
         with open(args.output, "w") as f:

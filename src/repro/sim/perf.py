@@ -120,11 +120,13 @@ class PerformanceModel:
         convert the trace once and share the columns across schemes.
 
         ``phases`` (and ``batches``) may be any iterables, including
-        generators: each phase is priced through the scheme's
-        :class:`~repro.core.schemes.base.PricingSession` as it arrives
-        and then dropped, so a chunk-iterable trace far larger than
-        memory runs in bounded space — byte-identical to the list form,
-        since a session over the stream *is* ``price_trace``.
+        generators: the whole trace is priced through one
+        :meth:`~repro.core.schemes.base.ProtectionScheme.pricing_session`
+        (stateful cached schemes stream every phase through their
+        reuse-distance engine without reloading LRU state per phase),
+        each phase as it arrives and then dropped, so a chunk-iterable
+        trace far larger than memory runs in bounded space —
+        byte-identical to the list form.
         """
         if (batches is not None and isinstance(phases, list)
                 and isinstance(batches, list)
@@ -137,37 +139,21 @@ class PerformanceModel:
         total = ProtectionTraffic()
         total_cycles = 0.0
         phase_results: list[PhaseResult] = []
-        # Whole-trace pricing: stateful cached schemes stream every
-        # phase through their reuse-distance engine in one session,
-        # which is byte-identical to per-phase pricing but amortizes the
-        # LRU state handling across the trace.
-        session = None
-        if batches is not None:
-            session = scheme.pricing_session()
-            pairs = zip(phases, batches)
-        elif scheme.vectorizes:
-            session = scheme.pricing_session()
+        if batches is None:
             pairs = ((p, AccessBatch.from_phase(p)) for p in phases)
         else:
-            # Stateful per-access schemes walk accesses anyway; skip the
-            # structure-of-arrays conversion they would discard.
-            pairs = ((p, None) for p in phases)
-        for phase, batch in pairs:
-            if session is not None:
+            pairs = zip(phases, batches)
+        with scheme.pricing_session() as session:
+            for phase, batch in pairs:
                 traffic = session.price(batch)
-            else:
-                traffic = ProtectionTraffic()
-                for access in phase.accesses:
-                    traffic.merge(scheme.process(access))
-            memory_cycles = self._memory_cycles(traffic, protected)
-            total_cycles += max(phase.compute_cycles, memory_cycles)
-            total.merge(traffic)
-            if keep_phase_results:
-                phase_results.append(
-                    PhaseResult(phase.name, phase.compute_cycles, memory_cycles)
-                )
-        if session is not None:
-            session.close()
+                memory_cycles = self._memory_cycles(traffic, protected)
+                total_cycles += max(phase.compute_cycles, memory_cycles)
+                total.merge(traffic)
+                if keep_phase_results:
+                    phase_results.append(
+                        PhaseResult(phase.name, phase.compute_cycles,
+                                    memory_cycles)
+                    )
         tail = scheme.finish()
         total.merge(tail)
         total_cycles += self._memory_cycles(tail, protected)

@@ -703,8 +703,8 @@ def sweep_schemes(
     suite = schemes if schemes is not None else scheme_suite(protected_bytes)
     names = [name for name in SCHEMES if name in suite]
     names += [name for name in suite if name not in SCHEMES]
-    if batches is None and any(suite[name].vectorizes for name in names):
-        # Convert once here rather than per vectorizing scheme in run().
+    if batches is None:
+        # Convert once here rather than per scheme in run().
         batches = [AccessBatch.from_phase(phase) for phase in phases]
     if jobs is not None and jobs > 1 and len(names) > 1:
         from repro.sim.scheduler import effective_workers, parallel_sweep

@@ -834,8 +834,3 @@ def prefetch_artifacts(specs: Iterable["SweepSpec | ProfileSpec"],
         if detach_after:
             TRACE_CACHE.set_cache_dir(None)
     return summary
-
-
-#: Back-compat name from the PR-2 sweep-only scheduler; sweep specs are
-#: now just one artifact kind among several.
-prefetch_sweeps = prefetch_artifacts

@@ -26,8 +26,8 @@ name/compute_cycles/access count, per-column dtype/offset/nbytes), so a
 load is: parse a few hundred bytes of JSON, then build **zero-copy**
 read-only :class:`AccessBatch` views with :func:`numpy.frombuffer` over
 an ``mmap`` of the file.  Phases materialize their ``MemAccess`` objects
-lazily (:class:`~repro.core.access.LazyAccessList`), so ``vectorizes=True``
-schemes price a warm-loaded trace without constructing a single access
+lazily (:class:`~repro.core.access.LazyAccessList`), so pricing sessions
+price a warm-loaded trace without constructing a single access
 object — and cooperating processes mmapping the same spill share one
 copy of the columns in the OS page cache.
 

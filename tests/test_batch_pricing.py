@@ -1,11 +1,12 @@
-"""Batched pricing contract: ``price_batch`` ≡ per-access ``process``.
+"""Batched pricing contract: ``pricing_session()`` ≡ per-access ``process``.
 
-The sweep pipeline rests on one invariant: pricing an
-:class:`~repro.core.access.AccessBatch` must equal — byte for byte, per
-traffic category — processing the same accesses in order.  These tests
-pin that down with a randomized-seed property sweep over all five
-schemes plus real DNN and graph traces, and cover the trace/sweep cache
-and the parallel sweep path the runner builds on top.
+The sweep pipeline rests on one invariant: pricing a stream of
+:class:`~repro.core.access.AccessBatch` through one pricing session must
+equal — byte for byte, per traffic category, per batch — processing the
+same accesses in order.  These tests pin that down with a Hypothesis
+differential over random batch cuts, a randomized-seed property sweep
+over all five schemes plus real DNN and graph traces, and cover the
+trace/sweep cache and the parallel sweep path the runner builds on top.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ import random
 from dataclasses import astuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.units import MIB
 from repro.core.access import AccessBatch, AccessKind, DataClass, MemAccess, Phase
 from repro.core.schemes import ProtectionTraffic, scheme_suite
+from repro.core.schemes.counter_mode import FINE_MAC_POLICY, CounterModeProtection
 from repro.sim.runner import (
     SCHEMES,
     TRACE_CACHE,
@@ -68,6 +71,85 @@ def _price_batched(scheme, batch) -> ProtectionTraffic:
     traffic = scheme.price_batch(batch)
     traffic.merge(scheme.finish())
     return traffic
+
+
+#: A small protected region carved into 64 KiB slots, so random accesses
+#: overlap: metadata lines get reused, dirtied, evicted and flooded.
+_SMALL_PROTECTED = 4 * MIB
+_SLOT = 64 * 1024
+
+
+@st.composite
+def _clustered_access(draw) -> MemAccess:
+    size = draw(st.one_of(st.integers(1, 16 * 1024),
+                          st.integers(1, 512 * 1024)))
+    slot = draw(st.integers(0, _SMALL_PROTECTED // _SLOT - 1))
+    offset = draw(st.integers(0, _SLOT - 1))
+    address = min(slot * _SLOT + offset, _SMALL_PROTECTED - size)
+    data_class = draw(st.sampled_from(DataClass))
+    kind = draw(st.sampled_from([AccessKind.READ, AccessKind.WRITE]))
+    if draw(st.booleans()):
+        return MemAccess(address, size, kind, data_class, sequential=True)
+    burst = draw(st.sampled_from([64, 128, 256, 512, 4096]))
+    return MemAccess(address, size, kind, data_class, sequential=False,
+                     burst_bytes=burst,
+                     spread_bytes=draw(st.integers(burst, _SMALL_PROTECTED)))
+
+
+@st.composite
+def _cut_trace(draw) -> list[list[MemAccess]]:
+    """Random accesses cut at random batch boundaries (empty batches too)."""
+    accesses = draw(st.lists(_clustered_access(), max_size=16))
+    cuts = sorted(draw(st.lists(st.integers(0, len(accesses)), max_size=5)))
+    bounds = [0, *cuts, len(accesses)]
+    return [accesses[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _differential_schemes() -> dict:
+    """The five suite schemes plus a tiny stored-VN cache at every
+    associativity: small enough that runs flood and chains climb."""
+    schemes = scheme_suite(_SMALL_PROTECTED)
+    for ways in (None, 2, 4):
+        name = f"tiny-{ways or 'full'}"
+        schemes[name] = CounterModeProtection(
+            name=name, vn_onchip=False, mac_policy=FINE_MAC_POLICY,
+            protected_bytes=_SMALL_PROTECTED, cache_bytes=1024,
+            cache_ways=ways,
+        )
+    return schemes
+
+
+def _scheme_state(scheme) -> tuple:
+    """Scheme stats, cache stats and cache contents (LRU order, dirt)."""
+    cache = getattr(scheme, "cache", None)
+    if cache is None:
+        return (scheme.stats.as_dict(),)
+    return (scheme.stats.as_dict(), cache.stats.as_dict(),
+            [list(lines.items()) for lines in cache.contents()])
+
+
+class TestOneSessionDifferential:
+    @given(batches=_cut_trace())
+    @settings(max_examples=100, deadline=None)
+    def test_session_matches_per_access_walk(self, batches):
+        """One ``pricing_session()`` over a cut trace ≡ ``process`` per
+        access: per-batch traffic, state after the stream, ``finish()``."""
+        reference = _differential_schemes()
+        priced = _differential_schemes()
+        for name, scheme in priced.items():
+            expected = []
+            for accesses in batches:
+                traffic = ProtectionTraffic()
+                for access in accesses:
+                    traffic.merge(reference[name].process(access))
+                expected.append(astuple(traffic))
+            with scheme.pricing_session() as session:
+                actual = [astuple(session.price(AccessBatch.from_accesses(a)))
+                          for a in batches]
+            assert actual == expected, name
+            assert _scheme_state(scheme) == _scheme_state(reference[name]), name
+            assert astuple(scheme.finish()) == astuple(reference[name].finish()), name
+            assert _scheme_state(scheme) == _scheme_state(reference[name]), name
 
 
 class TestAccessBatchRoundTrip:
@@ -174,11 +256,27 @@ class TestBatchPricingEquivalence:
         traffic = scheme.price_batch(batch)
         assert traffic.total_bytes > 0
 
-    def test_all_schemes_vectorize(self):
-        """Every suite scheme advertises a batched fast path, so sweeps
-        convert each trace to columns exactly once."""
-        for name, scheme in scheme_suite(_PROTECTED).items():
-            assert scheme.vectorizes, name
+    def test_run_prices_through_one_session(self, monkeypatch):
+        """``PerformanceModel.run`` opens exactly one pricing session per
+        scheme and never takes the per-access reference walk."""
+        workload = dnn_workload("AlexNet", "Cloud")
+        model = workload.performance_model()
+
+        def boom(self, access):
+            raise AssertionError("PerformanceModel.run called process()")
+
+        for name, scheme in scheme_suite(workload.protected_bytes).items():
+            opened = []
+
+            def counting_session(real=scheme.pricing_session):
+                opened.append(real())
+                return opened[-1]
+
+            monkeypatch.setattr(scheme, "pricing_session", counting_session)
+            monkeypatch.setattr(type(scheme), "process", boom)
+            result = model.run(workload.trace.phases, scheme)
+            assert len(opened) == 1, name
+            assert result.traffic.data_bytes > 0, name
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("cache_bytes", [1024, 4096])
@@ -267,15 +365,17 @@ class TestBatchPricingEquivalence:
         assert astuple(actual) == astuple(expected)
 
     @pytest.mark.parametrize("name", ["BP", "MGX_MAC"])
-    def test_price_trace_matches_per_batch_pricing(self, name):
-        """Whole-trace engine pricing ≡ per-batch pricing, per phase —
-        traffic, scheme stats, cache stats and final LRU state alike."""
+    def test_session_matches_per_batch_pricing(self, name):
+        """One session over the whole trace ≡ a one-batch session per
+        phase — traffic, scheme stats, cache stats and final LRU state
+        alike."""
         workload = dnn_workload("AlexNet", "Cloud", training=True)
         batches = list(workload.trace.batches)
         per_batch_scheme = scheme_suite(workload.protected_bytes)[name]
         trace_scheme = scheme_suite(workload.protected_bytes)[name]
         per_batch = [per_batch_scheme.price_batch(batch) for batch in batches]
-        whole = trace_scheme.price_trace(batches)
+        with trace_scheme.pricing_session() as session:
+            whole = [session.price(batch) for batch in batches]
         assert [astuple(t) for t in whole] == [astuple(t) for t in per_batch]
         assert astuple(trace_scheme.finish()) == astuple(per_batch_scheme.finish())
         assert trace_scheme.stats.as_dict() == per_batch_scheme.stats.as_dict()

@@ -124,6 +124,12 @@ class TestTreeGeometry:
                 hex(address)
 
 
+def _price_session(scheme, batches):
+    """One traffic per batch, priced through one pricing session."""
+    with scheme.pricing_session() as session:
+        return [session.price(batch) for batch in batches]
+
+
 def _sequential_trace():
     """A few batches that exercise runs, walks, chains, and floods."""
     base = 0
@@ -152,7 +158,7 @@ class TestCrossBackendPricing:
             suite = scheme_suite(1 << 20)
             table = {}
             for name, scheme in suite.items():
-                traffics = scheme.price_trace(batches)
+                traffics = _price_session(scheme, batches)
                 tail = scheme.finish()
                 table[name] = ([t.__dict__ for t in traffics], tail.__dict__)
                 if isinstance(scheme, CounterModeProtection) and \
@@ -170,14 +176,14 @@ class TestCrossBackendPricing:
             protected_bytes=1 << 20, cache_bytes=32 * 1024,
         )
         batches = _sequential_trace()
-        first = [t.__dict__ for t in scheme.price_trace(batches)]
+        first = [t.__dict__ for t in _price_session(scheme, batches)]
         assert scheme._engine is not None
         clone = pickle.loads(pickle.dumps(scheme))
         assert clone._engine is None
         # The clone carries the cache state and prices the next batches
         # exactly as the original would.
-        again_orig = [t.__dict__ for t in scheme.price_trace(batches)]
-        again_clone = [t.__dict__ for t in clone.price_trace(batches)]
+        again_orig = [t.__dict__ for t in _price_session(scheme, batches)]
+        again_clone = [t.__dict__ for t in _price_session(clone, batches)]
         assert again_orig == again_clone
         assert first  # the warm-up actually priced something
 
@@ -229,7 +235,7 @@ class TestClosedFormWalk:
         )
 
     def _price(self, scheme, batches):
-        traffic = [t.__dict__ for t in scheme.price_trace(batches)]
+        traffic = [t.__dict__ for t in _price_session(scheme, batches)]
         return traffic, scheme._cache.contents(), scheme.stats.as_dict()
 
     def test_flood_adjacent_walk_matches_probed_walk(self, monkeypatch,

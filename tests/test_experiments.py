@@ -1,9 +1,13 @@
 """Experiment harness: every figure runs (quick mode) and lands in band."""
 
+import re
+
 import pytest
 
+from repro.experiments.__main__ import main as cli_main
 from repro.experiments.base import ExperimentResult
 from repro.experiments.registry import EXPERIMENTS, run_experiment
+from repro.sim.runner import TRACE_CACHE
 
 
 class TestRegistry:
@@ -15,6 +19,18 @@ class TestRegistry:
     def test_unknown_experiment(self):
         with pytest.raises(KeyError):
             run_experiment("fig99")
+
+
+class TestCli:
+    def test_no_cache_summary_reports_disabled_cache(self, monkeypatch, capsys):
+        """A disabled cache counts nothing, so the summary must not claim
+        "0 misses" after building every artifact."""
+        monkeypatch.setattr(TRACE_CACHE, "enabled", True)  # undo --no-cache
+        assert cli_main(["--quick", "--only", "fig19", "--no-cache"]) == 0
+        err = capsys.readouterr().err
+        assert re.search(r"^trace cache: disabled \(--no-cache\), "
+                         r"(python|native) pricing engine$", err, re.M), err
+        assert "misses" not in err
 
 
 class TestResultStructure:

@@ -133,115 +133,3 @@ class TestAgainstReferenceModel:
                 reference.append((line, dirty))
                 assert outcome.writeback_address == expected_wb
 
-
-class TestProbeSegment:
-    """probe_segment ≡ per-line access() + writeback-chain walking."""
-
-    @staticmethod
-    def _parent_of(address):
-        # A simple two-level geometry: lines in [0, 64*64) have parents
-        # at 64*64 + (index // 8) * 64; parent lines have no parent.
-        if address < 64 * 64:
-            return 64 * 64 + ((address // 64) // 8) * 64
-        return None
-
-    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=31),
-                              st.integers(min_value=1, max_value=12),
-                              st.booleans()),
-                    min_size=1, max_size=60))
-    @settings(max_examples=40, deadline=None)
-    def test_matches_per_line_walk(self, segments):
-        """Same misses, writebacks, parent events, and final LRU state."""
-        capacity = 8
-        probed = MetadataCache(capacity * 64)
-        walked = MetadataCache(capacity * 64)
-        for start, n_lines, dirty in segments:
-            probe = probed.probe_segment(
-                start * 64, n_lines, dirty=dirty, parent_of=self._parent_of
-            )
-            misses, writebacks, parent_misses = [], [], []
-            for i in range(start, start + n_lines):
-                outcome = walked.access(i * 64, dirty=dirty)
-                if not outcome.hit:
-                    misses.append(i * 64)
-                queue = ([outcome.writeback_address]
-                         if outcome.writeback_address is not None else [])
-                while queue:
-                    addr = queue.pop()
-                    writebacks.append(addr)
-                    parent = self._parent_of(addr)
-                    if parent is None:
-                        continue
-                    parent_outcome = walked.access(parent, dirty=True)
-                    if not parent_outcome.hit:
-                        parent_misses.append(parent)
-                    if parent_outcome.writeback_address is not None:
-                        queue.append(parent_outcome.writeback_address)
-            assert probe.misses == misses
-            assert probe.writebacks == writebacks
-            assert probe.parent_misses == parent_misses
-        assert probed._sets == walked._sets  # identical LRU order + dirt
-        assert probed.stats.as_dict() == walked.stats.as_dict()
-
-    def test_set_associative_probe(self):
-        probed = MetadataCache(16 * 64, ways=4)
-        walked = MetadataCache(16 * 64, ways=4)
-        probe = probed.probe_segment(0, 40, dirty=True)
-        misses = [i * 64 for i in range(40)
-                  if not walked.access(i * 64, dirty=True).hit]
-        assert probe.misses == misses
-
-    def test_probe_without_parents_reports_writebacks(self):
-        cache = MetadataCache(2 * 64)
-        cache.probe_segment(0, 2, dirty=True)
-        probe = cache.probe_segment(4 * 64, 2, dirty=False)
-        assert probe.writebacks == [0, 64]
-
-
-class TestResidentFastPath:
-    """The closed-form path for segments entirely under the hot-set size
-    must be state-identical to the general walk (and actually trigger)."""
-
-    def test_fast_path_triggers_on_resident_segment(self):
-        cache = MetadataCache(8 * 64)
-        cache.probe_segment(0, 6, dirty=False)   # cold: general walk
-        assert cache.fast_probes == 0
-        probe = cache.probe_segment(0, 6, dirty=False)  # hot: fast path
-        assert cache.fast_probes == 1
-        assert probe.misses == [] and probe.writebacks == []
-
-    def test_fast_path_state_matches_general_walk(self):
-        fast = MetadataCache(8 * 64)
-        slow = MetadataCache(8 * 64)
-        for c in (fast, slow):
-            c.probe_segment(0, 8, dirty=False)
-        fast.probe_segment(2 * 64, 4, dirty=True)   # resident: fast path
-        for i in range(2, 6):                        # reference: per-line
-            slow.access(i * 64, dirty=True)
-        assert fast.fast_probes == 1
-        assert fast._sets == slow._sets  # identical LRU order and dirt
-        assert fast.stats.as_dict() == slow.stats.as_dict()
-
-    def test_fast_path_skipped_when_any_line_absent(self):
-        cache = MetadataCache(8 * 64)
-        cache.probe_segment(0, 4, dirty=False)
-        cache.probe_segment(0, 5, dirty=False)  # line 4 missing: general walk
-        assert cache.fast_probes == 0
-
-    def test_fast_path_skipped_on_oversized_segment(self):
-        cache = MetadataCache(4 * 64)
-        cache.probe_segment(0, 8, dirty=False)
-        cache.probe_segment(0, 8, dirty=False)
-        assert cache.fast_probes == 0
-
-    def test_set_associative_fast_path(self):
-        fast = MetadataCache(16 * 64, ways=4)
-        slow = MetadataCache(16 * 64, ways=4)
-        for c in (fast, slow):
-            c.probe_segment(0, 12, dirty=True)
-        fast.probe_segment(0, 12, dirty=True)
-        for i in range(12):
-            slow.access(i * 64, dirty=True)
-        assert fast.fast_probes == 1
-        assert fast._sets == slow._sets
-        assert fast.stats.as_dict() == slow.stats.as_dict()

@@ -16,7 +16,7 @@ from repro.sim.scheduler import (
     dnn_spec,
     effective_workers,
     graph_spec,
-    prefetch_sweeps,
+    prefetch_artifacts,
 )
 
 
@@ -30,13 +30,13 @@ def _sweeps_equal(a, b) -> None:
 class TestSweepSpecKeys:
     def test_dnn_spec_key_matches_driver_key(self, fresh_cache):
         spec = dnn_spec("AlexNet", "Cloud")
-        prefetch_sweeps([spec], jobs=1)
+        prefetch_artifacts([spec], jobs=1)
         sweep = dnn_sweep("AlexNet", "Cloud")
         assert fresh_cache.peek(spec.sweep_key()) is sweep
 
     def test_graph_spec_key_matches_driver_key(self, fresh_cache):
         spec = graph_spec("google-plus", "PR", iterations=2, scale_divisor=256)
-        prefetch_sweeps([spec], jobs=1)
+        prefetch_artifacts([spec], jobs=1)
         sweep = graph_sweep("google-plus", "PR", iterations=2, scale_divisor=256)
         assert fresh_cache.peek(spec.sweep_key()) is sweep
 
@@ -54,7 +54,7 @@ class TestSweepSpecKeys:
 
     def test_specs_dedup_in_prefetch(self, fresh_cache):
         spec = dnn_spec("AlexNet", "Cloud")
-        summary = prefetch_sweeps([spec, spec, spec], jobs=1)
+        summary = prefetch_artifacts([spec, spec, spec], jobs=1)
         assert summary["workloads"] == 1
         assert summary["priced"] == 1
 
@@ -73,7 +73,7 @@ class TestPrefetchParallel:
         fresh_cache.clear()
         # Force the pool path even on single-core machines.
         monkeypatch.setattr("repro.sim.scheduler.os.cpu_count", lambda: 2)
-        summary = prefetch_sweeps(specs, jobs=2)
+        summary = prefetch_artifacts(specs, jobs=2)
         assert summary["priced"] == len(specs)
         for spec in specs:
             cached = fresh_cache.peek(spec.sweep_key())
@@ -82,8 +82,8 @@ class TestPrefetchParallel:
 
     def test_prefetch_skips_cached_sweeps(self, fresh_cache):
         spec = dnn_spec("AlexNet", "Cloud")
-        prefetch_sweeps([spec], jobs=1)
-        summary = prefetch_sweeps([spec], jobs=1)
+        prefetch_artifacts([spec], jobs=1)
+        summary = prefetch_artifacts([spec], jobs=1)
         assert summary == {"workloads": 1, "cached": 1, "priced": 0,
                            "traces_built": 0, "results_built": 0,
                            "profiles_built": 0}
@@ -96,7 +96,7 @@ class TestPrefetchParallel:
 
         monkeypatch.setattr("repro.sim.scheduler.os.cpu_count", lambda: 2)
         spec = dnn_spec("AlexNet", "Cloud")
-        summary = prefetch_sweeps([spec], jobs=2)
+        summary = prefetch_artifacts([spec], jobs=2)
         assert summary["results_built"] == len(SCHEMES)
         for job in build_graph([spec]):
             assert disk_cache.has(job.key), job.kind
