@@ -39,9 +39,14 @@
  * integrity tree from a wave of missed nodes in one call: each wave
  * probes the deduped parents of the previous wave's misses clean, so
  * the walk stops at the first fully-cached level.  lru_runs prices a
- * whole column of fused MAC/VN runs — per row, the MAC range, the VN
- * range (collecting its misses as walk seeds), then the walk — with
- * the same pause/resume protocol; all cursor state lives in
+ * whole trace chunk's column of fused MAC/VN runs — per row, the MAC
+ * range, the VN range (collecting its misses as walk seeds), then the
+ * walk.  A range flagged as a flood (at least cache-sized) is not
+ * probed: the cache is flushed instead, its dirty lines becoming that
+ * row's writebacks, and a flooded VN range skips the walk.  After each
+ * row the running event counts are stored as that row's end offsets,
+ * so every event is attributable to its row.  The same pause/resume
+ * protocol applies, mid-flush included; all cursor state lives in
  * caller-owned state arrays so a paused call resumes exactly where it
  * left off.
  */
@@ -448,30 +453,87 @@ int64_t lru_walk(ENG_ARGS, int64_t *wave, int64_t *next, int64_t *wstate,
                      fills, ev_cap);
 }
 
-/* Price a column of fused MAC/VN runs in one call.  Row r probes
- * mac_n[r] consecutive lines from mac_first[r], then vn_n[r] from
- * vn_first[r] (dirty per dirtyf[r]); when walkf[r], the VN range's
- * misses seed the integrity-tree walk that follows the row.  `rstate`
- * is the resume cursor: [0] row, [1] phase (0 MAC range, 1 VN range,
- * 2 walk), [2] index within the range, [3..6] the walk cursor
- * (walk_tick's `ws`; [4] doubles as the seed count while the VN range
- * streams).  Returns 1 when every row is priced, 0 when pausing. */
-int64_t lru_runs(ENG_ARGS, const int64_t *mac_first, const int64_t *mac_n,
-                 const int64_t *vn_first, const int64_t *vn_n,
-                 const uint8_t *dirtyf, const uint8_t *walkf,
-                 int64_t n_runs, int64_t *wave, int64_t *next,
-                 int64_t *rstate, int64_t *miss_out, int64_t *wb_out,
-                 int64_t *pm_out, int64_t *fills, int64_t ev_cap) {
-    Eng g = make_eng(ENG_VALS);
+static void reset_eng(Eng *g, int64_t *hdr) {
+    for (int64_t s = 0; s < g->n_sets; s++) {
+        g->heads[s] = g->tails[s] = g->counts[s] = g->useds[s] = 0;
+        int64_t *k = g->keys + s * g->tsize;
+        for (int64_t i = 0; i < g->tsize; i++)
+            k[i] = EMPTY;
+    }
+    int64_t total = g->n_sets * g->rsize;
+    for (int64_t i = 0; i < total; i++)
+        g->ring_valid[i] = 0;
+    hdr[8] = NIL;
+}
+
+/* Resumable flush: append every dirty line (recency order, set-major)
+ * to `wb_out` as a writeback, then evict everything.  `fs` is the
+ * cursor: [0] set, [1] ring index.  Nothing mutates the cache until the
+ * scan completes, so a pause for a full writeback buffer resumes at the
+ * saved slot.  Returns 1 when done, 0 when pausing. */
+static int flush_tick(Eng *g, int64_t *hdr, int64_t *fs, int64_t *wb_out,
+                      int64_t *fills, int64_t ev_cap) {
+    int64_t resident = 0;
+    for (int64_t s = 0; s < g->n_sets; s++)
+        resident += g->counts[s];
+    if (resident == 0)
+        return 1; /* nothing was inserted since the last reset */
+    for (int64_t s = fs[0]; s < g->n_sets; s++) {
+        int64_t *L = g->ring_lines + s * g->rsize;
+        uint8_t *D = g->ring_dirty + s * g->rsize;
+        uint8_t *V = g->ring_valid + s * g->rsize;
+        int64_t i = fs[1] > g->heads[s] ? fs[1] : g->heads[s];
+        for (; i < g->tails[s]; i++) {
+            if (!(V[i] && D[i]))
+                continue;
+            if (fills[1] >= ev_cap) {
+                fs[0] = s;
+                fs[1] = i;
+                return 0;
+            }
+            wb_out[fills[1]++] = L[i];
+            hdr[7]++;
+        }
+        fs[1] = 0;
+    }
+    reset_eng(g, hdr);
+    fs[0] = fs[1] = 0;
+    return 1;
+}
+
+/* Flood flags of lru_runs rows. */
+#define FLOOD_MAC 1
+#define FLOOD_VN 2
+
+/* One resumable slice of lru_runs (see there). */
+static int64_t runs_tick(Eng *g, int64_t *hdr, const int64_t *mac_first,
+                         const int64_t *mac_n, const int64_t *vn_first,
+                         const int64_t *vn_n, const uint8_t *dirtyf,
+                         const uint8_t *walkf, const uint8_t *floodf,
+                         int64_t n_runs, int64_t *wave, int64_t *next,
+                         int64_t *rstate, int64_t *row_ends,
+                         int64_t *miss_out, int64_t *wb_out, int64_t *pm_out,
+                         int64_t *fills, int64_t ev_cap) {
     int64_t pending = hdr[8];
     hdr[8] = NIL;
     if (pending != NIL) {
-        if (chain(&g, hdr, pending, wb_out, pm_out, fills, ev_cap))
+        if (chain(g, hdr, pending, wb_out, pm_out, fills, ev_cap))
             return 0;
     }
     int64_t r = rstate[0], phase = rstate[1], j = rstate[2];
     for (; r < n_runs; r++, phase = 0, j = 0) {
         int dirty = (int)dirtyf[r];
+        int flood = (int)floodf[r];
+        if (phase == 0 && (flood & FLOOD_MAC)) {
+            if (!flush_tick(g, hdr, rstate + 7, wb_out, fills, ev_cap)) {
+                rstate[0] = r;
+                rstate[1] = 0;
+                rstate[2] = 0;
+                return 0;
+            }
+            phase = 1;
+            j = 0;
+        }
         if (phase == 0) {
             int64_t cnt = mac_n[r], base = mac_first[r];
             for (; j < cnt; j++) {
@@ -482,16 +544,16 @@ int64_t lru_runs(ENG_ARGS, const int64_t *mac_first, const int64_t *mac_n,
                     rstate[2] = j;
                     return 0;
                 }
-                int64_t line = base + j * g.line_bytes;
+                int64_t line = base + j * g->line_bytes;
                 int64_t v, e;
-                if (touch(&g, set_of(&g, line), line, dirty, &v, &e)) {
+                if (touch(g, set_of(g, line), line, dirty, &v, &e)) {
                     hdr[5]++;
                     continue;
                 }
                 hdr[6]++;
                 miss_out[fills[0]++] = line;
                 if (v != NIL &&
-                    chain(&g, hdr, v, wb_out, pm_out, fills, ev_cap)) {
+                    chain(g, hdr, v, wb_out, pm_out, fills, ev_cap)) {
                     rstate[0] = r;
                     rstate[1] = 0;
                     rstate[2] = j + 1;
@@ -500,6 +562,15 @@ int64_t lru_runs(ENG_ARGS, const int64_t *mac_first, const int64_t *mac_n,
             }
             phase = 1;
             j = 0;
+        }
+        if (phase == 1 && (flood & FLOOD_VN)) {
+            if (!flush_tick(g, hdr, rstate + 7, wb_out, fills, ev_cap)) {
+                rstate[0] = r;
+                rstate[1] = 1;
+                rstate[2] = 0;
+                return 0;
+            }
+            phase = 2; /* no seeds: the walk is skipped */
         }
         if (phase == 1) {
             int64_t cnt = vn_n[r], base = vn_first[r];
@@ -512,9 +583,9 @@ int64_t lru_runs(ENG_ARGS, const int64_t *mac_first, const int64_t *mac_n,
                     rstate[2] = j;
                     return 0;
                 }
-                int64_t line = base + j * g.line_bytes;
+                int64_t line = base + j * g->line_bytes;
                 int64_t v, e;
-                if (touch(&g, set_of(&g, line), line, dirty, &v, &e)) {
+                if (touch(g, set_of(g, line), line, dirty, &v, &e)) {
                     hdr[5]++;
                     continue;
                 }
@@ -523,7 +594,7 @@ int64_t lru_runs(ENG_ARGS, const int64_t *mac_first, const int64_t *mac_n,
                 if (collect)
                     wave[rstate[4]++] = line; /* ascending walk seeds */
                 if (v != NIL &&
-                    chain(&g, hdr, v, wb_out, pm_out, fills, ev_cap)) {
+                    chain(g, hdr, v, wb_out, pm_out, fills, ev_cap)) {
                     rstate[0] = r;
                     rstate[1] = 1;
                     rstate[2] = j + 1;
@@ -535,7 +606,7 @@ int64_t lru_runs(ENG_ARGS, const int64_t *mac_first, const int64_t *mac_n,
         }
         /* phase == 2: the walk (resumable via rstate[3..6]). */
         if (walkf[r] && rstate[4] > 0) {
-            if (!walk_tick(&g, hdr, wave, next, rstate + 3, miss_out,
+            if (!walk_tick(g, hdr, wave, next, rstate + 3, miss_out,
                            wb_out, pm_out, fills, ev_cap)) {
                 rstate[0] = r;
                 rstate[1] = 2;
@@ -544,23 +615,48 @@ int64_t lru_runs(ENG_ARGS, const int64_t *mac_first, const int64_t *mac_n,
             }
         }
         rstate[3] = rstate[4] = rstate[5] = rstate[6] = 0;
+        for (int c = 0; c < 3; c++)
+            row_ends[3 * r + c] = rstate[9 + c] + fills[c];
     }
     rstate[0] = n_runs;
     return 1;
 }
 
+/* Price a column of fused MAC/VN runs in one call.  Row r probes
+ * mac_n[r] consecutive lines from mac_first[r], then vn_n[r] from
+ * vn_first[r] (dirty per dirtyf[r]); when walkf[r], the VN range's
+ * misses seed the integrity-tree walk that follows the row.  floodf[r]
+ * flags floods: FLOOD_MAC replaces the MAC range's probes with a flush,
+ * FLOOD_VN the VN range's probes and the walk (the MAC range is probed
+ * first).  Once row r is done, row_ends[3r + c] holds the number of
+ * events of category c (misses, writebacks, parent misses) emitted
+ * since the call began.  `rstate` is the resume cursor, zeroed by the
+ * caller before the first call: [0] row, [1] phase (0 MAC range, 1 VN
+ * range, 2 walk), [2] index within the range, [3..6] the walk cursor
+ * (walk_tick's `ws`; [4] doubles as the seed count while the VN range
+ * streams), [7..8] the flush cursor, [9..11] the events emitted by
+ * earlier (paused) calls per category.  Returns 1 when every row is
+ * priced, 0 when pausing. */
+int64_t lru_runs(ENG_ARGS, const int64_t *mac_first, const int64_t *mac_n,
+                 const int64_t *vn_first, const int64_t *vn_n,
+                 const uint8_t *dirtyf, const uint8_t *walkf,
+                 const uint8_t *floodf, int64_t n_runs, int64_t *wave,
+                 int64_t *next, int64_t *rstate, int64_t *row_ends,
+                 int64_t *miss_out, int64_t *wb_out, int64_t *pm_out,
+                 int64_t *fills, int64_t ev_cap) {
+    Eng g = make_eng(ENG_VALS);
+    int64_t done = runs_tick(&g, hdr, mac_first, mac_n, vn_first, vn_n,
+                             dirtyf, walkf, floodf, n_runs, wave, next,
+                             rstate, row_ends, miss_out, wb_out, pm_out,
+                             fills, ev_cap);
+    for (int c = 0; c < 3; c++)
+        rstate[9 + c] += fills[c];
+    return done;
+}
+
 void lru_reset(ENG_ARGS) {
     Eng g = make_eng(ENG_VALS);
-    for (int64_t s = 0; s < g.n_sets; s++) {
-        g.heads[s] = g.tails[s] = g.counts[s] = g.useds[s] = 0;
-        int64_t *k = g.keys + s * g.tsize;
-        for (int64_t i = 0; i < g.tsize; i++)
-            k[i] = EMPTY;
-    }
-    int64_t total = g.n_sets * g.rsize;
-    for (int64_t i = 0; i < total; i++)
-        g.ring_valid[i] = 0;
-    hdr[8] = NIL;
+    reset_eng(&g, hdr);
 }
 
 /* Adopt per-set contents, LRU first: set s holds lines[offsets[s] ..
@@ -588,21 +684,13 @@ void lru_load(ENG_ARGS, const int64_t *lines, const uint8_t *dirty,
 }
 
 /* Evict everything; writes dirty lines (recency order, set-major) to
- * `out` and returns how many. */
+ * `out` (room for the set capacity times the set count) and returns how
+ * many. */
 int64_t lru_flush(ENG_ARGS, int64_t *out) {
     Eng g = make_eng(ENG_VALS);
-    int64_t k = 0;
-    for (int64_t s = 0; s < g.n_sets; s++) {
-        int64_t *L = g.ring_lines + s * g.rsize;
-        uint8_t *D = g.ring_dirty + s * g.rsize;
-        uint8_t *V = g.ring_valid + s * g.rsize;
-        for (int64_t i = g.heads[s]; i < g.tails[s]; i++) {
-            if (V[i] && D[i])
-                out[k++] = L[i];
-        }
-    }
-    lru_reset(ENG_VALS);
-    return k;
+    int64_t fs[2] = {0, 0}, fills[3] = {0, 0, 0};
+    flush_tick(&g, hdr, fs, out, fills, INT64_MAX);
+    return fills[1];
 }
 
 /* Per-set (line, dirty) contents in recency order, concatenated

@@ -232,13 +232,6 @@ class AccessBatch:
     def __len__(self) -> int:
         return len(self.address)
 
-    def __getstate__(self):
-        # Schemes memoize derived pricing columns on the batch; they are
-        # cheap to recompute and must not bloat pickled trace caches.
-        state = self.__dict__.copy()
-        state.pop("_columns_memo", None)
-        return state
-
     @property
     def end(self) -> np.ndarray:
         return self.address + self.size
@@ -277,6 +270,14 @@ class AccessBatch:
     def from_phase(cls, phase: Phase) -> "AccessBatch":
         return cls.from_accesses(phase.accesses)
 
+    @classmethod
+    def concat(cls, batches: Sequence["AccessBatch"]) -> "AccessBatch":
+        """The batches' rows in order, as one batch (columns only)."""
+        if len(batches) == 1:
+            return batches[0]
+        return cls(*(np.concatenate([getattr(b, name) for b in batches])
+                     for name in _COLUMNS))
+
     def to_accesses(self, reconstruct: bool = False) -> list[MemAccess]:
         """The batch as objects; ``reconstruct`` forces a rebuild from the
         columns (exercised by the losslessness tests)."""
@@ -295,3 +296,8 @@ class AccessBatch:
             )
             for i in range(len(self))
         ]
+
+
+#: The column fields of :class:`AccessBatch`, in constructor order.
+_COLUMNS = ("address", "size", "is_write", "data_class", "sequential", "vn",
+            "vn_present", "burst_bytes", "spread_bytes")

@@ -145,7 +145,7 @@ def _declare(lib) -> None:
     lib.lru_probe_range.restype = i64
     lib.lru_walk.argtypes = state + [p, p, p] + events
     lib.lru_walk.restype = i64
-    lib.lru_runs.argtypes = state + [p, p, p, p, p, p, i64, p, p, p] + events
+    lib.lru_runs.argtypes = state + [p, p, p, p, p, p, p, i64, p, p, p, p] + events
     lib.lru_runs.restype = i64
     lib.lru_reset.argtypes = state
     lib.lru_reset.restype = None

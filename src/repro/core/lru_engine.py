@@ -56,6 +56,11 @@ _EMPTY = np.empty(0, dtype=np.int64)
 #: Initial scalar-scratch size of an event category (doubles as needed).
 _SCRATCH_MIN = 64
 
+#: ``probe_run_batch`` flood flags: the row's MAC / VN range is at least
+#: cache-sized, so the engine flushes instead of probing it.
+FLOOD_MAC = 1
+FLOOD_VN = 2
+
 
 def dedup_ascending(values: np.ndarray) -> np.ndarray:
     """Drop adjacent duplicates of an already-ascending column."""
@@ -105,15 +110,17 @@ class _EventChunks:
     a Python list and re-boxing on every drain, scalars land in a
     preallocated int64 scratch buffer (doubled when full) that is cut
     into a chunk only when an array chunk arrives or the category
-    drains.
+    drains.  A running count answers ``len()`` in O(1): run batches read
+    it after every row to record the row's event end offsets.
     """
 
-    __slots__ = ("_chunks", "_scratch", "_fill")
+    __slots__ = ("_chunks", "_scratch", "_fill", "_count")
 
     def __init__(self) -> None:
         self._chunks: list[np.ndarray] = []
         self._scratch = np.empty(_SCRATCH_MIN, dtype=np.int64)
         self._fill = 0
+        self._count = 0
 
     def push(self, value: int) -> None:
         """Append one scalar event."""
@@ -125,28 +132,31 @@ class _EventChunks:
             self._scratch = scratch = grown
         scratch[fill] = value
         self._fill = fill + 1
+        self._count += 1
 
     def append(self, array: np.ndarray) -> None:
         """Append one bulk chunk (keeps order relative to scalars)."""
         if self._fill:
             self._cut_scratch()
         self._chunks.append(array)
+        self._count += len(array)
 
     def _cut_scratch(self) -> None:
         self._chunks.append(self._scratch[:self._fill].copy())
         self._fill = 0
 
     def __bool__(self) -> bool:
-        return self._fill > 0 or bool(self._chunks)
+        return self._count > 0
 
     def __len__(self) -> int:
-        return self._fill + sum(len(chunk) for chunk in self._chunks)
+        return self._count
 
     def drain(self) -> np.ndarray:
         """Concatenate everything into one int64 array and reset."""
         if self._fill:
             self._cut_scratch()
         chunks = self._chunks
+        self._count = 0
         if not chunks:
             return np.empty(0, dtype=np.int64)
         self._chunks = []
@@ -278,6 +288,9 @@ class LruEngine:
     #: Runs at most this long take the scalar walk — the bulk paths'
     #: fixed setup costs more than a few exact per-line events.
     _SCALAR_RUN = 24
+    #: Entries the ``parent_of`` memo holds before it starts over, so a
+    #: streamed trace's distinct lines cannot grow it without bound.
+    _PARENT_MEMO_MAX = 4096
 
     def __init__(self, capacity_lines: int, line_bytes: int = CACHE_BLOCK,
                  ways: int | None = None,
@@ -350,6 +363,16 @@ class LruEngine:
 
     def flush(self) -> np.ndarray:
         """Evict everything; returns dirty line addresses in recency order."""
+        return self._flush()
+
+    def _flush_into(self, sink: EventSink) -> None:
+        """A run batch's flood: flush, the dirty lines becoming writebacks."""
+        dirty_lines = self._flush()
+        if len(dirty_lines):
+            sink.writebacks.append(dirty_lines)
+            sink.writeback_count += len(dirty_lines)
+
+    def _flush(self) -> np.ndarray:
         dirty_lines: list[np.ndarray] = []
         for index in range(self.n_sets):
             window = slice(self._head[index], self._tail[index])
@@ -375,10 +398,13 @@ class LruEngine:
     def _parent(self, line: int) -> int | None:
         if self.parent_of is None:
             return None
-        parent = self._parent_memo.get(line, -1)
+        memo = self._parent_memo
+        parent = memo.get(line, -1)
         if parent == -1:
+            if len(memo) >= self._PARENT_MEMO_MAX:
+                memo.clear()
             parent = self.parent_of(line)
-            self._parent_memo[line] = parent
+            memo[line] = parent
         return parent
 
     def _parents_of(self, lines: np.ndarray, flags: np.ndarray) -> list:
@@ -876,8 +902,9 @@ class LruEngine:
     def probe_run_batch(self, mac_first: np.ndarray, mac_count: np.ndarray,
                         vn_first: np.ndarray, vn_count: np.ndarray,
                         dirty: np.ndarray, walk: np.ndarray,
-                        sink: EventSink) -> None:
-        """Price a column of fused MAC/VN runs, tree walks included.
+                        flood: np.ndarray, sink: EventSink) -> np.ndarray:
+        """Price a column of fused MAC/VN runs, floods and tree walks
+        included; returns the per-row event end offsets.
 
         Row ``k`` describes one sequential access: ``mac_count[k]``
         consecutive MAC lines from address ``mac_first[k]`` fused with
@@ -885,69 +912,92 @@ class LruEngine:
         one ascending run (the VN region sits above the MAC region),
         probed dirty when ``dirty[k]``; when ``walk[k]``, the run's
         missed VN lines then climb the tree via :meth:`walk_tree`.
-        Event- and state-identical to probing run by run in row order.
+        ``flood[k]`` (bits :data:`FLOOD_MAC`, :data:`FLOOD_VN`) marks a
+        range at least as large as the cache: instead of probing it the
+        engine flushes, the dirty lines becoming the row's writebacks,
+        and a flooded VN range skips the walk (the MAC range is probed
+        or flushed first).  Event- and state-identical to probing run by
+        run in row order.
+
+        Row ``k`` of the returned ``(rows, 3)`` array holds the sink's
+        miss, writeback and parent-miss counts once row ``k`` is done,
+        so each row's events are the slices between consecutive ends.
         """
-        line_bytes = self.line_bytes
-        capacity = self.capacity_lines
-        fully = self.n_sets == 1
+        n_runs = len(mac_count)
         mac_first_l = mac_first.tolist()
         mac_count_l = mac_count.tolist()
         vn_first_l = vn_first.tolist()
         vn_count_l = vn_count.tolist()
         dirty_l = np.asarray(dirty, dtype=bool).tolist()
         walk_l = np.asarray(walk, dtype=bool).tolist()
-        for k in range(len(mac_count_l)):
+        flood_l = np.asarray(flood, dtype=np.uint8).tolist()
+        misses, writebacks, parent_misses = (
+            sink.misses, sink.writebacks, sink.parent_misses)
+        ends: list[tuple[int, int, int]] = []
+        for k in range(n_runs):
+            flags = flood_l[k]
             mac_lines = mac_count_l[k]
-            vn_lines = vn_count_l[k]
-            run_dirty = dirty_l[k]
-            if not vn_lines:
-                if mac_lines:
-                    self.probe_range(mac_first_l[k], mac_lines, run_dirty,
-                                     sink)
-                continue
-            run_misses: list | None = [] if walk_l[k] else None
-            n_run = mac_lines + vn_lines
-            writebacks_before = sink.writeback_count
+            if flags & FLOOD_MAC:
+                self._flush_into(sink)
+                mac_lines = 0
+            vn_lines = 0 if flags & FLOOD_VN else vn_count_l[k]
+            self._probe_run(mac_first_l[k], mac_lines, vn_first_l[k],
+                            vn_lines, dirty_l[k], walk_l[k], sink)
+            if flags & FLOOD_VN:
+                self._flush_into(sink)
+            ends.append((len(misses), len(writebacks), len(parent_misses)))
+        return np.array(ends, dtype=np.int64).reshape(n_runs, 3)
+
+    def _probe_run(self, mac_first: int, mac_lines: int, vn_first: int,
+                   vn_lines: int, run_dirty: bool, walk: bool,
+                   sink: EventSink) -> None:
+        """One row of :meth:`probe_run_batch` past its floods."""
+        if not vn_lines:
             if mac_lines:
-                lines = np.empty(n_run, dtype=np.int64)
-                first_line = mac_first_l[k]
-                lines[:mac_lines] = np.arange(
-                    first_line, first_line + mac_lines * line_bytes,
-                    line_bytes, dtype=np.int64,
-                )
-                first_line = vn_first_l[k]
-                lines[mac_lines:] = np.arange(
-                    first_line, first_line + vn_lines * line_bytes,
-                    line_bytes, dtype=np.int64,
-                )
-                self.probe_lines(lines, run_dirty, sink, run_misses)
-            else:
-                self.probe_range(vn_first_l[k], vn_lines, run_dirty, sink,
-                                 run_misses)
-            if run_misses:
-                miss_lines = drain_chunks(run_misses)
-                # Flood-adjacent guard: a clean cache-sized (or larger)
-                # run that missed everywhere and chained nowhere has
-                # displaced the whole resident set with clean run lines
-                # below the tree region, so the walk's outcome is
-                # closed-form (every level misses in full).
-                flood = (
-                    not run_dirty
-                    and fully
-                    and n_run >= capacity
-                    and sink.writeback_count == writebacks_before
-                    and len(miss_lines) == n_run
-                )
-                seeds = miss_lines[miss_lines >= vn_first_l[k]]
-                if len(seeds):
-                    self.walk_tree(seeds, sink, flood=flood)
+                self.probe_range(mac_first, mac_lines, run_dirty, sink)
+            return
+        line_bytes = self.line_bytes
+        run_misses: list | None = [] if walk else None
+        n_run = mac_lines + vn_lines
+        writebacks_before = sink.writeback_count
+        if mac_lines:
+            lines = np.empty(n_run, dtype=np.int64)
+            lines[:mac_lines] = np.arange(
+                mac_first, mac_first + mac_lines * line_bytes,
+                line_bytes, dtype=np.int64,
+            )
+            lines[mac_lines:] = np.arange(
+                vn_first, vn_first + vn_lines * line_bytes,
+                line_bytes, dtype=np.int64,
+            )
+            self.probe_lines(lines, run_dirty, sink, run_misses)
+        else:
+            self.probe_range(vn_first, vn_lines, run_dirty, sink,
+                             run_misses)
+        if run_misses:
+            miss_lines = drain_chunks(run_misses)
+            # Flood-adjacent guard: a clean cache-sized (or larger)
+            # run that missed everywhere and chained nowhere has
+            # displaced the whole resident set with clean run lines
+            # below the tree region, so the walk's outcome is
+            # closed-form (every level misses in full).
+            flood = (
+                not run_dirty
+                and self.n_sets == 1
+                and n_run >= self.capacity_lines
+                and sink.writeback_count == writebacks_before
+                and len(miss_lines) == n_run
+            )
+            seeds = miss_lines[miss_lines >= vn_first]
+            if len(seeds):
+                self.walk_tree(seeds, sink, flood=flood)
 
     # -- closed-form flood paths ----------------------------------------
     def flood_clean(self, lines: np.ndarray, sink: EventSink,
                     miss_sink: list | None = None) -> None:
         """Closed-form all-miss clean probe: one bulk ring replacement.
 
-        Preconditions (caller-checked by :meth:`probe_run_batch`'s
+        Preconditions (caller-checked by :meth:`_probe_run`'s
         flood-adjacent guard before :meth:`walk_tree` takes this path):
         fully associative, no resident line dirty, and none of ``lines``
         (distinct, ascending) resident.  Under them the probe is a pure

@@ -15,6 +15,12 @@ parking a mid-flight chain victim in the header) whenever one fills;
 the wrapper drains each pause's chunks into the
 :class:`~repro.core.lru_engine.EventSink` and resumes, so arbitrarily
 long runs price in bounded memory with event order preserved exactly.
+
+``probe_run_batch`` is the pricing sessions' one call per trace chunk:
+``lru_runs`` executes every row in order — probes, write-back chains,
+tree walks, and the flushes of flood rows (which can pause mid-flush
+too) — and stores each row's running event counts as it finishes it,
+so the scheme attributes every event to its row without a second pass.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import numpy as np
 from repro.common.errors import ConfigError
 from repro.common.units import CACHE_BLOCK
 from repro.core.engine_backend import TreeGeometry, native_library
-from repro.core.lru_engine import EventSink
+from repro.core.lru_engine import FLOOD_VN, EventSink
 
 _NIL = -1
 #: Header slots (mirrors the layout comment in ``_lru_native.c``).
@@ -110,7 +116,7 @@ class NativeLruEngine:
         self._wave_buf = np.empty(0, dtype=np.int64)
         self._next_buf = np.empty(0, dtype=np.int64)
         self._wstate = np.zeros(4, dtype=np.int64)
-        self._rstate = np.zeros(8, dtype=np.int64)
+        self._rstate = np.zeros(12, dtype=np.int64)
 
     # -- state import/export -------------------------------------------
     def load_state(self, sets: list) -> None:
@@ -285,36 +291,45 @@ class NativeLruEngine:
     def probe_run_batch(self, mac_first: np.ndarray, mac_count: np.ndarray,
                         vn_first: np.ndarray, vn_count: np.ndarray,
                         dirty: np.ndarray, walk: np.ndarray,
-                        sink: EventSink) -> None:
-        """Price a column of fused MAC/VN runs, tree walks included.
+                        flood: np.ndarray, sink: EventSink) -> np.ndarray:
+        """Price a column of fused MAC/VN runs, floods and tree walks
+        included; returns the per-row event end offsets.
 
-        One ``lru_runs`` call per batch (plus pause/resume round trips):
-        the run columns cross the boundary once, and every probe, chain
-        and walk of every row happens inside the library.  Event- and
-        state-identical to the Python engine's ``probe_run_batch``.
+        One ``lru_runs`` call per column (plus pause/resume round
+        trips, mid-flush included): the run columns cross the boundary
+        once, and every probe, flush, chain and walk of every row
+        happens inside the library, which records each row's running
+        event counts as it finishes the row.  Event- and state-identical
+        to the Python engine's ``probe_run_batch``.
         """
         n_runs = len(mac_count)
+        ends = np.empty((n_runs, 3), dtype=np.int64)
         if n_runs == 0:
-            return
+            return ends
         mac_first = np.ascontiguousarray(mac_first, dtype=np.int64)
         mac_count = np.ascontiguousarray(mac_count, dtype=np.int64)
         vn_first = np.ascontiguousarray(vn_first, dtype=np.int64)
         vn_count = np.ascontiguousarray(vn_count, dtype=np.int64)
         dirty8 = np.ascontiguousarray(dirty, dtype=np.uint8)
         walk8 = np.ascontiguousarray(walk, dtype=np.uint8)
-        self._ensure_scratch(max(1, int(vn_count.max())))
+        flood8 = np.ascontiguousarray(flood, dtype=np.uint8)
+        # A flooded VN range collects no walk seeds.
+        seeds = np.where(flood8 & FLOOD_VN, 0, vn_count)
+        self._ensure_scratch(max(1, int(seeds.max())))
         rstate = self._rstate
         rstate[:] = 0
         hdr = self._hdr
         before = hdr[_H_HITS:_H_PENDING].tolist()
+        base = (len(sink.misses), len(sink.writebacks),
+                len(sink.parent_misses))
         fills = self._fills
         runs = self._runs
         run_args = self._state_args + (
             mac_first.ctypes.data, mac_count.ctypes.data,
             vn_first.ctypes.data, vn_count.ctypes.data,
-            dirty8.ctypes.data, walk8.ctypes.data, n_runs,
-            self._wave_buf.ctypes.data, self._next_buf.ctypes.data,
-            rstate.ctypes.data,
+            dirty8.ctypes.data, walk8.ctypes.data, flood8.ctypes.data,
+            n_runs, self._wave_buf.ctypes.data, self._next_buf.ctypes.data,
+            rstate.ctypes.data, ends.ctypes.data,
         )
         tail_args = self._ev_args + (self._ev_cap,)
         while True:
@@ -324,3 +339,5 @@ class NativeLruEngine:
             if done:
                 break
         self._apply_counts(sink, before)
+        ends += base
+        return ends

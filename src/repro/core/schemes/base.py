@@ -9,11 +9,13 @@ model.
 
 Schemes price a stream of :class:`~repro.core.access.AccessBatch`
 through one API, :meth:`ProtectionScheme.pricing_session`; the sweep
-pipeline, streaming traces and the server all build on it.
-Implementations vectorize, but the result must be *exactly* equal —
-byte for byte, per traffic category — to processing the batches'
-accesses in order with :meth:`ProtectionScheme.process`, the per-access
-reference the tests compare against.
+pipeline, streaming traces and the server all build on it.  One
+``price`` call takes a batch of several contiguous phases and returns
+their traffic per phase (:class:`PhaseTraffic`).  Implementations
+vectorize, but the result must be *exactly* equal — byte for byte, per
+traffic category, per phase — to processing the batches' accesses in
+order with :meth:`ProtectionScheme.process`, the per-access reference
+the tests compare against.
 """
 
 from __future__ import annotations
@@ -133,6 +135,73 @@ class ProtectionTraffic:
         )
 
 
+#: Columns of a :class:`PhaseTraffic` table, in :class:`ProtectionTraffic`
+#: field order; seq columns are the even ones, scat the odd ones.
+TRAFFIC_FIELDS = tuple(ProtectionTraffic.__dataclass_fields__)
+_DATA_SEQ, _DATA_SCAT, _MAC_SEQ, _MAC_SCAT = 0, 1, 2, 3
+_VN_SEQ, _VN_SCAT, _TREE_SEQ, _TREE_SCAT = 4, 5, 6, 7
+
+
+class PhaseTraffic:
+    """Per-phase traffic of one priced batch.
+
+    ``table`` is an ``(n_phases, 8)`` int64 array whose columns follow
+    :data:`TRAFFIC_FIELDS`; row ``i`` is phase ``i``'s
+    :class:`ProtectionTraffic`.
+    """
+
+    __slots__ = ("table",)
+
+    def __init__(self, table: np.ndarray) -> None:
+        self.table = table
+
+    @classmethod
+    def zeros(cls, n_phases: int) -> "PhaseTraffic":
+        return cls(np.zeros((n_phases, len(TRAFFIC_FIELDS)), dtype=np.int64))
+
+    @classmethod
+    def of(cls, traffic: ProtectionTraffic) -> "PhaseTraffic":
+        """A one-phase table holding ``traffic``."""
+        return cls(np.array([[getattr(traffic, name) for name in TRAFFIC_FIELDS]],
+                            dtype=np.int64))
+
+    def total(self) -> ProtectionTraffic:
+        return ProtectionTraffic(*self.table.sum(axis=0).tolist())
+
+    @property
+    def data_bytes(self) -> np.ndarray:
+        return self.table[:, _DATA_SEQ] + self.table[:, _DATA_SCAT]
+
+    def to_profile(self) -> TrafficProfile:
+        """Per-phase sequential/scattered byte columns."""
+        return TrafficProfile(
+            sequential_bytes=self.table[:, 0::2].sum(axis=1),
+            scattered_bytes=self.table[:, 1::2].sum(axis=1),
+        )
+
+
+def phase_sums(per_access: np.ndarray, phase_offsets: np.ndarray) -> np.ndarray:
+    """Per-phase sums of a per-access column (or ``(n, k)`` table).
+
+    Phase ``i`` covers rows ``[phase_offsets[i], phase_offsets[i + 1])``.
+    The sums are differences of one int64 cumulative sum, so empty
+    phases get exactly 0 (``np.add.reduceat`` would hand them the next
+    row instead).
+    """
+    running = np.zeros((len(per_access) + 1,) + per_access.shape[1:],
+                       dtype=np.int64)
+    np.cumsum(per_access, axis=0, out=running[1:])
+    return running[phase_offsets[1:]] - running[phase_offsets[:-1]]
+
+
+def split_by_stream(table: np.ndarray, seq_column: int, values: np.ndarray,
+                    stream: np.ndarray) -> None:
+    """Add ``values`` into ``table``'s seq column on stream rows and the
+    scat column right after it on the others."""
+    table[:, seq_column] += np.where(stream, values, 0)
+    table[:, seq_column + 1] += np.where(stream, 0, values)
+
+
 class ProtectionScheme:
     """Interface of a memory-protection timing engine."""
 
@@ -145,23 +214,25 @@ class ProtectionScheme:
     def pricing_session(self) -> "PricingSession":
         """The pricing API: a handle that prices a stream of batches in order.
 
-        ``[session.price(b) for b in batches]`` followed by
-        ``session.close()`` equals calling :meth:`process` on every
-        access of every batch in order, per batch; callers consume
-        chunked traces (generator phases) batch by batch without ever
-        holding the whole trace — stateful schemes keep their engine
-        state open across the stream instead of reloading it per batch.
+        ``[session.price(b, offsets) for b, offsets in chunks]``
+        followed by ``session.close()`` equals calling :meth:`process`
+        on every access of every batch in order, per phase; callers
+        consume chunked traces (generator phases) chunk by chunk
+        without ever holding the whole trace — stateful schemes keep
+        their engine state open across the stream instead of reloading
+        it per batch.
         """
         return PricingSession(self)
 
     def price_batch(self, batch: AccessBatch) -> ProtectionTraffic:
         """Traffic of one batch: a one-batch :meth:`pricing_session`."""
         with self.pricing_session() as session:
-            return session.price(batch)
+            return session.price(batch, one_phase(batch)).total()
 
-    def _price_batch_stateless(self, batch: AccessBatch) -> ProtectionTraffic:
-        """Columnar pricing of a non-empty batch that needs no state
-        carried across batches (the base session's hook)."""
+    def _price_batch_stateless(self, batch: AccessBatch,
+                               phase_offsets: np.ndarray) -> PhaseTraffic:
+        """Columnar per-phase pricing of a non-empty batch that needs no
+        state carried across batches (the base session's hook)."""
         raise NotImplementedError
 
     def finish(self) -> ProtectionTraffic:
@@ -177,28 +248,48 @@ class ProtectionScheme:
         return 0
 
 
+def one_phase(batch: AccessBatch) -> np.ndarray:
+    """Phase offsets making the whole of ``batch`` one phase."""
+    return np.array([0, len(batch)], dtype=np.int64)
+
+
 class PricingSession:
     """In-order pricing of a batch stream with state held open.
 
-    The base session prices each batch with the scheme's stateless
-    columnar hook and closes to a no-op, which is exact for stateless
-    schemes.  Stateful schemes return a subclass from
-    :meth:`ProtectionScheme.pricing_session` that loads engine state
-    once, prices every batch against it, and writes the state (and
-    stats) back on :meth:`close` — so a multi-gigabyte trace can stream
-    through in bounded memory.  ``close`` is idempotent and, used as a
-    context manager, is *not* called when pricing raises: a failed run
-    writes no state back.
+    :meth:`price` takes a batch of contiguous phases — phase ``i`` is
+    rows ``[phase_offsets[i], phase_offsets[i + 1])`` — and returns one
+    traffic row per phase.  The base session prices each batch with the
+    scheme's stateless columnar hook and closes to a no-op, which is
+    exact for stateless schemes.  Stateful schemes return a subclass
+    from :meth:`ProtectionScheme.pricing_session` that loads engine
+    state once, prices every batch against it, and writes the state
+    (and stats) back on :meth:`close` — so a multi-gigabyte trace can
+    stream through in bounded memory.  ``close`` is idempotent and, used
+    as a context manager, is *not* called when pricing raises: a failed
+    run writes no state back.
     """
 
     def __init__(self, scheme: ProtectionScheme) -> None:
         self._scheme = scheme
 
-    def price(self, batch: AccessBatch) -> ProtectionTraffic:
+    def price(self, batch: AccessBatch,
+              phase_offsets: np.ndarray) -> PhaseTraffic:
+        offsets = np.asarray(phase_offsets, dtype=np.int64)
+        if (offsets.ndim != 1 or len(offsets) < 2 or offsets[0] != 0
+                or offsets[-1] != len(batch) or (np.diff(offsets) < 0).any()):
+            raise ConfigError(
+                f"phase offsets must rise from 0 to the batch length "
+                f"{len(batch)}, got {offsets.tolist()}"
+            )
         if len(batch) == 0:
             # Touch no stats, exactly like walking zero accesses.
-            return ProtectionTraffic()
-        return self._scheme._price_batch_stateless(batch)
+            return PhaseTraffic.zeros(len(offsets) - 1)
+        return self._price(batch, offsets)
+
+    def _price(self, batch: AccessBatch,
+               phase_offsets: np.ndarray) -> PhaseTraffic:
+        """Per-phase traffic of a non-empty batch (offsets validated)."""
+        return self._scheme._price_batch_stateless(batch, phase_offsets)
 
     def close(self) -> None:
         """Write accumulated state back to the scheme.  Idempotent."""
@@ -225,13 +316,12 @@ class NoProtection(ProtectionScheme):
         self.stats.add("data_bytes", access.size)
         return traffic
 
-    def _price_batch_stateless(self, batch: AccessBatch) -> ProtectionTraffic:
-        stream = stream_mask(batch)
-        traffic = ProtectionTraffic(
-            data_seq=int(batch.size[stream].sum()),
-            data_scat=int(batch.size[~stream].sum()),
-        )
-        self.stats.add("data_bytes", traffic.data_bytes)
+    def _price_batch_stateless(self, batch: AccessBatch,
+                               phase_offsets: np.ndarray) -> PhaseTraffic:
+        per_access = np.zeros((len(batch), len(TRAFFIC_FIELDS)), dtype=np.int64)
+        split_by_stream(per_access, _DATA_SEQ, batch.size, stream_mask(batch))
+        traffic = PhaseTraffic(phase_sums(per_access, phase_offsets))
+        self.stats.add("data_bytes", int(batch.size.sum()))
         return traffic
 
     def reset(self) -> None:

@@ -41,15 +41,19 @@ Cached/tree configurations (BP, MGX_MAC) are order-dependent through the
 LRU metadata cache — but only their *sequential* accesses mutate it:
 gathers and per-access-MAC transfers price with closed-form arithmetic
 that never touches LRU state.  Their session therefore decomposes every
-batch into its pure component (data amplification, gather MAC/VN/tree
-costs — evaluated as NumPy columns) and the ordered sequence of
-*sequential runs*, and streams the runs — each touching its metadata
-lines exactly once in ascending order, per the stream-buffer guarantee
-— through one :class:`~repro.core.lru_engine.LruEngine` pass per
-session, integrity-tree walks and write-back chains included.  Runs at
-least as large as the cache take the closed-form flood path instead.
-Sessions are pinned byte-for-byte against the per-access walk by
-``tests/test_batch_pricing.py``, and the engine against
+batch — a chunk of contiguous phases — into its pure component (data
+amplification, gather MAC/VN/tree costs — evaluated as NumPy columns)
+and the ordered sequence of *sequential runs*, and hands the runs —
+each touching its metadata lines exactly once in ascending order, per
+the stream-buffer guarantee — to the
+:class:`~repro.core.lru_engine.LruEngine` in one ``probe_run_batch``
+call, integrity-tree walks and write-back chains included.  A MAC or VN
+range at least as large as the cache is a *flood* row: the engine
+flushes instead of probing it, in row order, and its bytes are closed
+form (every line misses).  The engine reports where each row's events
+end, so per-phase traffic is a cumulative sum over per-access columns.
+Sessions are pinned byte-for-byte, per phase, against the per-access
+walk by ``tests/test_batch_pricing.py``, and the engine against
 :meth:`MetadataCache.access` by ``tests/test_lru_engine.py``.
 """
 
@@ -64,18 +68,29 @@ from repro.common.stats import StatsGroup
 from repro.common.units import CACHE_BLOCK, ceil_div, round_up
 from repro.core.access import DATA_CLASSES, AccessBatch, DataClass, MemAccess
 from repro.core.engine_backend import TreeGeometry, create_engine
-from repro.core.lru_engine import EventSink, LruEngine
+from repro.core.lru_engine import FLOOD_MAC, FLOOD_VN, EventSink, LruEngine
 from repro.core.merkle import TreeLayout
 from repro.core.metadata_cache import MetadataCache
 from repro.core.schemes.base import (
-    ENTRY_BYTES,
+    _DATA_SEQ,
     _ENTRIES_PER_LINE,
+    _MAC_SCAT,
+    _MAC_SEQ,
+    _TREE_SCAT,
+    _TREE_SEQ,
+    _VN_SCAT,
+    _VN_SEQ,
+    ENTRY_BYTES,
+    TRAFFIC_FIELDS,
+    PhaseTraffic,
     PricingSession,
     ProtectionScheme,
     ProtectionTraffic,
     _add_data,
     _burst_bytes,
     _is_stream,
+    phase_sums,
+    split_by_stream,
     stream_mask,
 )
 
@@ -93,14 +108,19 @@ class MacPolicy:
     overrides: dict[DataClass, int] = field(default_factory=dict)
     per_access: frozenset[DataClass] = frozenset()
 
+    def __post_init__(self) -> None:
+        for gran in (self.default, *self.overrides.values()):
+            if gran <= 0 or gran % CACHE_BLOCK != 0:
+                raise ConfigError(
+                    f"MAC granularity must be a positive multiple of "
+                    f"{CACHE_BLOCK}, got {gran}"
+                )
+
     def granularity_for(self, access: MemAccess) -> int:
         if access.data_class in self.per_access:
             # One MAC covering the entire transfer.
             return max(access.size, CACHE_BLOCK)
-        gran = self.overrides.get(access.data_class, self.default)
-        if gran % CACHE_BLOCK != 0:
-            raise ConfigError(f"MAC granularity must be a multiple of 64, got {gran}")
-        return gran
+        return self.overrides.get(access.data_class, self.default)
 
 
 #: The paper's MGX configuration: 512-B MACs except fine-grained
@@ -265,20 +285,7 @@ class CounterModeProtection(ProtectionScheme):
         per-access-MAC classes, sequential granule spans, and gathered
         bursts each follow the same formulas, so every derived column is
         equal to what the per-access walk computes access by access.
-
-        The columns depend only on the batch and the scheme's pricing
-        parameters (granularity tables, protected region), so they are
-        memoized on the batch under that key: a sweep prices the same
-        batch list once per scheme, and schemes sharing a MAC policy
-        share the derivation.  The columns are read-only downstream.
         """
-        tables_key = self._gran_tables_key()
-        memo = getattr(batch, "_columns_memo", None)
-        if memo is None:
-            memo = batch._columns_memo = {}
-        cached = memo.get(tables_key)
-        if cached is not None:
-            return cached
         address, size = batch.address, batch.size
         end = address + size
         over = end > self.protected_bytes
@@ -291,18 +298,7 @@ class CounterModeProtection(ProtectionScheme):
         is_write = batch.is_write
         seq = batch.sequential
         stream = stream_mask(batch)
-
-        # Per-class granularity tables, built once per scheme (validated
-        # lazily for classes actually present, matching the scalar path).
-        gran_of_code, per_access_code, invalid_code = self._gran_tables()
-        if invalid_code is not None and invalid_code[batch.data_class].any():
-            code = int(batch.data_class[invalid_code[batch.data_class]][0])
-            gran = self.mac_policy.overrides.get(
-                DATA_CLASSES[code], self.mac_policy.default
-            )
-            raise ConfigError(
-                f"MAC granularity must be a multiple of 64, got {gran}"
-            )
+        gran_of_code, per_access_code = self._gran_tables()
         gran = gran_of_code[batch.data_class]
         per_access = per_access_code[batch.data_class]
 
@@ -317,20 +313,16 @@ class CounterModeProtection(ProtectionScheme):
         )
         seq_mac = seq_mac_lines * CACHE_BLOCK
 
+        burst = np.where(batch.burst_bytes > 0, batch.burst_bytes, CACHE_BLOCK)
+        n_bursts = np.maximum(1, size // burst)
         if seq.all():
             # No gathers: skip the per-burst columns (their values are
             # never selected) — most DNN batches are purely sequential.
-            zeros = np.zeros(len(batch), dtype=np.int64)
-            burst = np.where(batch.burst_bytes > 0, batch.burst_bytes,
-                             CACHE_BLOCK)
-            n_bursts = np.maximum(1, size // burst)
-            gather_mac = zeros
+            gather_mac = np.zeros(len(batch), dtype=np.int64)
             data = size + np.where(per_access, 0, seq_amp)
         else:
             # Gathers: each burst verifies whole granules and fetches its
             # own (contiguous) MAC entries.
-            burst = np.where(batch.burst_bytes > 0, batch.burst_bytes, CACHE_BLOCK)
-            n_bursts = np.maximum(1, size // burst)
             granules_per_burst = -(-burst // gran)
             gather_amp = np.where(
                 is_write, 0, np.maximum(0, n_bursts * granules_per_burst * gran - size)
@@ -338,73 +330,56 @@ class CounterModeProtection(ProtectionScheme):
             lines_per_burst = -(-granules_per_burst // _ENTRIES_PER_LINE)
             gather_mac = n_bursts * lines_per_burst * CACHE_BLOCK
             data = size + np.where(per_access, 0, np.where(seq, seq_amp, gather_amp))
-        cols = _BatchColumns(
+        return _BatchColumns(
             end=end, is_write=is_write, seq=seq, stream=stream,
             per_access=per_access, first=first, last=last,
             seq_mac=seq_mac, burst=burst, n_bursts=n_bursts,
             gather_mac=gather_mac, data=data,
         )
-        memo[tables_key] = cols
-        return cols
 
-    def _gran_tables_key(self) -> tuple:
-        """Hashable identity of everything :meth:`_batch_columns` reads
-        from the scheme (the policy tables and the protected region)."""
-        key = getattr(self, "_gran_tables_key_cache", None)
-        if key is None:
-            gran_of_code, per_access_code, invalid_code = self._gran_tables()
-            key = (self.protected_bytes, gran_of_code.tobytes(),
-                   per_access_code.tobytes(),
-                   None if invalid_code is None else invalid_code.tobytes())
-            self._gran_tables_key_cache = key
-        return key
+    def _gran_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cached per-class-code (granularity, per-access) tables.
 
-    def _gran_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Cached per-class-code (granularity, per-access, invalid) tables.
-
-        The policy is immutable, so the tables are computed once; the
-        ``invalid`` mask defers mis-configured granularities to the
-        batch that actually uses the class — the same lazy validation
-        the scalar path performs.
+        The policy is immutable (and validated on construction), so the
+        tables are computed once per scheme.
         """
         tables = getattr(self, "_gran_tables_cache", None)
         if tables is None:
             gran_of_code = np.full(len(DATA_CLASSES), CACHE_BLOCK, dtype=np.int64)
             per_access_code = np.zeros(len(DATA_CLASSES), dtype=np.bool_)
-            invalid_code = np.zeros(len(DATA_CLASSES), dtype=np.bool_)
             for code, data_class in enumerate(DATA_CLASSES):
                 if data_class in self.mac_policy.per_access:
                     per_access_code[code] = True
-                    continue
-                gran = self.mac_policy.overrides.get(
-                    data_class, self.mac_policy.default
-                )
-                if gran % CACHE_BLOCK != 0:
-                    invalid_code[code] = True
-                    continue
-                gran_of_code[code] = gran
-            if not invalid_code.any():
-                invalid_code = None
-            tables = (gran_of_code, per_access_code, invalid_code)
+                else:
+                    gran_of_code[code] = self.mac_policy.overrides.get(
+                        data_class, self.mac_policy.default
+                    )
+            tables = (gran_of_code, per_access_code)
             self._gran_tables_cache = tables
         return tables
 
-    def _price_batch_stateless(self, batch: AccessBatch) -> ProtectionTraffic:
+    def _price_batch_stateless(self, batch: AccessBatch,
+                               phase_offsets: np.ndarray) -> PhaseTraffic:
         """Columnar evaluation of :meth:`_process_data_and_mac`."""
         cols = self._batch_columns(batch)
-        stream = cols.stream
         mac = np.where(
             cols.per_access, CACHE_BLOCK,
             np.where(cols.seq, cols.seq_mac, cols.gather_mac),
         )
-        traffic = ProtectionTraffic(
-            data_seq=int(cols.data[stream].sum()),
-            data_scat=int(cols.data[~stream].sum()),
-            mac_seq=int(mac[stream].sum()),
-            mac_scat=int(mac[~stream].sum()),
-        )
-        self._account_batch(batch, traffic)
+        per_access = self._pure_columns(cols, mac)
+        traffic = PhaseTraffic(phase_sums(per_access, phase_offsets))
+        self._account_batch(batch, traffic.total())
         return traffic
+
+    def _pure_columns(self, cols: "_BatchColumns",
+                      mac: np.ndarray) -> np.ndarray:
+        """Per-access traffic table of the data and ``mac`` columns,
+        split by stream."""
+        per_access = np.zeros((len(cols.data), len(TRAFFIC_FIELDS)),
+                              dtype=np.int64)
+        split_by_stream(per_access, _DATA_SEQ, cols.data, cols.stream)
+        split_by_stream(per_access, _MAC_SEQ, mac, cols.stream)
+        return per_access
 
     def pricing_session(self) -> PricingSession:
         """Stateless columnar pricing without a cache; otherwise one
@@ -505,51 +480,53 @@ class CounterModeProtection(ProtectionScheme):
             self._level_bases_array = bases
         return bases
 
-    def _price_batch_engine(self, batch: AccessBatch, engine: LruEngine,
-                            sink: EventSink) -> ProtectionTraffic:
-        """Engine-backed pricing of one batch for cached/tree configurations.
+    def _price_batch_engine(self, batch: AccessBatch,
+                            phase_offsets: np.ndarray, engine: LruEngine,
+                            sink: EventSink) -> PhaseTraffic:
+        """Engine-backed per-phase pricing for cached/tree configurations.
 
         Pure components — data amplification, per-access MACs, gather
-        MAC/VN/tree costs — are NumPy column sums (gathers never mutate
-        the LRU cache, so hoisting them out of order is exact).  The
-        sequential runs stream through the reuse-distance engine.
+        MAC/VN/tree costs — are NumPy columns (gathers never mutate the
+        LRU cache, so hoisting them out of order is exact).  The
+        sequential runs go through the reuse-distance engine in one
+        call.  Every cost lands in a per-access table row, so per-phase
+        traffic is one cumulative sum at the phase offsets.
         """
         cols = self._batch_columns(batch)
-        stream = cols.stream
-        traffic = ProtectionTraffic(
-            data_seq=int(cols.data[stream].sum()),
-            data_scat=int(cols.data[~stream].sum()),
-        )
         # Pure MAC component: per-access classes move one line per
         # transfer; gathers fetch per-burst MAC lines without caching.
         pure_mac = np.where(
             cols.per_access, CACHE_BLOCK, np.where(cols.seq, 0, cols.gather_mac)
         )
-        traffic.mac_seq += int(pure_mac[stream].sum())
-        traffic.mac_scat += int(pure_mac[~stream].sum())
+        per_access = self._pure_columns(cols, pure_mac)
         if not self.vn_onchip:
-            self._price_vn_gathers(batch, cols, traffic)
+            self._price_vn_gathers(batch, cols, per_access)
         seq_index = np.nonzero(cols.seq)[0]
         if len(seq_index):
-            self._stream_runs(batch, cols, seq_index, engine, sink, traffic)
-            self._route_events(sink, traffic)
-        self._account_batch(batch, traffic)
+            self._price_runs(batch, cols, seq_index, engine, sink, per_access)
+        traffic = PhaseTraffic(phase_sums(per_access, phase_offsets))
+        self._account_batch(batch, traffic.total())
         return traffic
 
-    def _stream_runs(self, batch: AccessBatch, cols: "_BatchColumns",
-                     seq_index: np.ndarray, engine: LruEngine,
-                     sink: EventSink, traffic: ProtectionTraffic) -> None:
-        """Stream the batch's sequential runs through the LRU engine.
+    def _price_runs(self, batch: AccessBatch, cols: "_BatchColumns",
+                    seq_index: np.ndarray, engine: LruEngine,
+                    sink: EventSink, per_access: np.ndarray) -> None:
+        """Price the batch's sequential runs through the LRU engine.
 
         Each sequential access contributes one run of MAC lines (unless
         its class is per-access) and, under stored VNs, one run of VN
         lines followed by the integrity-tree walk of its missed leaves —
         in batch order, exactly as the per-access walk would.  The runs
-        are packed as columns (first line, length, dirty, walk flag) and
-        handed to the engine in one :meth:`LruEngine.probe_run_batch`
-        call, so pricing a batch is O(1) boundary crossings; only rows
-        whose runs are at least cache-sized take the closed-form flood
-        path here (flush + arithmetic), splitting the batch around them.
+        are packed as columns (first line, length, dirty, walk, flood)
+        and handed to the engine in one
+        :meth:`LruEngine.probe_run_batch` call.  A range at least as
+        large as the cache is flagged as a flood, the threshold
+        :meth:`_mac_segment`/:meth:`_vn_segment` use: the engine flushes
+        instead of probing it, and its stream bytes are closed form
+        here — every line misses (and, written, goes back out), and a
+        VN flood sweeps ``ceil(n / arity^k)`` level-``k`` tree nodes.
+        The engine's per-row event end offsets route every miss and
+        writeback to its row's entry in ``per_access``.
         """
         capacity = self._cache.capacity_lines
         line_bytes = CACHE_BLOCK
@@ -575,104 +552,66 @@ class CounterModeProtection(ProtectionScheme):
             vn_first = np.zeros(n, dtype=np.int64)
             walk = np.zeros(n, dtype=bool)
         dirty = cols.is_write[seq_index]
-        flood_rows = (mac_count >= capacity) | (vn_count >= capacity)
-        if not flood_rows.any():
-            engine.probe_run_batch(mac_first, mac_count, vn_first, vn_count,
-                                   dirty, walk, sink)
-            return
-        start = 0
-        for row in np.nonzero(flood_rows)[0].tolist():
-            if row > start:
-                sub = slice(start, row)
-                engine.probe_run_batch(mac_first[sub], mac_count[sub],
-                                       vn_first[sub], vn_count[sub],
-                                       dirty[sub], walk[sub], sink)
-            mac_lines = int(mac_count[row])
-            vn_lines = int(vn_count[row])
-            row_dirty = bool(dirty[row])
-            if mac_lines >= capacity:
-                self._engine_flood(engine, sink, traffic, mac_lines,
-                                   row_dirty, vn_kind=False)
-                mac_lines = 0
-            if vn_lines >= capacity:
-                if mac_lines:
-                    engine.probe_range(int(mac_first[row]), mac_lines,
-                                       row_dirty, sink)
-                self._engine_flood(engine, sink, traffic, vn_lines,
-                                   row_dirty, vn_kind=True)
-            elif vn_lines:
-                # MAC run flooded, the VN run (and its walk) still probes.
-                sub = slice(row, row + 1)
-                engine.probe_run_batch(np.zeros(1, dtype=np.int64),
-                                       np.zeros(1, dtype=np.int64),
-                                       vn_first[sub], vn_count[sub],
-                                       dirty[sub], walk[sub], sink)
-            start = row + 1
-        if start < n:
-            sub = slice(start, n)
-            engine.probe_run_batch(mac_first[sub], mac_count[sub],
-                                   vn_first[sub], vn_count[sub],
-                                   dirty[sub], walk[sub], sink)
+        mac_flood = mac_count >= capacity
+        vn_flood = vn_count >= capacity
+        flood = (mac_flood * FLOOD_MAC + vn_flood * FLOOD_VN).astype(np.uint8)
+        ends = engine.probe_run_batch(mac_first, mac_count, vn_first,
+                                      vn_count, dirty, walk, flood, sink)
+        rows = np.zeros((n, len(TRAFFIC_FIELDS)), dtype=np.int64)
+        stream_bytes = np.where(dirty, 2, 1) * CACHE_BLOCK
+        rows[:, _MAC_SEQ] = np.where(mac_flood, mac_count * stream_bytes, 0)
+        rows[:, _VN_SEQ] = np.where(vn_flood, vn_count * stream_bytes, 0)
+        if vn_flood.any():
+            rows[:, _TREE_SEQ] = np.where(
+                vn_flood, self._flood_tree_nodes(vn_count) * stream_bytes, 0)
+        # The sink held no events before this call, so the row ends
+        # index straight into the drained arrays.  Stream misses (probed MAC/VN lines and walked tree nodes)
+        # fetch with the stream; write-backs and the ancestor misses of
+        # their chains land at effectively random addresses, so both are
+        # scattered — exactly as the per-line walk routed them, with the
+        # mac/vn/tree split recovered from the metadata address layout.
+        self._route_row_events(rows, _MAC_SEQ, sink.drain_misses(), ends[:, 0])
+        self._route_row_events(rows, _MAC_SCAT, sink.drain_writebacks(),
+                               ends[:, 1])
+        rows[:, _TREE_SCAT] += CACHE_BLOCK * np.diff(ends[:, 2], prepend=0)
+        sink.drain_parent_misses()
+        per_access[seq_index] += rows
 
-    def _engine_flood(self, engine: LruEngine, sink: EventSink,
-                      traffic: ProtectionTraffic, n_lines: int, writes: bool,
-                      vn_kind: bool) -> None:
-        """Closed-form LRU outcome for a run at least as large as the cache.
-
-        Mirrors the flood paths of :meth:`_mac_segment` and
-        :meth:`_vn_flood`: flush everything ahead of the
-        reuse-free stream, then count the stream — and, for VN runs, the
-        tree levels it sweeps — without touching per-line state.
-        """
-        dirty_lines = engine.flush()
-        if len(dirty_lines):
-            sink.writebacks.append(dirty_lines)
-            sink.writeback_count += len(dirty_lines)
-        key = "vn_seq" if vn_kind else "mac_seq"
-        bytes_moved = n_lines * CACHE_BLOCK * (2 if writes else 1)
-        setattr(traffic, key, getattr(traffic, key) + bytes_moved)
-        if not vn_kind:
+    def _route_row_events(self, rows: np.ndarray, mac_column: int,
+                          lines: np.ndarray, row_ends: np.ndarray) -> None:
+        """Add each row's events (``lines[row_ends[k-1]:row_ends[k]]``)
+        to its mac/vn/tree columns (``mac_column`` and every second
+        column after it), by address."""
+        if not len(lines):
             return
+        bounds = np.concatenate(([0], row_ends))
+        # Events before each bound that lie below the VN / tree region.
+        below_vn = np.diff(np.searchsorted(
+            np.flatnonzero(lines < self._vn_base), bounds))
+        below_tree = np.diff(np.searchsorted(
+            np.flatnonzero(lines < self._tree_base), bounds))
+        events = np.diff(bounds)
+        rows[:, mac_column] += below_vn * CACHE_BLOCK
+        rows[:, mac_column + 2] += (below_tree - below_vn) * CACHE_BLOCK
+        rows[:, mac_column + 4] += (events - below_tree) * CACHE_BLOCK
+
+    def _flood_tree_nodes(self, n_lines: np.ndarray) -> np.ndarray:
+        """Tree nodes a VN flood of ``n_lines`` lines sweeps (the
+        vectorized level loop of :meth:`_vn_flood`)."""
         assert self._tree is not None
-        tree_nodes = 0
-        remaining = n_lines
+        nodes = np.zeros(len(n_lines), dtype=np.int64)
+        remaining = n_lines.copy()
+        active = np.ones(len(n_lines), dtype=bool)
         for _level in range(self._tree.stored_levels):
-            remaining = ceil_div(remaining, self._tree.arity)
-            tree_nodes += remaining
-            if remaining == 1:
+            remaining = -(-remaining // self._tree.arity)
+            nodes += np.where(active, remaining, 0)
+            active &= remaining != 1
+            if not active.any():
                 break
-        factor = 2 if writes else 1
-        traffic.tree_seq += factor * tree_nodes * CACHE_BLOCK
-
-    def _route_events(self, sink: EventSink, traffic: ProtectionTraffic) -> None:
-        """Bulk-route the engine's events into the traffic buckets.
-
-        Stream misses (probed MAC/VN lines and walked tree nodes) fetch
-        with the stream; write-backs and the ancestor misses of their
-        chains land at effectively random addresses, so both are
-        scattered — exactly as the per-line walk routed them, with the
-        mac/vn/tree split recovered from the metadata address layout.
-        """
-        misses = sink.drain_misses()
-        if len(misses):
-            below_vn = int(np.count_nonzero(misses < self._vn_base))
-            below_tree = int(np.count_nonzero(misses < self._tree_base))
-            traffic.mac_seq += below_vn * CACHE_BLOCK
-            traffic.vn_seq += (below_tree - below_vn) * CACHE_BLOCK
-            traffic.tree_seq += (len(misses) - below_tree) * CACHE_BLOCK
-        writebacks = sink.drain_writebacks()
-        if len(writebacks):
-            below_vn = int(np.count_nonzero(writebacks < self._vn_base))
-            below_tree = int(np.count_nonzero(writebacks < self._tree_base))
-            traffic.mac_scat += below_vn * CACHE_BLOCK
-            traffic.vn_scat += (below_tree - below_vn) * CACHE_BLOCK
-            traffic.tree_scat += (len(writebacks) - below_tree) * CACHE_BLOCK
-        parent_misses = sink.drain_parent_misses()
-        if len(parent_misses):
-            traffic.tree_scat += len(parent_misses) * CACHE_BLOCK
+        return nodes
 
     def _price_vn_gathers(self, batch: AccessBatch, cols: "_BatchColumns",
-                          traffic: ProtectionTraffic) -> None:
+                          per_access: np.ndarray) -> None:
         """Vectorized :meth:`_vn_gather` over the batch's gather rows."""
         assert self._cache is not None and self._tree is not None
         gather = ~cols.seq
@@ -688,7 +627,8 @@ class CounterModeProtection(ProtectionScheme):
             spread_lines <= hot_lines, np.minimum(per_burst, spread_lines), per_burst
         )
         factor = np.where(cols.is_write, 2, 1)
-        traffic.vn_scat += int((factor * vn_misses * CACHE_BLOCK)[gather].sum())
+        per_access[:, _VN_SCAT] += np.where(
+            gather, factor * vn_misses * CACHE_BLOCK, 0)
 
         # Tree walk: levels small enough to be cache-hot stop the walk.
         # Only gather rows participate — sequential rows would otherwise
@@ -702,7 +642,8 @@ class CounterModeProtection(ProtectionScheme):
             if not active.any():
                 break
             fetches += np.where(active, np.minimum(cols.n_bursts, nodes), 0)
-        traffic.tree_scat += int((factor * fetches * CACHE_BLOCK)[gather].sum())
+        per_access[:, _TREE_SCAT] += np.where(
+            gather, factor * fetches * CACHE_BLOCK, 0)
 
     def _account_batch(self, batch: AccessBatch, traffic: ProtectionTraffic) -> None:
         self.stats.add("accesses", len(batch))
@@ -1057,11 +998,10 @@ class _EngineSession(PricingSession):
         self._sink = EventSink()
         self._closed = False
 
-    def price(self, batch: AccessBatch) -> ProtectionTraffic:
-        if len(batch) == 0:
-            return ProtectionTraffic()
-        return self._scheme._price_batch_engine(batch, self._engine,
-                                                self._sink)
+    def _price(self, batch: AccessBatch,
+               phase_offsets: np.ndarray) -> PhaseTraffic:
+        return self._scheme._price_batch_engine(batch, phase_offsets,
+                                                self._engine, self._sink)
 
     def close(self) -> None:
         if self._closed:

@@ -137,14 +137,15 @@ class DramModel:
 
     # -- fast path ---------------------------------------------------------
     def cycles_for(self, profile: TrafficProfile) -> float:
-        """Controller cycles to move ``profile`` through the memory system."""
+        """Controller cycles to move ``profile`` through the memory system.
+
+        Branch-free, so a profile of per-phase NumPy byte columns prices
+        every phase in one call; a zero byte count contributes exactly
+        0.0, so scalar profiles give the same floats as skipping it.
+        """
         config = self.config
-        cycles = 0.0
-        if profile.sequential_bytes:
-            cycles += profile.sequential_bytes / config.sequential_bytes_per_cycle
-        if profile.scattered_bytes:
-            cycles += profile.scattered_bytes / config.scattered_bytes_per_cycle
-        return cycles
+        return (profile.sequential_bytes / config.sequential_bytes_per_cycle
+                + profile.scattered_bytes / config.scattered_bytes_per_cycle)
 
     def seconds_for(self, profile: TrafficProfile) -> float:
         return self.cycles_for(profile) / self.config.timing.clock_hz

@@ -13,11 +13,14 @@ residual few-percent overhead the paper reports for MGX.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from repro.common.errors import ConfigError
 from repro.core.access import AccessBatch, Phase
 from repro.core.schemes import NoProtection, ProtectionScheme, ProtectionTraffic
+from repro.core.schemes.base import PhaseTraffic
 from repro.dram.model import DramModel
 
 
@@ -88,6 +91,14 @@ class SimResult:
         return self.total_traffic_bytes / baseline.total_traffic_bytes
 
 
+#: Access budget of one pricing chunk: :meth:`PerformanceModel.run`
+#: groups contiguous phases into chunks of at most this many accesses (a
+#: longer phase is a chunk of its own) and prices each chunk with one
+#: ``PricingSession.price`` call.  Every suite trace fits in one chunk,
+#: while a generator trace still streams in bounded memory.
+CHUNK_ACCESSES = 1024
+
+
 class PerformanceModel:
     """Evaluates a phase list under one scheme on one memory system."""
 
@@ -97,8 +108,9 @@ class PerformanceModel:
         #: accelerator cycles per DRAM-controller cycle
         self._clock_ratio = perf.accel_freq_hz / dram.config.timing.clock_hz
 
-    def _memory_cycles(self, traffic: ProtectionTraffic, protected: bool) -> float:
-        """Accelerator-clock cycles for one phase's DRAM traffic."""
+    def _memory_cycles(self, traffic: PhaseTraffic,
+                       protected: bool) -> np.ndarray:
+        """Accelerator-clock cycles of each phase's DRAM traffic."""
         dram_cycles = self.dram.cycles_for(traffic.to_profile())
         cycles = dram_cycles * self._clock_ratio
         if protected and self.perf.crypto_efficiency < 1.0:
@@ -107,7 +119,7 @@ class PerformanceModel:
                 * self.perf.crypto_efficiency
             )
             crypto_cycles = traffic.data_bytes / crypto_rate * self._clock_ratio
-            cycles = max(cycles, crypto_cycles)
+            cycles = np.maximum(cycles, crypto_cycles)
         return cycles
 
     def run(self, phases: Iterable[Phase], scheme: ProtectionScheme,
@@ -120,46 +132,87 @@ class PerformanceModel:
         convert the trace once and share the columns across schemes.
 
         ``phases`` (and ``batches``) may be any iterables, including
-        generators: the whole trace is priced through one
-        :meth:`~repro.core.schemes.base.ProtectionScheme.pricing_session`
-        (stateful cached schemes stream every phase through their
-        reuse-distance engine without reloading LRU state per phase),
-        each phase as it arrives and then dropped, so a chunk-iterable
-        trace far larger than memory runs in bounded space —
-        byte-identical to the list form.
+        generators.  The whole trace is priced through one
+        :meth:`~repro.core.schemes.base.ProtectionScheme.pricing_session`,
+        one ``price`` call per chunk of contiguous phases
+        (:data:`CHUNK_ACCESSES`): stateful cached schemes hand each
+        chunk's runs to their reuse-distance engine in one call, without
+        reloading LRU state, and every chunk's phases get their memory
+        cycles in one vectorized step.  A chunk is dropped once priced,
+        so a chunk-iterable trace far larger than memory runs in bounded
+        space — byte-identical to the list form.  Phases and batches
+        must pair up exactly; a surplus on either side is a
+        :class:`ConfigError`.
         """
-        if (batches is not None and isinstance(phases, list)
-                and isinstance(batches, list)
-                and len(batches) != len(phases)):
-            raise ConfigError(
-                f"{len(batches)} batches supplied for {len(phases)} phases"
-            )
         scheme.reset()
         protected = not isinstance(scheme, NoProtection)
         total = ProtectionTraffic()
         total_cycles = 0.0
         phase_results: list[PhaseResult] = []
-        if batches is None:
-            pairs = ((p, AccessBatch.from_phase(p)) for p in phases)
-        else:
-            pairs = zip(phases, batches)
         with scheme.pricing_session() as session:
-            for phase, batch in pairs:
-                traffic = session.price(batch)
-                memory_cycles = self._memory_cycles(traffic, protected)
-                total_cycles += max(phase.compute_cycles, memory_cycles)
-                total.merge(traffic)
+            for chunk, batch, offsets in _chunks(phases, batches):
+                traffic = session.price(batch, offsets)
+                memory = self._memory_cycles(traffic, protected)
+                compute = np.array([p.compute_cycles for p in chunk],
+                                   dtype=np.float64)
+                # Summed in phase order, as floats: pairwise summation
+                # (``np.sum``) would change the low bits.
+                for cycles in np.maximum(compute, memory).tolist():
+                    total_cycles += cycles
+                total.merge(traffic.total())
                 if keep_phase_results:
-                    phase_results.append(
-                        PhaseResult(phase.name, phase.compute_cycles,
-                                    memory_cycles)
+                    phase_results.extend(
+                        PhaseResult(phase.name, phase.compute_cycles, cycles)
+                        for phase, cycles in zip(chunk, memory.tolist())
                     )
         tail = scheme.finish()
         total.merge(tail)
-        total_cycles += self._memory_cycles(tail, protected)
+        total_cycles += self._memory_cycles(PhaseTraffic.of(tail),
+                                            protected).tolist()[0]
         return SimResult(
             scheme=scheme.name,
             total_cycles=total_cycles,
             traffic=total,
             phase_results=phase_results,
         )
+
+
+def _chunks(phases: Iterable[Phase], batches: Iterable[AccessBatch] | None,
+            ) -> Iterator[tuple[list[Phase], AccessBatch, np.ndarray]]:
+    """Contiguous phases grouped up to :data:`CHUNK_ACCESSES` accesses,
+    each chunk as (phases, concatenated batch, phase offsets)."""
+    if batches is None:
+        pairs = ((phase, AccessBatch.from_phase(phase)) for phase in phases)
+    else:
+        pairs = _strict_pairs(phases, batches)
+    chunk: list[Phase] = []
+    chunk_batches: list[AccessBatch] = []
+    offsets = [0]
+    for phase, batch in pairs:
+        if chunk and offsets[-1] + len(batch) > CHUNK_ACCESSES:
+            yield chunk, AccessBatch.concat(chunk_batches), np.array(offsets)
+            chunk, chunk_batches, offsets = [], [], [0]
+        chunk.append(phase)
+        chunk_batches.append(batch)
+        offsets.append(offsets[-1] + len(batch))
+    if chunk:
+        yield chunk, AccessBatch.concat(chunk_batches), np.array(offsets)
+
+
+def _strict_pairs(phases: Iterable[Phase], batches: Iterable[AccessBatch],
+                  ) -> Iterator[tuple[Phase, AccessBatch]]:
+    """``zip(phases, batches)`` that raises unless both run out together."""
+    phase_iter, batch_iter = iter(phases), iter(batches)
+    paired = 0
+    for phase in phase_iter:
+        batch = next(batch_iter, None)
+        if batch is None:
+            n_phases = paired + 1 + sum(1 for _ in phase_iter)
+            raise ConfigError(
+                f"{paired} batches supplied for {n_phases} phases")
+        paired += 1
+        yield phase, batch
+    surplus = sum(1 for _ in batch_iter)
+    if surplus:
+        raise ConfigError(
+            f"{paired + surplus} batches supplied for {paired} phases")

@@ -93,8 +93,9 @@ class StreamingTrace:
     phases.  Streaming traces bypass the :class:`TraceCache` (there is
     nothing bounded to hold) and price through
     :meth:`~repro.sim.perf.PerformanceModel.run`'s session path, which
-    converts and drops one phase at a time — a trace much larger than
-    memory runs in bounded space, byte-identical to the batched form.
+    converts, prices and drops one bounded chunk of phases at a time — a
+    trace much larger than memory runs in bounded space, byte-identical
+    to the batched form.
     """
 
     build_phases: Callable[[], Iterator[Phase]]
@@ -731,7 +732,7 @@ def sweep_schemes_streaming(
     Each scheme re-iterates the trace from the factory (the generators
     are deterministic, so all schemes see identical phases) and prices
     it through :meth:`~repro.sim.perf.PerformanceModel.run`'s session
-    path one phase at a time.  Results are bit-identical to
+    path one bounded chunk of phases at a time.  Results are bit-identical to
     :func:`sweep_schemes` over the materialized phase list.
     """
     suite = schemes if schemes is not None else scheme_suite(protected_bytes)

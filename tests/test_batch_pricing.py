@@ -2,11 +2,12 @@
 
 The sweep pipeline rests on one invariant: pricing a stream of
 :class:`~repro.core.access.AccessBatch` through one pricing session must
-equal — byte for byte, per traffic category, per batch — processing the
+equal — byte for byte, per traffic category, per phase — processing the
 same accesses in order.  These tests pin that down with a Hypothesis
-differential over random batch cuts, a randomized-seed property sweep
-over all five schemes plus real DNN and graph traces, and cover the
-trace/sweep cache and the parallel sweep path the runner builds on top.
+differential over random two-level cuts (price calls, and phases within
+each call), a randomized-seed property sweep over all five schemes plus
+real DNN and graph traces, and cover the trace/sweep cache and the
+parallel sweep path the runner builds on top.
 """
 
 from __future__ import annotations
@@ -14,12 +15,15 @@ from __future__ import annotations
 import random
 from dataclasses import astuple
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.units import MIB
 from repro.core.access import AccessBatch, AccessKind, DataClass, MemAccess, Phase
+from repro.core.lru_engine import LruEngine
 from repro.core.schemes import ProtectionTraffic, scheme_suite
+from repro.core.schemes.base import one_phase
 from repro.core.schemes.counter_mode import FINE_MAC_POLICY, CounterModeProtection
 from repro.sim.runner import (
     SCHEMES,
@@ -96,13 +100,20 @@ def _clustered_access(draw) -> MemAccess:
                      spread_bytes=draw(st.integers(burst, _SMALL_PROTECTED)))
 
 
+def _cut(draw, items: list, max_cuts: int) -> list[list]:
+    """``items`` cut at random boundaries (empty pieces too)."""
+    cuts = sorted(draw(st.lists(st.integers(0, len(items)),
+                                max_size=max_cuts)))
+    bounds = [0, *cuts, len(items)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 @st.composite
-def _cut_trace(draw) -> list[list[MemAccess]]:
-    """Random accesses cut at random batch boundaries (empty batches too)."""
+def _cut_trace(draw) -> list[list[list[MemAccess]]]:
+    """Random accesses cut into price calls, each call cut into phases
+    (empty calls and empty phases too)."""
     accesses = draw(st.lists(_clustered_access(), max_size=16))
-    cuts = sorted(draw(st.lists(st.integers(0, len(accesses)), max_size=5)))
-    bounds = [0, *cuts, len(accesses)]
-    return [accesses[a:b] for a, b in zip(bounds, bounds[1:])]
+    return [_cut(draw, call, 4) for call in _cut(draw, accesses, 4)]
 
 
 def _differential_schemes() -> dict:
@@ -128,24 +139,38 @@ def _scheme_state(scheme) -> tuple:
             [list(lines.items()) for lines in cache.contents()])
 
 
+def _price_calls(session, calls) -> list[list[tuple]]:
+    """Per call, per phase traffic of one session over ``calls``."""
+    priced = []
+    for phases in calls:
+        batch = AccessBatch.from_accesses([a for p in phases for a in p])
+        offsets = np.cumsum([0] + [len(p) for p in phases])
+        table = session.price(batch, offsets).table
+        assert table.shape == (len(phases), 8)
+        priced.append([tuple(row) for row in table.tolist()])
+    return priced
+
+
 class TestOneSessionDifferential:
-    @given(batches=_cut_trace())
+    @given(calls=_cut_trace())
     @settings(max_examples=100, deadline=None)
-    def test_session_matches_per_access_walk(self, batches):
-        """One ``pricing_session()`` over a cut trace ≡ ``process`` per
-        access: per-batch traffic, state after the stream, ``finish()``."""
+    def test_session_matches_per_access_walk(self, calls):
+        """One ``pricing_session()`` over a trace cut into price calls
+        of several phases ≡ ``process`` per access: per-phase traffic,
+        state after the stream, ``finish()``."""
         reference = _differential_schemes()
         priced = _differential_schemes()
         for name, scheme in priced.items():
             expected = []
-            for accesses in batches:
-                traffic = ProtectionTraffic()
-                for access in accesses:
-                    traffic.merge(reference[name].process(access))
-                expected.append(astuple(traffic))
+            for phases in calls:
+                expected.append([])
+                for accesses in phases:
+                    traffic = ProtectionTraffic()
+                    for access in accesses:
+                        traffic.merge(reference[name].process(access))
+                    expected[-1].append(astuple(traffic))
             with scheme.pricing_session() as session:
-                actual = [astuple(session.price(AccessBatch.from_accesses(a)))
-                          for a in batches]
+                actual = _price_calls(session, calls)
             assert actual == expected, name
             assert _scheme_state(scheme) == _scheme_state(reference[name]), name
             assert astuple(scheme.finish()) == astuple(reference[name].finish()), name
@@ -238,7 +263,7 @@ class TestBatchPricingEquivalence:
         scheme = make_mgx(_PROTECTED)
         accesses = _random_accesses(seed=3, n=50)
         batch = AccessBatch.from_accesses(accesses)
-        vectorized = scheme._price_batch_stateless(batch)
+        vectorized = scheme._price_batch_stateless(batch, one_phase(batch)).total()
         scheme.reset()
         expected = _price_per_access(scheme, accesses)
         assert astuple(vectorized) == astuple(expected)
@@ -258,25 +283,60 @@ class TestBatchPricingEquivalence:
 
     def test_run_prices_through_one_session(self, monkeypatch):
         """``PerformanceModel.run`` opens exactly one pricing session per
-        scheme and never takes the per-access reference walk."""
+        scheme, prices the whole trace with one ``price`` call and at
+        most one engine ``probe_run_batch`` call (floods included: the
+        engine's ``flush`` is never called), and never takes the
+        per-access reference walk."""
+        from repro.core.engine_backend import native_available
+
         workload = dnn_workload("AlexNet", "Cloud")
         model = workload.performance_model()
+        calls: dict[str, int] = {}
 
         def boom(self, access):
             raise AssertionError("PerformanceModel.run called process()")
 
+        def counted(name, real):
+            def method(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                if name == "probe_run_batch":  # (self, ..., flood, sink)
+                    calls["flood rows"] = calls.get("flood rows", 0) + \
+                        int(np.count_nonzero(args[7]))
+                return real(*args, **kwargs)
+            return method
+
+        engines = [LruEngine]
+        if native_available():
+            from repro.core.lru_native import NativeLruEngine
+            engines.append(NativeLruEngine)
+        for engine in engines:
+            for attr in ("probe_run_batch", "flush"):
+                monkeypatch.setattr(engine, attr,
+                                    counted(attr, getattr(engine, attr)))
+        floods = 0
         for name, scheme in scheme_suite(workload.protected_bytes).items():
             opened = []
+            calls.clear()
 
             def counting_session(real=scheme.pricing_session):
-                opened.append(real())
-                return opened[-1]
+                session = real()
+                session.price = counted("price", session.price)
+                opened.append(session)
+                return session
 
             monkeypatch.setattr(scheme, "pricing_session", counting_session)
             monkeypatch.setattr(type(scheme), "process", boom)
-            result = model.run(workload.trace.phases, scheme)
+            result = model.run(workload.trace.phases, scheme,
+                               batches=workload.trace.batches)
             assert len(opened) == 1, name
+            assert calls.get("price") == 1, name
+            assert calls.get("probe_run_batch", 0) <= 1, name
+            assert "flush" not in calls, name
             assert result.traffic.data_bytes > 0, name
+            floods += calls.get("flood rows", 0)
+        # The cached schemes' runs really flood: every flush is a flood
+        # row executed inside the engine call.
+        assert floods > 0
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("cache_bytes", [1024, 4096])
@@ -375,13 +435,25 @@ class TestBatchPricingEquivalence:
         trace_scheme = scheme_suite(workload.protected_bytes)[name]
         per_batch = [per_batch_scheme.price_batch(batch) for batch in batches]
         with trace_scheme.pricing_session() as session:
-            whole = [session.price(batch) for batch in batches]
+            whole = [session.price(batch, one_phase(batch)).total()
+                     for batch in batches]
         assert [astuple(t) for t in whole] == [astuple(t) for t in per_batch]
         assert astuple(trace_scheme.finish()) == astuple(per_batch_scheme.finish())
         assert trace_scheme.stats.as_dict() == per_batch_scheme.stats.as_dict()
         assert (trace_scheme.cache.stats.as_dict()
                 == per_batch_scheme.cache.stats.as_dict())
         assert trace_scheme.cache.contents() == per_batch_scheme.cache.contents()
+
+    @pytest.mark.parametrize("offsets", [[0, 1], [0, 2, 1, 3], [1, 3], [0]])
+    def test_bad_phase_offsets_rejected(self, offsets):
+        """Phase offsets must rise from 0 to the batch length."""
+        from repro.common.errors import ConfigError
+
+        batch = AccessBatch.from_accesses(_random_accesses(seed=2, n=3))
+        for scheme in scheme_suite(_PROTECTED).values():
+            with scheme.pricing_session() as session:
+                with pytest.raises(ConfigError, match="phase offsets"):
+                    session.price(batch, offsets)
 
     def test_out_of_range_batch_rejected(self):
         from repro.common.errors import ConfigError

@@ -29,6 +29,7 @@ from repro.core.engine_backend import (
 )
 from repro.core.lru_engine import LruEngine
 from repro.core.schemes import scheme_suite
+from repro.core.schemes.base import one_phase
 from repro.core.schemes.counter_mode import (
     FINE_MAC_POLICY,
     CounterModeProtection,
@@ -127,7 +128,8 @@ class TestTreeGeometry:
 def _price_session(scheme, batches):
     """One traffic per batch, priced through one pricing session."""
     with scheme.pricing_session() as session:
-        return [session.price(batch) for batch in batches]
+        return [session.price(batch, one_phase(batch)).total()
+                for batch in batches]
 
 
 def _sequential_trace():

@@ -31,7 +31,13 @@ from repro.core.engine_backend import (
     native_available,
     native_error,
 )
-from repro.core.lru_engine import EventSink, LruEngine, drain_chunks
+from repro.core.lru_engine import (
+    FLOOD_MAC,
+    FLOOD_VN,
+    EventSink,
+    LruEngine,
+    drain_chunks,
+)
 from repro.core.metadata_cache import MetadataCache
 
 LINE = 64
@@ -124,20 +130,28 @@ def _drive_reference_runs(cache, rows, parent_of):
     """Ground truth for ``probe_run_batch``: per row, access the MAC
     range then the VN range per line, then climb the tree level by
     level from the row's missed VN lines (deduped parents, probed
-    clean, chains followed) until a level fully hits."""
-    misses, writebacks, parent_misses = [], [], []
-    for mac_first, mac_n, vn_first, vn_n, dirty, walk in rows:
+    clean, chains followed) until a level fully hits.  A row's optional
+    seventh field holds its flood flags: a flooded range is not accessed
+    — the cache is flushed instead, its dirty lines becoming the row's
+    writebacks — and a flooded VN range is not walked.  Also returns
+    the per-row event end offsets (misses, writebacks, parent misses)."""
+    misses, writebacks, parent_misses, ends = [], [], [], []
+    for mac_first, mac_n, vn_first, vn_n, dirty, walk, *flags in rows:
+        flood = flags[0] if flags else 0
         row_misses = []
-        for first, count in ((mac_first, mac_n), (vn_first, vn_n)):
+        for first, count, flood_bit in ((mac_first, mac_n, FLOOD_MAC),
+                                        (vn_first, vn_n, FLOOD_VN)):
+            if flood & flood_bit:
+                writebacks += cache.flush()
+                continue
             m, w, p = _drive_reference(cache, first // LINE, count, dirty,
                                        parent_of)
             row_misses += m
             misses += m
             writebacks += w
             parent_misses += p
-        if not walk:
-            continue
-        wave = [line for line in row_misses if line >= vn_first]
+        wave = ([line for line in row_misses if line >= vn_first]
+                if walk and not flood & FLOOD_VN else [])
         while wave:
             parents = []
             for line in wave:
@@ -153,13 +167,21 @@ def _drive_reference_runs(cache, rows, parent_of):
                 writebacks += w
                 parent_misses += p
                 wave += m
-    return misses, writebacks, parent_misses
+        ends.append([len(misses), len(writebacks), len(parent_misses)])
+    return misses, writebacks, parent_misses, ends
 
 
 def _run_batch_columns(rows):
-    columns = np.array(rows, dtype=np.int64).reshape(-1, 6).T
+    """The seven run columns of ``rows`` (flood flags default to 0)."""
+    columns = np.array([(*row, 0)[:7] for row in rows],
+                       dtype=np.int64).reshape(-1, 7).T
     return (columns[0], columns[1], columns[2], columns[3],
-            columns[4].astype(bool), columns[5].astype(bool))
+            columns[4].astype(bool), columns[5].astype(bool),
+            columns[6].astype(np.uint8))
+
+
+_FLOOD_FLAGS = st.sampled_from([0, 0, 0, FLOOD_MAC, FLOOD_VN,
+                                FLOOD_MAC | FLOOD_VN])
 
 
 def _assert_state_equal(engine, cache):
@@ -227,32 +249,40 @@ class TestModelEquivalence:
                       st.integers(min_value=16, max_value=40),
                       st.integers(min_value=1, max_value=10),
                       st.booleans(),
-                      st.booleans()),
+                      st.booleans(),
+                      _FLOOD_FLAGS),
             min_size=1, max_size=25,
         ),
         capacity=st.sampled_from([2, 4, 8]),
         ways=st.sampled_from([0, 1, 2]),
         geometry=st.sampled_from(sorted(GEOMETRIES)),
+        head=st.integers(min_value=0, max_value=3),
     )
     @settings(max_examples=80, deadline=None)
     def test_run_batch_matches_access_walk(self, backend, rows, capacity,
-                                           ways, geometry):
-        """Whole batches of fused MAC/VN runs with tree walks ≡ the
-        per-line walk, across geometries and set organizations."""
+                                           ways, geometry, head):
+        """Whole batches of fused MAC/VN runs with tree walks and flood
+        rows ≡ the per-line walk with flushes, across geometries and set
+        organizations — and each row's events end where the walk's do,
+        even in a sink that already holds events."""
         parent_of = GEOMETRIES[geometry]
         ways = ways or None
         cache = MetadataCache(capacity * LINE, ways=ways)
         engine = make_engine(backend, capacity, geometry, ways=ways)
         byte_rows = [(mac_start * LINE, mac_n, vn_start * LINE, vn_n,
-                      dirty, walk)
-                     for mac_start, mac_n, vn_start, vn_n, dirty, walk
+                      dirty, walk, flood)
+                     for mac_start, mac_n, vn_start, vn_n, dirty, walk, flood
                      in rows]
-        expected = _drive_reference_runs(cache, byte_rows, parent_of)
+        # The first ``head`` rows go in an earlier call on the same sink.
         sink = EventSink()
-        engine.probe_run_batch(*_run_batch_columns(byte_rows), sink)
+        engine.probe_run_batch(*_run_batch_columns(byte_rows[:head]), sink)
+        ends = engine.probe_run_batch(*_run_batch_columns(byte_rows[head:]),
+                                      sink)
+        expected = _drive_reference_runs(cache, byte_rows, parent_of)
         assert sink.drain_misses().tolist() == expected[0]
         assert sink.drain_writebacks().tolist() == expected[1]
         assert sink.drain_parent_misses().tolist() == expected[2]
+        assert ends.tolist() == expected[3][head:]
         assert (sink.hits, sink.miss_count, sink.writeback_count) == \
             (cache.stats.get("hits"), cache.stats.get("misses"),
              cache.stats.get("writebacks"))
@@ -437,6 +467,81 @@ class TestBackendParity:
                 sink_nat.drain_parent_misses().tolist()
             assert python.export_state() == native.export_state()
 
+    @given(
+        rows=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=8),
+                      st.integers(min_value=0, max_value=6),
+                      st.integers(min_value=16, max_value=40),
+                      st.integers(min_value=1, max_value=10),
+                      st.booleans(),
+                      st.booleans(),
+                      _FLOOD_FLAGS),
+            min_size=1, max_size=25,
+        ),
+        capacity=st.sampled_from([2, 4, 8]),
+        ways=st.sampled_from([0, 2]),
+        geometry=st.sampled_from(sorted(GEOMETRIES)),
+        ev_cap=st.sampled_from([1, 2, 3, 16384]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_run_batch_parity(self, rows, capacity, ways, geometry, ev_cap):
+        """Run batches with flood rows: identical events, per-row end
+        offsets, counters and state on both backends, with the native
+        event buffers small enough to pause mid-probe, mid-chain,
+        mid-walk and mid-flush."""
+        ways = ways or None
+        python = make_engine("python", capacity, geometry, ways=ways)
+        native = make_engine("native", capacity, geometry, ways=ways)
+        native._ev_cap = ev_cap
+        byte_rows = [(mac_start * LINE, mac_n, vn_start * LINE, vn_n,
+                      dirty, walk, flood)
+                     for mac_start, mac_n, vn_start, vn_n, dirty, walk, flood
+                     in rows]
+        columns = _run_batch_columns(byte_rows)
+        sink_py, sink_nat = EventSink(), EventSink()
+        ends_py = python.probe_run_batch(*columns, sink_py)
+        ends_nat = native.probe_run_batch(*columns, sink_nat)
+        assert ends_py.tolist() == ends_nat.tolist()
+        assert sink_py.drain_misses().tolist() == \
+            sink_nat.drain_misses().tolist()
+        assert sink_py.drain_writebacks().tolist() == \
+            sink_nat.drain_writebacks().tolist()
+        assert sink_py.drain_parent_misses().tolist() == \
+            sink_nat.drain_parent_misses().tolist()
+        assert (sink_py.hits, sink_py.miss_count,
+                sink_py.writeback_count) == \
+            (sink_nat.hits, sink_nat.miss_count, sink_nat.writeback_count)
+        assert python.export_state() == native.export_state()
+
+    def test_run_batch_pauses_mid_flush(self):
+        """A flood row's flush of more dirty lines than the native
+        writeback buffer holds pauses inside the flush and resumes at
+        the next dirty slot: same writebacks, ends and state as the
+        python engine and the per-line reference."""
+        capacity = 8
+        cache = MetadataCache(capacity * LINE)
+        python = make_engine("python", capacity, "three")
+        native = make_engine("native", capacity, "three")
+        native._ev_cap = 3  # the 8-line dirty flush needs 3 pauses
+        rows = [(0, 8, 0, 0, True, False, 0),          # fill dirty
+                (0, 0, 16 * LINE, 4, False, True, FLOOD_MAC),
+                (8 * LINE, 8, 0, 0, True, False, 0),   # dirty again
+                (0, 2, 24 * LINE, 6, False, True, FLOOD_VN),
+                (0, 3, 32 * LINE, 5, True, True, 0)]
+        expected = _drive_reference_runs(cache, rows, _parent_three_level)
+        columns = _run_batch_columns(rows)
+        sink_py, sink_nat = EventSink(), EventSink()
+        ends_py = python.probe_run_batch(*columns, sink_py)
+        ends_nat = native.probe_run_batch(*columns, sink_nat)
+        assert ends_py.tolist() == ends_nat.tolist() == expected[3]
+        for sink in (sink_py, sink_nat):
+            assert sink.drain_misses().tolist() == expected[0]
+            assert sink.drain_writebacks().tolist() == expected[1]
+            assert sink.drain_parent_misses().tolist() == expected[2]
+        assert expected[3][1][1] - expected[3][0][1] == 8  # flushed 8 lines
+        assert python.export_state() == native.export_state()
+        _assert_state_equal(native, cache)
+
     def test_run_batch_pause_resume(self):
         """Run batches far larger than the native event buffers pause,
         drain, and resume mid-row without losing a single event."""
@@ -608,6 +713,7 @@ class TestSinkMachinery:
         sink.misses.push(11)
         assert len(sink.misses) == 4
         assert sink.drain_misses().tolist() == [3, 7, 9, 11]
+        assert len(sink.misses) == 0 and not sink.misses
         assert sink.drain_misses().tolist() == []
 
     def test_sink_scratch_buffer_grows_past_initial_size(self):
@@ -629,6 +735,22 @@ class TestSinkMachinery:
         engine = LruEngine(4)
         with pytest.raises(ConfigError):
             engine.load_state([{}, {}])  # one set expected
+
+    def test_parent_memo_stays_bounded(self, monkeypatch):
+        """The ``parent_of`` memo starts over at its bound instead of
+        growing with every distinct line a long stream evicts dirty."""
+        monkeypatch.setattr(LruEngine, "_PARENT_MEMO_MAX", 4)
+        cache = MetadataCache(4 * LINE)
+        engine = LruEngine(4, parent_of=_parent_three_level)
+        sink = EventSink()
+        for start in range(0, 60, 3):
+            expected = _drive_reference(cache, start, 5, True,
+                                        _parent_three_level)
+            engine.probe_range(start * LINE, 5, True, sink)
+            assert sink.drain_writebacks().tolist() == expected[1]
+            assert sink.drain_parent_misses().tolist() == expected[2]
+            assert len(engine._parent_memo) <= 4
+        _assert_state_equal(engine, cache)
 
     def test_ring_compaction_preserves_state(self):
         """Touch far more lines than the ring slack to force compaction."""

@@ -246,9 +246,22 @@ class TestMacPolicy:
         assert FINE_MAC_POLICY.granularity_for(read(0, 4096, DataClass.FEATURE)) == 64
 
     def test_invalid_granularity(self):
-        policy = MacPolicy(default=100)
+        """Granularities are validated when the policy is built, before
+        any access is priced."""
         with pytest.raises(ConfigError):
-            policy.granularity_for(read(0, 64))
+            MacPolicy(default=100)
+
+    @pytest.mark.parametrize("policy", [
+        {"default": 0},
+        {"default": -64},
+        {"overrides": {DataClass.EMBEDDING: 96}},
+        {"overrides": {DataClass.EMBEDDING: 0}},
+    ])
+    def test_non_positive_or_unaligned_granularity_rejected(self, policy):
+        """Zero and negative granularities used to price nonsense (or
+        divide by zero in the per-access walk only)."""
+        with pytest.raises(ConfigError, match="positive multiple of 64"):
+            MacPolicy(**policy)
 
     def test_reset_clears_cache_and_stats(self):
         bp = make_baseline(_PROTECTED)

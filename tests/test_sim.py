@@ -82,6 +82,52 @@ class TestPerformanceModel:
         with pytest.raises(ConfigError):
             PerfConfig(accel_freq_hz=1e9, crypto_efficiency=0.1)
 
+    def test_mismatched_phase_and_batch_iterators_rejected(self):
+        """Phases and batches pair strictly, iterators included: a
+        surplus on either side is an error, never a silently dropped
+        phase."""
+        from repro.core.access import AccessBatch
+
+        model = _model()
+        phases = [Phase(f"p{i}", 100.0, [read(i * 4096, 4096)])
+                  for i in range(3)]
+        batches = [AccessBatch.from_phase(p) for p in phases]
+        with pytest.raises(ConfigError, match="2 batches supplied for 3 phases"):
+            model.run(iter(phases), NoProtection(), batches=iter(batches[:2]))
+        with pytest.raises(ConfigError, match="3 batches supplied for 2 phases"):
+            model.run(iter(phases[:2]), NoProtection(), batches=iter(batches))
+        with pytest.raises(ConfigError):
+            model.run(phases, NoProtection(), batches=batches[:2])
+        paired = model.run(iter(phases), NoProtection(), batches=iter(batches))
+        assert paired.traffic.total_bytes == 3 * 4096
+
+    def test_total_cycles_summed_in_phase_order(self):
+        """``total_cycles`` is the float sum of the phases' cycles in
+        phase order — pairwise summation (``np.sum``) rounds differently
+        on this trace."""
+        import random
+
+        import numpy as np
+
+        rng = random.Random(5)
+        phases = [
+            Phase(f"p{i}", rng.uniform(0.0, 1e6),
+                  [read(rng.randrange(0, 255) * MIB, rng.randint(1, MIB))])
+            for i in range(10_000)
+        ]
+        model = _model()
+        result = model.run(phases, make_mgx(256 * MIB), keep_phase_results=True)
+        cycles = [p.cycles for p in result.phase_results]
+        expected = 0.0
+        for value in cycles:
+            expected += value
+        tail = model.run([], make_mgx(256 * MIB)).total_cycles
+        assert tail == 0.0
+        assert result.total_cycles == expected
+        assert float(np.sum(cycles)) != expected  # the trace discriminates
+        assert all(type(p.memory_cycles) is float for p in result.phase_results)
+        assert type(result.total_cycles) is float
+
     def test_run_resets_scheme_state(self):
         model = _model()
         scheme = make_baseline(256 * MIB)

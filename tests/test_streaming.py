@@ -1,10 +1,11 @@
 """Chunk-iterable traces price byte-identically to materialized ones.
 
 ``StreamingTrace`` replays deterministic phase generators; the perf
-model's session path converts and prices one phase at a time.  These
-tests pin the streamed results — cycles, traffic, per-scheme — to the
-batched pipeline across DNN inference/training and graph workloads, and
-the generator trace methods to their list-building counterparts.
+model's session path converts and prices one bounded chunk of phases at
+a time.  These tests pin the streamed results — cycles, traffic,
+per-scheme — to the batched pipeline across DNN inference/training and
+graph workloads, and the generator trace methods to their list-building
+counterparts.
 """
 
 from __future__ import annotations
