@@ -6,6 +6,8 @@ band whose covered-base count reaches the threshold ``h`` yields a
 candidate position for GACT extension.  This is the software half of
 Darwin (the paper runs it on the CPU); we implement it functionally so
 the pipeline produces real candidates and realistic tile counts.
+Sequences are 1-D ``uint8`` arrays; a seed is the raw bytes of one
+length-``k`` window, so any byte alphabet works.
 """
 
 from __future__ import annotations
@@ -16,6 +18,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.errors import ConfigError
+
+
+def _check_seed_length(seed_length: int) -> None:
+    if not 4 <= seed_length <= 31:
+        raise ConfigError(f"seed length must be in [4, 31], got {seed_length}")
+
+
+def _window_keys(sequence: np.ndarray, k: int, what: str) -> np.ndarray:
+    """Every length-``k`` window of ``sequence`` as one ``np.void`` key
+    (void keys compare as raw bytes: equal keys ⟺ equal windows).
+
+    Only a 1-D ``uint8`` array's elements are single symbols; the windows
+    of any other array would mix the bytes of neighbouring elements.
+    """
+    if not (isinstance(sequence, np.ndarray) and sequence.ndim == 1
+            and sequence.dtype == np.uint8):
+        raise ConfigError(f"{what} must be a 1-D uint8 array, got "
+                          f"{getattr(sequence, 'dtype', type(sequence))} "
+                          f"of shape {getattr(sequence, 'shape', None)}")
+    key = np.dtype((np.void, k))
+    if len(sequence) < k:
+        return np.empty(0, dtype=key)
+    windows = np.lib.stride_tricks.sliding_window_view(sequence, k)
+    return np.ascontiguousarray(windows).view(key).ravel()
 
 
 @dataclass(frozen=True)
@@ -29,6 +55,11 @@ class DsoftConfig:
     band: int = 64
     #: Minimum distinct query bases covered by hits in one band.
     threshold: int = 24
+
+    def __post_init__(self) -> None:
+        _check_seed_length(self.seed_length)
+        if min(self.stride, self.band, self.threshold) < 1:
+            raise ConfigError(f"stride, band and threshold must be >= 1: {self}")
 
     def cache_key(self) -> tuple:
         """Stable primitive tuple for content-addressed artifact keys.
@@ -44,72 +75,36 @@ class DsoftConfig:
 class SeedIndex:
     """Exact k-mer position index over a reference sequence.
 
-    Construction is vectorized: the reference's k-mer windows are grouped
-    with one stable argsort over their raw bytes (stable, so every
-    k-mer's position list stays ascending — exactly what the per-position
-    append built), and the grouped positions are sliced into the lookup
-    dict without hashing each window separately.
+    Two parallel arrays: every reference window's ``np.void`` key in
+    sorted order, and the window's start position beside it.  The sort
+    is stable, so each k-mer's positions are one ascending run; a lookup
+    is a pair of binary searches for the run's ends.
     """
 
     def __init__(self, reference: np.ndarray, seed_length: int) -> None:
-        if seed_length < 4 or seed_length > 31:
-            raise ConfigError(f"seed length must be in [4, 31], got {seed_length}")
+        _check_seed_length(seed_length)
         self.seed_length = seed_length
         self.reference = reference
-        self._index: dict[bytes, list[int]] = {}
-        self._entries = max(0, len(reference) - seed_length + 1)
-        if self._entries == 0:
-            return
-        view = reference.tobytes()
-        raw = np.frombuffer(view, dtype=np.uint8)
-        codes = self._kmer_codes(raw)
-        order = np.argsort(codes, kind="stable")
-        sorted_codes = codes[order]
-        first = np.empty(len(order), dtype=bool)
-        first[0] = True
-        np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=first[1:])
-        starts = np.nonzero(first)[0]
-        ends = np.append(starts[1:], len(order))
-        positions = order.tolist()
-        k = seed_length
-        index = self._index
-        for start, end in zip(starts.tolist(), ends.tolist()):
-            anchor = positions[start]  # smallest position: stable argsort
-            index[view[anchor:anchor + k]] = positions[start:end]
+        keys = _window_keys(reference, seed_length, "reference")
+        self._positions = np.argsort(keys, kind="stable")
+        self._keys = keys[self._positions]
 
-    def _kmer_codes(self, raw: np.ndarray) -> np.ndarray:
-        """One int64 key per k-mer window (equal keys ⟺ equal windows).
-
-        The alphabet is ranked (genomes use four symbols, so a 12-mer
-        needs 24 bits) and each window's key accumulates as a rolling
-        base-``|alphabet|`` polynomial — ``k`` vectorized passes instead
-        of per-window hashing.
-        """
-        symbols, ranks = np.unique(raw, return_inverse=True)
-        base = max(2, len(symbols))
-        if base ** self.seed_length > np.iinfo(np.int64).max:
-            # Alphabet too wide to pack: rank whole windows instead
-            # (equality is all the grouping needs).
-            windows = np.lib.stride_tricks.sliding_window_view(
-                raw, self.seed_length
-            )[: self._entries]
-            keys = np.ascontiguousarray(windows).view(
-                np.dtype((np.void, self.seed_length))
-            ).ravel()
-            return np.unique(keys, return_inverse=True)[1].astype(np.int64)
-        ranks = ranks.astype(np.int64, copy=False)
-        codes = ranks[: self._entries].copy()
-        for offset in range(1, self.seed_length):
-            codes *= base
-            codes += ranks[offset:offset + self._entries]
-        return codes
+    def _runs(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``[start, end)`` of each key's run in the position column."""
+        return (np.searchsorted(self._keys, keys, side="left"),
+                np.searchsorted(self._keys, keys, side="right"))
 
     def lookup(self, seed: bytes) -> list[int]:
-        return self._index.get(seed, [])
+        """Ascending reference positions of ``seed``, as a fresh list
+        (``[]`` when it is absent or not ``seed_length`` bytes long)."""
+        if len(seed) != self.seed_length:
+            return []
+        starts, ends = self._runs(np.frombuffer(seed, dtype=self._keys.dtype))
+        return self._positions[starts[0]:ends[0]].tolist()
 
     @property
     def table_entries(self) -> int:
-        return self._entries
+        return len(self._positions)
 
 
 @dataclass(frozen=True)
@@ -123,17 +118,21 @@ class Candidate:
 
 def dsoft_filter(index: SeedIndex, query: np.ndarray,
                  config: DsoftConfig | None = None) -> list[Candidate]:
-    """Candidate (reference, query) anchor positions for one query read."""
+    """Candidate (reference, query) anchor positions for one query read.
+
+    The seeds (every ``stride``-th query window) are resolved in one pair
+    of binary searches; their hits are binned in (query, reference) order.
+    """
     config = config or DsoftConfig()
     k = index.seed_length
-    if len(query) < k:
-        return []
-    view = query.tobytes()
+    starts, ends = index._runs(_window_keys(query, k, "query")[::config.stride])
+    positions = index._positions
     #: band id -> set of covered query offsets (distinct-base counting)
     covered: dict[int, set[int]] = defaultdict(set)
     anchors: dict[int, tuple[int, int]] = {}
-    for q_pos in range(0, len(query) - k + 1, config.stride):
-        for r_pos in index.lookup(view[q_pos : q_pos + k]):
+    for q_pos, start, end in zip(range(0, len(query) - k + 1, config.stride),
+                                 starts.tolist(), ends.tolist()):
+        for r_pos in positions[start:end].tolist():
             band = (r_pos - q_pos) // config.band
             bucket = covered[band]
             bucket.update(range(q_pos, q_pos + k))

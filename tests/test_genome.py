@@ -1,12 +1,16 @@
 """Genome substrate: sequences, D-SOFT, GACT, Darwin timing."""
 
+from collections import defaultdict
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConfigError
 from repro.genome.darwin import darwin_vn_state, simulate_gact_workload
-from repro.genome.dsoft import DsoftConfig, SeedIndex, dsoft_filter
+from repro.genome.dsoft import Candidate, DsoftConfig, SeedIndex, dsoft_filter
 from repro.genome.gact import GactConfig, GactTimingModel, align_tile
+from repro.genome.profile import measure_tile_profile
 from repro.genome.sequences import (
     CHROMOSOMES,
     PACBIO,
@@ -103,6 +107,29 @@ class TestDsoft:
     def test_seed_length_validation(self):
         with pytest.raises(ConfigError):
             SeedIndex(make_reference("chrY")[:100], seed_length=2)
+
+    @pytest.mark.parametrize(("field", "value"), [
+        ("stride", 0), ("stride", -4), ("band", 0), ("threshold", 0),
+        ("seed_length", 3), ("seed_length", 32),
+    ])
+    def test_config_validation(self, field, value):
+        """A non-positive stride would walk the query backwards (zero
+        candidates); zero band or stride crashed mid-filter."""
+        with pytest.raises(ConfigError):
+            DsoftConfig(**{field: value})
+
+    def test_non_uint8_sequences_rejected(self, index):
+        """Any other dtype's windows would mix neighbouring elements'
+        bytes: an int64 reference silently indexed its raw buffer."""
+        wide = index.reference[:5_000].astype(np.int64)
+        with pytest.raises(ConfigError):
+            SeedIndex(wide, DsoftConfig().seed_length)
+        with pytest.raises(ConfigError):
+            SeedIndex(index.reference[:5_000].reshape(50, 100), 12)
+        with pytest.raises(ConfigError):
+            SeedIndex(index.reference[:5_000].tobytes(), 12)
+        with pytest.raises(ConfigError):
+            dsoft_filter(index, wide[100:500])
 
 
 class TestGactAlignment:
@@ -207,18 +234,80 @@ class TestDarwinSimulation:
         assert darwin_vn_state().state_bytes == 16
 
 
+def _naive_index(reference: np.ndarray, k: int) -> dict[bytes, list[int]]:
+    """The per-position dict build: window bytes -> ascending positions."""
+    view = reference.tobytes()
+    naive: dict[bytes, list[int]] = {}
+    for position in range(len(reference) - k + 1):
+        naive.setdefault(view[position:position + k], []).append(position)
+    return naive
+
+
+def _naive_dsoft_filter(naive: dict[bytes, list[int]], k: int,
+                        query: np.ndarray,
+                        config: DsoftConfig) -> list[Candidate]:
+    """The per-seed D-SOFT loop over a dict index (the reference oracle)."""
+    if len(query) < k:
+        return []
+    view = query.tobytes()
+    covered: dict[int, set[int]] = defaultdict(set)
+    anchors: dict[int, tuple[int, int]] = {}
+    for q_pos in range(0, len(query) - k + 1, config.stride):
+        for r_pos in naive.get(view[q_pos:q_pos + k], []):
+            band = (r_pos - q_pos) // config.band
+            covered[band].update(range(q_pos, q_pos + k))
+            if band not in anchors or r_pos < anchors[band][0]:
+                anchors[band] = (r_pos, q_pos)
+    candidates = [
+        Candidate(reference_position=anchors[band][0],
+                  query_position=anchors[band][1], covered_bases=len(bases))
+        for band, bases in covered.items() if len(bases) >= config.threshold
+    ]
+    candidates.sort(key=lambda c: (-c.covered_bases, c.reference_position))
+    return candidates
+
+
+@st.composite
+def _dsoft_case(draw):
+    """A small reference over 2–6 byte symbols, a mutated query and a
+    valid config (small alphabets and seeds make repeated k-mers and
+    multi-hit bands common)."""
+    symbols = draw(st.lists(st.sampled_from(b"ACGT") | st.integers(0, 255),
+                            min_size=2, max_size=6, unique=True))
+    k = draw(st.integers(4, 8) | st.integers(4, 31))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alphabet = np.array(symbols, dtype=np.uint8)
+    reference = alphabet[rng.integers(0, len(alphabet),
+                                      draw(st.integers(0, 400)))]
+    start = draw(st.integers(0, len(reference)))
+    query = list(reference[start:start + draw(st.integers(0, 200))])
+    for _ in range(draw(st.integers(0, 12))):
+        position = int(rng.integers(0, len(query) + 1))
+        symbol = draw(st.sampled_from(symbols) | st.integers(0, 255))
+        mutation = draw(st.sampled_from(("sub", "ins", "del")))
+        if mutation == "ins" or position == len(query):
+            query.insert(position, symbol)
+        elif mutation == "sub":
+            query[position] = symbol
+        else:
+            del query[position]
+    config = DsoftConfig(seed_length=k, stride=draw(st.integers(1, 8)),
+                         band=draw(st.integers(1, 64)),
+                         threshold=draw(st.integers(1, 40)))
+    return reference, np.array(query, dtype=np.uint8), config
+
+
 class TestSeedIndexPinning:
-    """The vectorized k-mer grouping ≡ the per-position append build."""
+    """The sorted-array index and its batched seed resolution ≡ the
+    per-position dict build and the per-seed filter loop."""
 
     def test_matches_naive_construction(self):
         reference = make_reference("chr1")[:6000]
         k = DsoftConfig().seed_length
         index = SeedIndex(reference, k)
-        view = reference.tobytes()
-        naive: dict[bytes, list[int]] = {}
-        for position in range(len(reference) - k + 1):
-            naive.setdefault(view[position:position + k], []).append(position)
-        assert index._index == naive
+        naive = _naive_index(reference, k)
+        for seed, positions in naive.items():
+            assert index.lookup(seed) == positions
         assert index.table_entries == len(reference) - k + 1
         assert index.table_entries == sum(len(v) for v in naive.values())
 
@@ -229,3 +318,55 @@ class TestSeedIndexPinning:
         assert index.lookup(b"\x00" * 31) == []
         empty = SeedIndex(reference[:5], 12)
         assert empty.table_entries == 0
+
+    def test_lookup_returns_fresh_list(self):
+        reference = make_reference("chrY")[:5000]
+        index = SeedIndex(reference, DsoftConfig().seed_length)
+        seed = reference[100:112].tobytes()
+        index.lookup(seed).append(-1)
+        assert index.lookup(seed) == [100]
+
+    @settings(max_examples=150, deadline=None)
+    @given(_dsoft_case())
+    def test_differential_against_dict_oracle(self, case):
+        reference, query, config = case
+        k = config.seed_length
+        index = SeedIndex(reference, k)
+        naive = _naive_index(reference, k)
+        assert index.table_entries == max(0, len(reference) - k + 1)
+        view = reference.tobytes()
+        for position in range(len(reference) - k + 1):
+            seed = view[position:position + k]
+            assert index.lookup(seed) == naive[seed]
+            assert index.lookup(seed[:-1]) == []
+            assert index.lookup(seed + seed[:1]) == []
+        for position in range(len(query) - k + 1):
+            seed = query[position:position + k].tobytes()
+            assert index.lookup(seed) == naive.get(seed, [])
+        assert index.lookup(b"") == []
+        assert (dsoft_filter(index, query, config)
+                == _naive_dsoft_filter(naive, k, query, config))
+
+
+#: Full-size Fig. 16 profiles at 4 probe reads: (candidates_per_read,
+#: tiles_per_read, seed_table_entries) — the measured tile factors the
+#: figure's timing model consumes.
+FIG16_PROFILES = {
+    ("chr1", "PacBio"): ([2, 1, 2, 2], 1.75, 243_110),
+    ("chr1", "ONT2D"): ([1, 1, 1, 1], 1.0, 243_110),
+    ("chr1", "ONT1D"): ([1, 1, 1, 1], 1.0, 243_110),
+    ("chrX", "PacBio"): ([2, 2, 2, 1], 1.75, 152_372),
+    ("chrX", "ONT2D"): ([1, 1, 1, 1], 1.0, 152_372),
+    ("chrX", "ONT1D"): ([1, 2, 1, 1], 1.25, 152_372),
+    ("chrY", "PacBio"): ([2, 2, 2, 1], 1.75, 55_875),
+    ("chrY", "ONT2D"): ([1, 2, 1, 1], 1.25, 55_875),
+    ("chrY", "ONT1D"): ([1, 1, 1, 1], 1.0, 55_875),
+}
+
+
+@pytest.mark.parametrize(("chromosome", "sequencer"), list(FIG16_PROFILES))
+def test_fig16_profile_pinned(chromosome, sequencer):
+    profile = measure_tile_profile(chromosome, sequencer, 4)
+    assert (profile["candidates_per_read"], profile["tiles_per_read"],
+            profile["seed_table_entries"]) == FIG16_PROFILES[
+                (chromosome, sequencer)]
