@@ -21,8 +21,7 @@ def test_cold_suite_serial_sweep(benchmark):
         TRACE_CACHE.clear()
         TRACE_CACHE.enabled = False
         try:
-            return [run_experiment(eid, quick=True, prefetch=False)
-                    for eid in EXPERIMENTS]
+            return [run_experiment(eid, quick=True) for eid in EXPERIMENTS]
         finally:
             TRACE_CACHE.enabled = enabled
 

@@ -11,7 +11,7 @@ unconditional spec parse or env lookup per call).
 from __future__ import annotations
 
 from repro.sim import faults
-from repro.sim.scheduler import dnn_spec, graph_spec, prefetch_artifacts
+from repro.sim.scheduler import dnn_spec, graph_spec
 
 _QUICK_SPECS = (
     dnn_spec("AlexNet", "Cloud"),
@@ -39,12 +39,13 @@ def test_faults_disabled_warm_rerun(benchmark, disk_cache):
     directly comparable to the scheduler warm-rerun number: the layer
     being linked in must not tax the cache/queue/compute seams."""
     faults.install(None)
-    prefetch_artifacts(_QUICK_SPECS, jobs=1)  # cold pass fills both tiers
+    for spec in _QUICK_SPECS:  # cold pass fills both tiers
+        spec.fetch()
 
     def warm_rerun():
         disk_cache.clear()  # fresh process: memory tier gone
-        return prefetch_artifacts(_QUICK_SPECS, jobs=1)
+        return [spec.fetch() for spec in _QUICK_SPECS]
 
-    summary = benchmark(warm_rerun)
-    assert summary["cached"] == len(_QUICK_SPECS)
-    assert summary["priced"] == 0
+    benchmark(warm_rerun)
+    assert disk_cache.disk_hits == len(_QUICK_SPECS)  # every sweep restored
+    assert disk_cache.misses == 0  # nothing priced

@@ -1,12 +1,12 @@
 """Benchmarks of the columnar binary trace spill codec (disk format v3).
 
-Times the four legs of the cache plane's trace path — encode, cold
-decode, warm mmap load through the disk tier, and the fan-out load under
-a 2-job pool — on a suite-shaped trace (every quick training workload
-concatenated), and asserts the format's two contracts with deterministic
-proxies rather than wall-clock ratios: the binary spill is smaller than
-its v2 JSON form, and its decode builds zero-copy column views and not
-one per-access object.
+Times the three legs of the cache plane's trace path — encode, cold
+decode and warm mmap load through the disk tier — on a suite-shaped
+trace (every quick training workload concatenated), and asserts the
+format's two contracts with deterministic proxies rather than
+wall-clock ratios: the binary spill is smaller than its v2 JSON form,
+and its decode builds zero-copy column views and not one per-access
+object.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.sim.runner import (
     _encode_trace,
     dnn_workload,
     encode_trace_v2,
-    sweep_schemes,
 )
 
 
@@ -93,24 +92,3 @@ def test_spill_warm_mmap_load(benchmark, disk_cache, suite_trace):
     assert loaded is not None
     assert not loaded.batches[0].address.flags.writeable  # mmap view
     assert loaded.total_accesses == suite_trace.total_accesses
-
-
-def test_spill_fanout_load_jobs2(benchmark, disk_cache, suite_trace):
-    """Scheme fan-out under --jobs 2: both workers price the same spilled
-    trace (shared pool when cores allow, inline otherwise — the recorded
-    number tracks both)."""
-    workload = dnn_workload("ResNet", "Cloud", training=True)
-    model = workload.performance_model()
-
-    def fanout():
-        return sweep_schemes(workload.label, workload.trace.phases, model,
-                             workload.protected_bytes,
-                             batches=workload.trace.batches, jobs=2)
-
-    reference = sweep_schemes(workload.label, workload.trace.phases, model,
-                              workload.protected_bytes,
-                              batches=workload.trace.batches)
-    sweep = benchmark(fanout)
-    assert set(sweep.results) == set(reference.results)
-    for name, result in reference.results.items():
-        assert sweep.results[name].total_cycles == result.total_cycles

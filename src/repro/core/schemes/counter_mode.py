@@ -210,9 +210,9 @@ class CounterModeProtection(ProtectionScheme):
     def __getstate__(self) -> dict:
         # The engine is a pure cache-state accelerator (the durable LRU
         # state lives in ``_cache``) and the native backend holds ctypes
-        # handles, so pickling to sweep workers drops it — along with
-        # the compiled geometry table it was built from; both are
-        # rebuilt lazily on first use in the worker.
+        # handles, so pickling drops it — along with the compiled
+        # geometry table it was built from; both are rebuilt lazily on
+        # first use after unpickling.
         state = self.__dict__.copy()
         state["_engine"] = None
         state["_geometry_memo"] = None

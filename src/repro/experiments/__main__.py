@@ -7,10 +7,9 @@ Usage::
     python -m repro.experiments --only fig13     # a single experiment
     python -m repro.experiments --set ablations  # design-choice sweeps
     python -m repro.experiments --set extras     # beyond-the-figures studies
-    python -m repro.experiments --jobs 4         # cross-workload parallelism
+    python -m repro.experiments --jobs 4         # 4 queue workers drain the graph
     python -m repro.experiments --cache-dir .repro-cache   # persistent cache
     python -m repro.experiments --no-cache       # regenerate every trace
-    python -m repro.experiments --workers 2      # distributed artifact drain
     python -m repro.experiments --faults 'compute:crash:0.2@seed=7'  # chaos
     python -m repro.experiments -o EXPERIMENTS_RUN.txt
 
@@ -18,22 +17,21 @@ Usage::
     python -m repro.experiments cache gc --max-age 7d --max-bytes 2G
     python -m repro.experiments cache verify [--json]  # re-hash artifacts
 
-``--jobs N`` hands the selected experiments' artifact graph — every
-(workload × scheme) pair, the functional fig16/fig19 pipelines and the
-ablation/extra tables — to the scheduler's shared worker pool before
-the drivers run (see :mod:`repro.sim.scheduler`); the report is
-byte-identical to a serial run.  ``--cache-dir`` (or the
-``REPRO_CACHE_DIR`` environment variable) attaches the trace cache's
-disk tier, so a second invocation restores every artifact from disk and
-computes nothing.
+``--cache-dir`` (or the ``REPRO_CACHE_DIR`` environment variable)
+attaches the trace cache's disk tier, so a second invocation restores
+every artifact from disk and computes nothing.
 
-``--workers N`` drains the same graph through the file-lock work queue
-in the shared cache directory (see :mod:`repro.sim.queue`): N local
-processes — and any other ``--workers`` invocations on machines sharing
-the cache dir — claim jobs cooperatively, and every participant renders
-identical tables afterwards.  Requires a cache dir.  Jobs that keep
-failing are quarantined after repeated attempts (dependents skipped,
-exit code 3) instead of deadlocking the drain.
+``--jobs N`` (N >= 2) drains the selected experiments' artifact graph —
+every (workload × scheme) pair, the functional fig16/fig19 pipelines
+and the ablation/extra tables — through the file-lock work queue (see
+:mod:`repro.sim.queue`) before the drivers run: N local processes, and
+any other ``--jobs`` invocations on machines sharing the cache dir,
+claim jobs cooperatively, and every participant renders tables
+byte-identical to a serial run.  Without a cache dir, or under
+``--no-cache``, the drain runs in a temporary directory removed
+afterwards.  Jobs that keep failing are quarantined after repeated
+attempts (dependents skipped, exit code 3) instead of deadlocking the
+drain.  ``--jobs 1`` (the default) runs the drivers serially.
 
 ``--faults SPEC`` (or ``REPRO_FAULTS``) installs the deterministic
 fault-injection plan from :mod:`repro.sim.faults` — comma-separated
@@ -50,13 +48,14 @@ full mode) under age/size policies and cleans orphaned queue locks;
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
 
 from repro.experiments.ablations import ABLATIONS, run_ablation
 from repro.experiments.extras import EXTRAS, run_extra
-from repro.experiments.registry import EXPERIMENTS, run_experiment, suite_specs
+from repro.experiments.registry import EXPERIMENTS, drain_suite, run_experiment
 from repro.sim.runner import ARTIFACT_KINDS, TRACE_CACHE
 
 
@@ -213,22 +212,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--set", dest="which", default="figures",
                         choices=("figures", "ablations", "extras", "all"),
                         help="which experiment family to run")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="compute the selected experiments' missing "
-                             "artifacts — (workload × scheme) pairs, "
+    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help="with N >= 2, drain the selected experiments' "
+                             "artifact graph — (workload × scheme) pairs, "
                              "functional profiles, ablation/extra tables — "
-                             "across N worker processes before the drivers "
-                             "run")
-    parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="drain the selected experiments' artifact graph "
-                             "via the file-lock queue in the shared cache "
-                             "dir with N local worker processes, cooperating "
-                             "with any other --workers invocations (even on "
-                             "other machines) sharing the same cache dir; "
-                             "requires --cache-dir or REPRO_CACHE_DIR.  "
-                             "Combine with --jobs M to compute each worker's "
-                             "claimed jobs on the shared in-process pool, M "
-                             "at a time")
+                             "via the file-lock queue with N local worker "
+                             "processes before the drivers run, cooperating "
+                             "with any other --jobs invocations (even on "
+                             "other machines) sharing the cache dir; without "
+                             "one, or under --no-cache, in a temporary dir")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="persist traces and sweep results under DIR "
                              "(also honours REPRO_CACHE_DIR); a warm rerun "
@@ -242,6 +234,8 @@ def main(argv: list[str] | None = None) -> int:
                              "repro.sim.faults")
     parser.add_argument("-o", "--output", help="write the report to this file")
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
 
     if args.faults is not None:
         from repro.common.errors import ConfigError
@@ -251,24 +245,22 @@ def main(argv: list[str] | None = None) -> int:
             faults.install(args.faults)
         except ConfigError as exc:
             parser.error(str(exc))
-        # Also exported so helper/pool worker processes spawned later
-        # inherit the same chaos plan through the environment.
+        # Also exported so queue worker processes spawned later inherit
+        # the same chaos plan through the environment.
         os.environ["REPRO_FAULTS"] = args.faults
     if args.cache_dir:
         TRACE_CACHE.set_cache_dir(args.cache_dir)
     if args.no_cache:
         TRACE_CACHE.enabled = False
-    jobs = args.jobs
 
     runners: list[tuple[str, object]] = []
     if args.only:
         runners = [(args.only,
-                    lambda q, e=args.only: run_experiment(e, quick=q, jobs=jobs))]
+                    lambda q, e=args.only: run_experiment(e, quick=q))]
     else:
         if args.which in ("figures", "all"):
             runners += [
-                (eid, lambda q, e=eid: run_experiment(e, quick=q, jobs=jobs,
-                                                      prefetch=False))
+                (eid, lambda q, e=eid: run_experiment(e, quick=q))
                 for eid in EXPERIMENTS
             ]
         if args.which in ("ablations", "all"):
@@ -295,66 +287,43 @@ def main(argv: list[str] | None = None) -> int:
         if args.which in ("extras", "all"):
             selected_ids.append("extras")
 
-    if args.workers is not None:
-        # Distributed drain: claim jobs from the file-lock queue in the
-        # shared cache dir, cooperating with local helper processes and
-        # any peers on other machines pointed at the same directory.
-        if TRACE_CACHE.cache_dir is None or not TRACE_CACHE.enabled:
-            parser.error("--workers needs a shared cache dir "
-                         "(--cache-dir or REPRO_CACHE_DIR, without --no-cache)")
-        from repro.experiments.registry import suite_graph
-        from repro.sim.queue import QUARANTINE_AFTER, QUEUE_SUBDIR, run_workers
+    start = time.time()
+    drain = (drain_suite(selected_ids, args.quick, args.jobs)
+             if args.jobs > 1 else contextlib.nullcontext())
+    with drain as summary:
+        if summary is not None:
+            from repro.sim.queue import QUARANTINE_AFTER, QUEUE_SUBDIR
 
-        start = time.time()
-        graph = suite_graph(selected_ids, args.quick)
-        summary = run_workers(graph, TRACE_CACHE.cache_dir, args.workers,
-                              pool_jobs=jobs)
-        print(
-            f"drain: {summary['computed']}/{summary['jobs']} jobs computed "
-            f"here ({summary['reclaimed']} stale locks reclaimed, "
-            f"{summary['failures']} failures, "
-            f"queue {TRACE_CACHE.cache_dir / QUEUE_SUBDIR}) "
-            f"in {time.time() - start:.1f}s",
-            file=sys.stderr,
-        )
-        if summary["quarantined"] or summary["skipped"]:
-            # Poisoned jobs: the drain completed around them, but their
-            # artifacts do not exist, so rendering tables would recompute
-            # them inline (and fail the same way).  Report and exit
-            # nonzero instead — degraded coverage, never a deadlock.
-            for job_id in summary["quarantined"]:
-                print(f"quarantined: {job_id} "
-                      f"(failed {QUARANTINE_AFTER}+ times; see "
-                      f"{TRACE_CACHE.cache_dir / QUEUE_SUBDIR}/"
-                      f"{job_id}.attempts)", file=sys.stderr)
-            for job_id in summary["skipped"]:
-                print(f"skipped: {job_id} (depends on a quarantined job)",
-                      file=sys.stderr)
-            return 3
-    elif jobs is not None and jobs > 1 and not args.only:
-        # Cross-workload fan-out: compute the whole selection's missing
-        # artifacts on the shared pool before any driver runs.
-        from repro.sim.scheduler import prefetch_artifacts
-
-        start = time.time()
-        summary = prefetch_artifacts(suite_specs(selected_ids, args.quick),
-                                     jobs=jobs)
-        print(
-            f"prefetch: {summary['workloads']} workloads "
-            f"({summary['cached']} cached, {summary['priced']} priced, "
-            f"{summary['traces_built']} traces built, "
-            f"{summary['profiles_built']} profiles built) "
-            f"in {time.time() - start:.1f}s",
-            file=sys.stderr,
-        )
-
-    sections = []
-    for eid, runner in runners:
-        start = time.time()
-        result = runner(args.quick)
-        elapsed = time.time() - start
-        sections.append(result.to_text() + f"\n\n[{eid} completed in {elapsed:.1f}s]")
-        print(f"{eid}: done in {elapsed:.1f}s", file=sys.stderr)
+            queue_dir = TRACE_CACHE.cache_dir / QUEUE_SUBDIR
+            print(
+                f"drain: {summary['computed']}/{summary['jobs']} jobs computed "
+                f"here ({summary['reclaimed']} stale locks reclaimed, "
+                f"{summary['failures']} failures, queue {queue_dir}) "
+                f"in {time.time() - start:.1f}s",
+                file=sys.stderr,
+            )
+            if summary["quarantined"] or summary["skipped"]:
+                # Poisoned jobs: the drain completed around them, but
+                # their artifacts do not exist, so rendering tables would
+                # recompute them inline (and fail the same way).  Report
+                # and exit nonzero instead — degraded coverage, never a
+                # deadlock.
+                for job_id in summary["quarantined"]:
+                    print(f"quarantined: {job_id} "
+                          f"(failed {QUARANTINE_AFTER}+ times; see "
+                          f"{queue_dir}/{job_id}.attempts)", file=sys.stderr)
+                for job_id in summary["skipped"]:
+                    print(f"skipped: {job_id} (depends on a quarantined job)",
+                          file=sys.stderr)
+                return 3
+        sections = []
+        for eid, runner in runners:
+            start = time.time()
+            result = runner(args.quick)
+            elapsed = time.time() - start
+            sections.append(result.to_text()
+                            + f"\n\n[{eid} completed in {elapsed:.1f}s]")
+            print(f"{eid}: done in {elapsed:.1f}s", file=sys.stderr)
     cache = TRACE_CACHE.stats()
     if TRACE_CACHE.enabled:
         kinds = ", ".join(

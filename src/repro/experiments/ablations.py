@@ -17,8 +17,8 @@ exercised by ``benchmarks/test_ablation_bench.py``.  The studies are
 also **table artifacts** in the suite's content-addressed job graph:
 :func:`profile_specs` registers one
 :func:`~repro.sim.scheduler.ablation_table_spec` per study (via
-``registry.PROFILE_SPECS["ablations"]``), so ``--jobs``/``--workers``
-runs compute them across the pool or the distributed queue, and
+``registry.PROFILE_SPECS["ablations"]``), so ``--jobs`` runs compute
+them on the file-lock queue's workers, and
 :func:`run_ablation` serves every table through the shared cache — a
 warm rerun restores all of them without recomputation.
 """
@@ -214,7 +214,7 @@ def sweep_specs(quick: bool = False) -> list:
 
 
 def profile_specs(quick: bool = False) -> list:
-    """One table artifact per ablation study (graph/prefetch entry)."""
+    """One table artifact per ablation study (graph entry)."""
     from repro.sim.scheduler import ablation_table_spec
 
     return [ablation_table_spec(name, quick) for name in ABLATIONS]

@@ -193,7 +193,7 @@ def table_dep_specs(name: str, quick: bool = False) -> list:
 
 
 def sweep_specs(quick: bool = False) -> list:
-    """All suite sweeps the extras consume, for prefetch/drain sharing."""
+    """All suite sweeps the extras consume, for drain sharing."""
     return [
         spec for name in EXTRAS for spec in table_dep_specs(name, quick)
     ]
@@ -221,7 +221,7 @@ def table_key_params(name: str, quick: bool) -> tuple:
 
 
 def profile_specs(quick: bool = False) -> list:
-    """One table artifact per extra study (graph/prefetch entry)."""
+    """One table artifact per extra study (graph entry)."""
     from repro.sim.scheduler import extra_table_spec
 
     return [extra_table_spec(name, quick) for name in EXTRAS]

@@ -26,7 +26,7 @@ _QUICK_GRAPHS = ("google-plus", "ogbl-ppa")
 
 
 def sweep_specs(quick: bool = False) -> list[SweepSpec]:
-    """The (workload × scheme) sweeps this figure needs, for prefetching."""
+    """The (workload × scheme) sweeps this figure needs, as graph nodes."""
     inference = _QUICK_INFERENCE if quick else _INFERENCE
     training = _QUICK_TRAINING if quick else _TRAINING
     graphs = _QUICK_GRAPHS if quick else GRAPH_BENCHMARKS
@@ -52,7 +52,7 @@ def _breakdown(sweep) -> tuple[float, float, float]:
     return percents["mac"], percents["vn"] + percents["tree"], percents["total"]
 
 
-def run(quick: bool = False, jobs: int | None = None) -> ExperimentResult:
+def run(quick: bool = False) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="fig03",
         title="Fig. 3 — Memory traffic overhead of traditional protection (BP)",
@@ -67,22 +67,17 @@ def run(quick: bool = False, jobs: int | None = None) -> ExperimentResult:
 
     groups: dict[str, list[float]] = {"Inf": [], "Train": [], "PR": [], "BFS": []}
     for model in inference:
-        mac, vn, total = _breakdown(
-            dnn_sweep(model, "Cloud", jobs=jobs)
-        )
+        mac, vn, total = _breakdown(dnn_sweep(model, "Cloud"))
         result.add_row(workload=f"{model}-Inf", mac_pct=mac, vn_pct=vn, total_pct=total)
         groups["Inf"].append(total)
     for model in training:
-        mac, vn, total = _breakdown(
-            dnn_sweep(model, "Cloud", training=True, jobs=jobs)
-        )
+        mac, vn, total = _breakdown(dnn_sweep(model, "Cloud", training=True))
         result.add_row(workload=f"{model}-Train", mac_pct=mac, vn_pct=vn, total_pct=total)
         groups["Train"].append(total)
     for algo in ("PR", "BFS"):
         for bench in graphs:
             mac, vn, total = _breakdown(
-                graph_sweep(bench, algo, iterations=iterations, scale_divisor=scale,
-                            jobs=jobs)
+                graph_sweep(bench, algo, iterations=iterations, scale_divisor=scale)
             )
             result.add_row(workload=f"{algo}-{bench}", mac_pct=mac, vn_pct=vn,
                            total_pct=total)

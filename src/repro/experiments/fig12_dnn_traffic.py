@@ -18,7 +18,7 @@ _QUICK = ("AlexNet", "DLRM")
 
 
 def sweep_specs(quick: bool = False) -> list[SweepSpec]:
-    """The (workload × scheme) sweeps this figure needs, for prefetching."""
+    """The (workload × scheme) sweeps this figure needs, as graph nodes."""
     inference = _QUICK if quick else _INFERENCE
     training = tuple(m for m in _QUICK if m != "DLRM") if quick else _TRAINING
     return [
@@ -29,7 +29,7 @@ def sweep_specs(quick: bool = False) -> list[SweepSpec]:
     ]
 
 
-def run(quick: bool = False, jobs: int | None = None) -> ExperimentResult:
+def run(quick: bool = False) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="fig12",
         title="Fig. 12 — DNN memory traffic increase (normalized to NP)",
@@ -42,8 +42,7 @@ def run(quick: bool = False, jobs: int | None = None) -> ExperimentResult:
     for training_flag, models, tag in ((False, inference, "Inf"), (True, training, "Train")):
         for config in ("Cloud", "Edge"):
             for model in models:
-                sweep = dnn_sweep(model, config, training=training_flag,
-                                  jobs=jobs)
+                sweep = dnn_sweep(model, config, training=training_flag)
                 bp = sweep.traffic_increase("BP")
                 mgx = sweep.traffic_increase("MGX")
                 result.add_row(workload=f"{model}-{tag}", config=config, BP=bp, MGX=mgx)

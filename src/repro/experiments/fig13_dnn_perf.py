@@ -18,7 +18,7 @@ _REPORT_SCHEMES = [s for s in SCHEMES if s != "NP"]
 
 
 def sweep_specs(quick: bool = False) -> list[SweepSpec]:
-    """The (workload × scheme) sweeps this figure needs, for prefetching.
+    """The (workload × scheme) sweeps this figure needs, as graph nodes.
 
     Fig. 13 (execution time) sweeps exactly the workload grid of Fig. 12
     (traffic) — one definition, so the two can't silently diverge.
@@ -28,7 +28,7 @@ def sweep_specs(quick: bool = False) -> list[SweepSpec]:
     return fig12_specs(quick)
 
 
-def run(quick: bool = False, jobs: int | None = None) -> ExperimentResult:
+def run(quick: bool = False) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="fig13",
         title="Fig. 13 — DNN normalized execution time",
@@ -41,8 +41,7 @@ def run(quick: bool = False, jobs: int | None = None) -> ExperimentResult:
     for training_flag, models, tag in ((False, inference, "Inf"), (True, training, "Train")):
         for config in ("Cloud", "Edge"):
             for model in models:
-                sweep = dnn_sweep(model, config, training=training_flag,
-                                  jobs=jobs)
+                sweep = dnn_sweep(model, config, training=training_flag)
                 values = {s: sweep.normalized_time(s) for s in _REPORT_SCHEMES}
                 result.add_row(workload=f"{model}-{tag}", config=config, **values)
                 for scheme, value in values.items():

@@ -18,7 +18,7 @@ _REPORT_SCHEMES = [s for s in SCHEMES if s != "NP"]
 
 
 def sweep_specs(quick: bool = False) -> list[SweepSpec]:
-    """The (workload × scheme) sweeps this figure needs, for prefetching."""
+    """The (workload × scheme) sweeps this figure needs, as graph nodes."""
     graphs = _QUICK_GRAPHS if quick else GRAPH_BENCHMARKS
     scale = 256 if quick else 64
     iterations = 2 if quick else 5
@@ -29,7 +29,7 @@ def sweep_specs(quick: bool = False) -> list[SweepSpec]:
     ]
 
 
-def run(quick: bool = False, jobs: int | None = None) -> ExperimentResult:
+def run(quick: bool = False) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="fig14",
         title="Fig. 14 — Graph accelerator: traffic increase and normalized time",
@@ -43,8 +43,7 @@ def run(quick: bool = False, jobs: int | None = None) -> ExperimentResult:
     sums: dict[str, list[float]] = {}
     for algo in ("PR", "BFS"):
         for bench in graphs:
-            sweep = graph_sweep(bench, algo, iterations=iterations, scale_divisor=scale,
-                                jobs=jobs)
+            sweep = graph_sweep(bench, algo, iterations=iterations, scale_divisor=scale)
             row = {
                 "workload": f"{algo}-{bench}",
                 "traffic_BP": sweep.traffic_increase("BP"),

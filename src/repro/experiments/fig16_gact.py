@@ -8,9 +8,9 @@ feeds the timing model.
 
 The measurement is the figure's expensive part, so it lives in the
 artifact graph: each (chromosome, sequencer) pair is a ``profile``
-artifact (:func:`~repro.genome.profile.measure_tile_profile`) that the
-scheduler can prefetch across the worker pool — or another machine —
-and that a warm cache restores without touching the pipeline.  The
+artifact (:func:`~repro.genome.profile.measure_tile_profile`) that
+``--jobs`` queue workers — on this machine or another — compute in
+parallel, and that a warm cache restores without touching the pipeline.  The
 timing model itself is closed-form and recomputed each run.
 
 Paper reference: BP 14% average (traffic +34%); MGX_VN 4% (traffic
@@ -40,7 +40,7 @@ def _workloads(quick: bool) -> tuple[tuple[tuple[str, str], ...], int, int]:
 
 
 def profile_specs(quick: bool = False) -> list[ProfileSpec]:
-    """The functional-pipeline artifacts this figure needs (prefetchable)."""
+    """The functional-pipeline artifacts this figure needs (graph nodes)."""
     workloads, _n_reads, probe_reads = _workloads(quick)
     return [
         gact_profile_spec(chromosome, sequencer, probe_reads)

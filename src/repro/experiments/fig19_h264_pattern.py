@@ -8,9 +8,9 @@ the real crypto engine on a scaled-down frame size.
 
 The whole computation — trace, invariants, AES-CTR+MAC round-trip — is
 one per-GOP ``profile`` artifact (:func:`~repro.video.profile.
-decode_profile`) in the artifact graph: the scheduler can prefetch it
-across the worker pool or another machine, and a warm cache restores
-the figure without re-running the decoder or the crypto.
+decode_profile`) in the artifact graph: ``--jobs`` queue workers on
+this machine or another compute it, and a warm cache restores the
+figure without re-running the decoder or the crypto.
 
 The rows *are* the figure: one per buffer access, in decode order, with
 the VN used; the summary records the invariant checks.
@@ -31,7 +31,7 @@ def _gop_params(quick: bool) -> tuple[str, int, int]:
 
 
 def profile_specs(quick: bool = False) -> list[ProfileSpec]:
-    """The functional-pipeline artifacts this figure needs (prefetchable)."""
+    """The functional-pipeline artifacts this figure needs (graph nodes)."""
     return [gop_profile_spec(*_gop_params(quick))]
 
 

@@ -5,19 +5,21 @@ Experiments also register artifact-spec providers, which let
 scheduler at once: sweep-based figures contribute ``sweep_specs``
 (trace + per-scheme price + assembled-sweep nodes) and the functional
 figures contribute ``profile_specs`` (fig16's measured tile factors,
-fig19's per-GOP decode profiles).  With ``jobs >= 2`` every missing
-artifact is computed across the shared worker pool before the drivers
-run; with ``--workers`` the same graph is drained cooperatively by
-processes sharing a cache directory.  Either way the drivers then
-assemble their tables from the cache — deterministically, so the output
-is byte-identical to a serial run.
+fig19's per-GOP decode profiles).  With ``jobs >= 2``,
+:func:`drain_suite` computes every missing artifact with that many
+file-lock queue workers (:mod:`repro.sim.queue`) before the drivers
+run — in the attached cache dir, cooperating with any peers sharing it,
+or in a temporary one.  The drivers then assemble their tables from the
+cache — deterministically, so the output is byte-identical to a serial
+run.
 """
 
 from __future__ import annotations
 
-import inspect
+import contextlib
+import tempfile
 from dataclasses import dataclass
-from typing import Callable, Hashable
+from typing import Callable, Hashable, Iterator
 
 from repro.experiments import (
     ablations,
@@ -248,39 +250,54 @@ def suite_graph(experiment_ids, quick: bool = False):
     return build_graph(suite_specs(experiment_ids, quick))
 
 
-def run_experiment(experiment_id: str, quick: bool = False,
-                   jobs: int | None = None,
-                   prefetch: bool = True) -> ExperimentResult:
+@contextlib.contextmanager
+def drain_suite(experiment_ids, quick: bool, jobs: int) -> Iterator[dict]:
+    """Drain the experiments' artifact graph with ``jobs`` queue workers.
+
+    The drain runs in the attached cache dir; without one, or with the
+    cache disabled (``--no-cache``), it runs in a temporary directory.
+    Inside the ``with`` block that directory stays attached with the
+    cache enabled, so the drivers render from the filled cache; on exit
+    the previous attachment is restored and a temporary directory is
+    removed.  Yields :func:`~repro.sim.queue.run_workers`' summary.
+    """
+    from repro.sim.queue import run_workers
+    from repro.sim.runner import TRACE_CACHE
+
+    saved_dir, saved_enabled = TRACE_CACHE.cache_dir, TRACE_CACHE.enabled
+    if saved_dir is not None and saved_enabled:
+        where = contextlib.nullcontext(saved_dir)
+    else:
+        where = tempfile.TemporaryDirectory(prefix="repro-drain-")
+    with where as drain_dir:
+        TRACE_CACHE.set_cache_dir(drain_dir)
+        TRACE_CACHE.enabled = True
+        try:
+            yield run_workers(suite_graph(experiment_ids, quick), drain_dir,
+                              jobs)
+        finally:
+            TRACE_CACHE.set_cache_dir(saved_dir)
+            TRACE_CACHE.enabled = saved_enabled
+
+
+def run_experiment(experiment_id: str, quick: bool = False) -> ExperimentResult:
     try:
         runner = EXPERIMENTS[experiment_id]
     except KeyError:
         raise KeyError(
             f"unknown experiment {experiment_id!r}; known: {sorted(EXPERIMENTS)}"
         ) from None
-    if (prefetch and jobs is not None and jobs > 1
-            and (experiment_id in SWEEP_SPECS or experiment_id in PROFILE_SPECS)):
-        from repro.sim.scheduler import prefetch_artifacts
-
-        prefetch_artifacts(suite_specs([experiment_id], quick), jobs=jobs)
-    kwargs: dict = {"quick": quick}
-    # Sweep-based figures take ``jobs``; functional ones (fig16/fig19) don't.
-    if jobs is not None and "jobs" in inspect.signature(runner).parameters:
-        kwargs["jobs"] = jobs
-    return runner(**kwargs)
+    return runner(quick=quick)
 
 
-def run_all(quick: bool = False, jobs: int | None = None) -> dict[str, ExperimentResult]:
-    """Run every experiment; ``jobs >= 2`` fans the suite's artifacts out.
+def run_all(quick: bool = False, jobs: int = 1) -> dict[str, ExperimentResult]:
+    """Run every experiment; ``jobs >= 2`` drains the suite's graph first.
 
-    The cross-workload prefetch happens once, up front, over the union
-    of all experiments' artifact specs; the drivers then consume cached
-    results in their own deterministic order.
+    The drain covers the union of all experiments' artifact specs; the
+    drivers then consume cached results in their own deterministic
+    order, so the tables match a serial run byte for byte.
     """
-    if jobs is not None and jobs > 1:
-        from repro.sim.scheduler import prefetch_artifacts
-
-        prefetch_artifacts(suite_specs(EXPERIMENTS, quick), jobs=jobs)
-    return {
-        eid: run_experiment(eid, quick=quick, jobs=jobs, prefetch=False)
-        for eid in EXPERIMENTS
-    }
+    drain = (drain_suite(EXPERIMENTS, quick, jobs) if jobs > 1
+             else contextlib.nullcontext())
+    with drain:
+        return {eid: run_experiment(eid, quick=quick) for eid in EXPERIMENTS}

@@ -20,7 +20,7 @@ _QUICK_GRAPHS = ("google-plus",)
 
 
 def sweep_specs(quick: bool = False) -> list[SweepSpec]:
-    """The (workload × scheme) sweeps this table needs, for prefetching."""
+    """The (workload × scheme) sweeps this table needs, as graph nodes."""
     inference = _QUICK_MODELS if quick else _INFERENCE
     training = _QUICK_MODELS if quick else _TRAINING
     graphs = _QUICK_GRAPHS if quick else GRAPH_BENCHMARKS
@@ -48,7 +48,7 @@ def _avg_overheads(sweeps) -> dict[str, float]:
     return {"BP": sum(bp) / len(bp), "MGX": sum(mgx) / len(mgx)}
 
 
-def run(quick: bool = False, jobs: int | None = None) -> ExperimentResult:
+def run(quick: bool = False) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="headline",
         title="Headline — average protection overhead (%), BP vs MGX",
@@ -62,21 +62,19 @@ def run(quick: bool = False, jobs: int | None = None) -> ExperimentResult:
 
     tasks = {
         "DNN-Inference": [
-            dnn_sweep(m, cfg, jobs=jobs)
+            dnn_sweep(m, cfg)
             for m in inference for cfg in ("Cloud", "Edge")
         ],
         "DNN-Training": [
-            dnn_sweep(m, cfg, training=True, jobs=jobs)
+            dnn_sweep(m, cfg, training=True)
             for m in training for cfg in ("Cloud", "Edge")
         ],
         "PageRank": [
-            graph_sweep(b, "PR", iterations=iterations, scale_divisor=scale,
-                        jobs=jobs)
+            graph_sweep(b, "PR", iterations=iterations, scale_divisor=scale)
             for b in graphs
         ],
         "BFS": [
-            graph_sweep(b, "BFS", iterations=iterations, scale_divisor=scale,
-                        jobs=jobs)
+            graph_sweep(b, "BFS", iterations=iterations, scale_divisor=scale)
             for b in graphs
         ],
     }

@@ -211,7 +211,7 @@ def active_plan() -> FaultPlan | None:
 
 
 def active_spec() -> str | None:
-    """The installed plan's spec string — picklable, for pool workers."""
+    """The installed plan's spec string (``None``: injection disabled)."""
     return None if _PLAN is None else _PLAN.spec
 
 

@@ -22,13 +22,16 @@ artifact", and a shared filesystem can answer it with lock files —
 Because every job is deterministic and artifacts are content-addressed,
 duplicate computation after a reclaim race is harmless — both workers
 write byte-identical bytes (the columnar binary trace layout of
-:mod:`repro.sim.spillfmt` included).  ``python -m repro.experiments
---workers N`` drains the graph this way; processes on separate machines
+:mod:`repro.sim.spillfmt` included).  This is the repository's only
+parallel executor: ``python -m repro.experiments --jobs N`` (and
+``run_all(jobs=N)``) drains the graph with :func:`run_workers` — on
+the attached cache dir, or on a temporary one without it — and renders
+the tables from the filled cache.  Processes on separate machines
 sharing ``REPRO_CACHE_DIR`` cooperate with no other channel, and the
 figure tables rendered afterwards are byte-identical to a serial run.
 Workers consuming a finished trace spill mmap it through the cache's
 zero-copy load path, so co-located workers share one copy of the
-columns in the OS page cache rather than each parsing its own JSON.
+columns in the OS page cache.
 
 Failure handling (chaos-hardened; see :mod:`repro.sim.faults`):
 
@@ -40,9 +43,12 @@ Failure handling (chaos-hardened; see :mod:`repro.sim.faults`):
   retrying it, drops every job depending (transitively) on its
   artifact, **completes** instead of deadlocking, and reports the
   quarantined set (the CLI exits nonzero);
-* **per-job deadlines** — a claim can carry a deadline after which its
+* **per-job deadlines** — a :class:`WorkQueue` built with
+  ``job_deadline_seconds`` gives each claim a deadline after which its
   heartbeat stops voluntarily, so a *hung* job (not just a dead one)
-  converts into a stale-reclaimable lock peers can take over;
+  converts into a stale-reclaimable lock peers can take over.  CLI
+  drains leave it off; :func:`run_workers`' ``timeout`` bounds a hung
+  peer instead;
 * **transient I/O** — claim/release/heartbeat filesystem operations run
   under :func:`repro.sim.faults.call_with_retries` (bounded retries,
   exponential backoff, deterministic jitter); a missed heartbeat is
@@ -55,7 +61,6 @@ import os
 import socket
 import threading
 import time
-from concurrent.futures import wait
 from pathlib import Path
 from typing import Sequence
 
@@ -337,23 +342,21 @@ def drain_graph(
     jobs: Sequence[ArtifactJob],
     queue: WorkQueue,
     timeout: float | None = None,
-    pool_jobs: int | None = None,
 ) -> dict:
     """Cooperatively compute every missing artifact of one job graph.
 
     Each pass walks the (topologically ordered) job list: jobs whose
-    artifact already exists are done — whether this process or a peer
-    made them — jobs with missing dependencies wait, and buildable jobs
-    are raced for via lock-file claims.  When a pass makes no progress
-    the worker reclaims stale locks and naps briefly; the loop ends when
-    every artifact exists.  Returns a summary of this worker's share.
+    artifact already exists in the shared store are done — whether this
+    process or a peer made them — jobs with missing dependencies wait,
+    and buildable jobs are raced for via lock-file claims.  When a pass
+    makes no progress the worker reclaims stale locks and naps briefly;
+    the loop ends when every artifact exists.  Returns a summary of this
+    worker's share.
 
-    ``pool_jobs`` hands claimed jobs to the scheduler's shared process
-    pool instead of computing them inline: one ``--workers`` participant
-    then keeps several claims in flight at once, their heartbeats alive
-    in this process while the pool computes.  The artifact writes stay
-    atomic and content-addressed, so the drain remains byte-identical to
-    the inline path (pinned in ``tests/test_queue.py``).
+    Every check asks the disk tier (:meth:`TraceCache.has_spill`), never
+    this process's memory tier: a value only this process holds is
+    invisible to its peers, so it neither completes a job nor readies a
+    dependent.
 
     ``timeout`` bounds the total wait (``RuntimeError`` on expiry) —
     mainly a test/CI guard against a peer that claimed work and then
@@ -370,7 +373,6 @@ def drain_graph(
     too, for the same reason.
     """
     from repro.sim.runner import TRACE_CACHE
-    from repro.sim.scheduler import effective_workers
 
     if not TRACE_CACHE.enabled:
         raise ConfigError("the trace cache is disabled; a distributed drain "
@@ -379,12 +381,6 @@ def drain_graph(
         raise ConfigError("no cache dir attached (use --cache-dir or "
                           "REPRO_CACHE_DIR); a distributed drain needs a "
                           "shared artifact directory")
-    pool = None
-    if pool_jobs is not None and effective_workers(pool_jobs) >= 2:
-        from repro.sim.scheduler import _compute_job_shared, shared_pool
-
-        pool = shared_pool(pool_jobs)
-        store_dir = str(TRACE_CACHE.cache_dir)
     summary = {"jobs": len(jobs), "computed": 0, "reclaimed": 0, "waits": 0,
                "failures": 0, "quarantined": [], "skipped": []}
     #: Keys that will never exist this drain: quarantined jobs' outputs
@@ -392,147 +388,93 @@ def drain_graph(
     poisoned: set = set()
     deadline = None if timeout is None else time.monotonic() + timeout
     pending = list(jobs)
-    in_flight: dict = {}
-    #: Claims held at once: bounded by the pool width so one participant
-    #: cannot hoard the whole ready frontier while peers idle.
-    max_in_flight = 0 if pool is None else 2 * effective_workers(pool_jobs)
-
-    def job_failed(job: ArtifactJob, exc: BaseException) -> None:
-        queue.record_failure(job.job_id(), exc)
-        summary["failures"] += 1
-
-    try:
-        while pending or in_flight:
-            progressed = False
-            if in_flight:
-                done = [future for future in in_flight if future.done()]
-                for future in done:
-                    job, claim = in_flight.pop(future)
-                    try:
-                        future.result()
-                        if not TRACE_CACHE.has_spill(job.key):
-                            raise RuntimeError(
-                                f"artifact missing after computing "
-                                f"{job.job_id()}"
-                            )
-                        summary["computed"] += 1
-                        queue.clear_failures(job.job_id())
-                    except Exception as exc:  # noqa: BLE001 - any failure is one attempt
-                        job_failed(job, exc)
-                    finally:
-                        claim.release()
-                    progressed = True
-            still_pending: list[ArtifactJob] = []
-            for job in pending:
-                if TRACE_CACHE.has(job.key):
-                    continue  # done — by us earlier, or by a peer
-                if queue.is_quarantined(job.job_id()):
-                    # Poisoned (here or by a peer): stop retrying, keep
-                    # draining everything else.
-                    summary["quarantined"].append(job.job_id())
-                    poisoned.add(job.key)
-                    progressed = True
-                    continue
-                if any(dep in poisoned for dep in job.deps):
-                    # A dependency will never exist: dropping this job
-                    # too is what keeps the drain from deadlocking.
-                    summary["skipped"].append(job.job_id())
-                    poisoned.add(job.key)
-                    progressed = True
-                    continue
-                if not all(TRACE_CACHE.has(dep) for dep in job.deps):
-                    still_pending.append(job)
-                    continue
-                if pool is not None and len(in_flight) >= max_in_flight:
-                    still_pending.append(job)  # pool saturated: leave it
-                    continue
-                claim = queue.try_claim(job.job_id())
-                if claim is None:
-                    still_pending.append(job)  # a peer is on it
-                    continue
-                # Re-check under the lock: the artifact may have landed
-                # between our presence check and the claim.
-                if TRACE_CACHE.has(job.key):
-                    claim.release()
-                    progressed = True
-                    continue
-                attempt = queue.failure_count(job.job_id())
-                if pool is not None:
-                    future = pool.submit(_compute_job_shared, job, store_dir,
-                                         attempt, faults.active_spec())
-                    in_flight[future] = (job, claim)
-                    progressed = True
-                    continue
-                try:
-                    compute_job(job, attempt=attempt)
-                    if not TRACE_CACHE.has_spill(job.key):
-                        raise RuntimeError(
-                            f"artifact missing after computing {job.job_id()}"
-                        )
-                    summary["computed"] += 1
-                    queue.clear_failures(job.job_id())
-                except Exception as exc:  # noqa: BLE001 - any failure is one attempt
-                    job_failed(job, exc)
-                    still_pending.append(job)  # retry until quarantine
-                finally:
-                    claim.release()
+    while pending:
+        progressed = False
+        still_pending: list[ArtifactJob] = []
+        for job in pending:
+            if TRACE_CACHE.has_spill(job.key):
+                continue  # done — by us earlier, or by a peer
+            if queue.is_quarantined(job.job_id()):
+                # Poisoned (here or by a peer): stop retrying, keep
+                # draining everything else.
+                summary["quarantined"].append(job.job_id())
+                poisoned.add(job.key)
                 progressed = True
-            pending = still_pending
-            if (pending or in_flight) and not progressed:
-                summary["reclaimed"] += len(queue.reclaim_stale())
-                summary["waits"] += 1
-                if deadline is not None and time.monotonic() > deadline:
-                    stuck = (pending[0].job_id() if pending
-                             else next(iter(in_flight.values()))[0].job_id())
+                continue
+            if any(dep in poisoned for dep in job.deps):
+                # A dependency will never exist: dropping this job too
+                # is what keeps the drain from deadlocking.
+                summary["skipped"].append(job.job_id())
+                poisoned.add(job.key)
+                progressed = True
+                continue
+            if not all(TRACE_CACHE.has_spill(dep) for dep in job.deps):
+                still_pending.append(job)
+                continue
+            claim = queue.try_claim(job.job_id())
+            if claim is None:
+                still_pending.append(job)  # a peer is on it
+                continue
+            # Re-check under the lock: the artifact may have landed
+            # between our presence check and the claim.
+            if TRACE_CACHE.has_spill(job.key):
+                claim.release()
+                progressed = True
+                continue
+            try:
+                compute_job(job, attempt=queue.failure_count(job.job_id()))
+                if not TRACE_CACHE.has_spill(job.key):
                     raise RuntimeError(
-                        f"distributed drain timed out with "
-                        f"{len(pending) + len(in_flight)} jobs pending "
-                        f"(first: {stuck})"
+                        f"artifact missing after computing {job.job_id()}"
                     )
-                if in_flight:
-                    wait(set(in_flight), timeout=queue.poll_seconds)
-                else:
-                    time.sleep(queue.poll_seconds)
-    finally:
-        # On any error, release outstanding claims: their heartbeats
-        # would otherwise keep the locks fresh for the process lifetime,
-        # locking peers out of those jobs.
-        for job, claim in in_flight.values():
-            claim.release()
+                summary["computed"] += 1
+                queue.clear_failures(job.job_id())
+            except Exception as exc:  # noqa: BLE001 - any failure is one attempt
+                queue.record_failure(job.job_id(), exc)
+                summary["failures"] += 1
+                still_pending.append(job)  # retry until quarantine
+            finally:
+                claim.release()
+            progressed = True
+        pending = still_pending
+        if pending and not progressed:
+            summary["reclaimed"] += len(queue.reclaim_stale())
+            summary["waits"] += 1
+            if deadline is not None and time.monotonic() > deadline:
+                raise RuntimeError(
+                    f"distributed drain timed out with {len(pending)} jobs "
+                    f"pending (first: {pending[0].job_id()})"
+                )
+            time.sleep(queue.poll_seconds)
     summary["quarantined"] = sorted(set(summary["quarantined"]))
     summary["skipped"] = sorted(set(summary["skipped"]))
     return summary
 
 
 def _drain_worker(jobs: Sequence[ArtifactJob], cache_dir: str,
-                  worker_id: str, pool_jobs: int | None = None) -> None:
+                  worker_id: str) -> None:
     """Entry point for a local drain subprocess (picklable, top-level)."""
     from repro.sim.runner import TRACE_CACHE
 
     TRACE_CACHE.set_cache_dir(cache_dir)
     queue = WorkQueue(Path(cache_dir) / QUEUE_SUBDIR, worker_id=worker_id)
-    drain_graph(jobs, queue, pool_jobs=pool_jobs)
+    drain_graph(jobs, queue)
 
 
 def run_workers(jobs: Sequence[ArtifactJob], cache_dir: str | os.PathLike,
-                workers: int, timeout: float | None = 3600.0,
-                pool_jobs: int | None = None) -> dict:
+                workers: int, timeout: float | None = 3600.0) -> dict:
     """Drain one graph with ``workers`` local processes (plus any peers).
 
     The calling process is worker 0 (so ``workers=1`` degrades to a
     plain in-process drain); the rest are spawned subprocesses.  All of
-    them — and any ``--workers`` processes on other machines sharing the
+    them — and any ``--jobs`` processes on other machines sharing the
     cache dir — coordinate purely through the queue directory.
-
-    ``pool_jobs`` additionally fans each participant's claimed jobs out
-    over the scheduler's shared in-process pool (``--workers N --jobs
-    M``: N cooperating queue workers, each computing up to M claims
-    concurrently).
 
     The default ``timeout`` is a guard against a *live but hung* peer —
     one that holds a claim and keeps heartbeating without ever
     finishing; dead peers are handled by stale-lock reclaim long before
-    it fires, and the ``RuntimeError`` names the stuck job.
+    it fires, and the ``RuntimeError`` names the stuck job.  (The
+    workers' claims carry no per-job deadline.)
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -542,16 +484,14 @@ def run_workers(jobs: Sequence[ArtifactJob], cache_dir: str | os.PathLike,
     queue = WorkQueue(Path(cache_dir) / QUEUE_SUBDIR)
     helpers = [
         mp.Process(target=_drain_worker,
-                   args=(list(jobs), cache_dir, f"{queue.worker_id}-w{i}",
-                         pool_jobs),
+                   args=(list(jobs), cache_dir, f"{queue.worker_id}-w{i}"),
                    daemon=True)
         for i in range(1, workers)
     ]
     for helper in helpers:
         helper.start()
     try:
-        summary = drain_graph(jobs, queue, timeout=timeout,
-                              pool_jobs=pool_jobs)
+        summary = drain_graph(jobs, queue, timeout=timeout)
     finally:
         for helper in helpers:
             helper.join(timeout=60.0)

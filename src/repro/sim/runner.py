@@ -1,10 +1,10 @@
-"""Workload runner: batched traces, trace/sweep reuse, parallel sweeps.
+"""Workload runner: batched traces and trace/sweep reuse.
 
 The experiments all follow the same pattern — generate a trace, run
 {NP, BP, MGX, MGX_VN, MGX_MAC} over it, normalize to NP — and the figure
 drivers repeat the *same* workloads (fig03, fig12, fig13 and the
 headline table all sweep the same DNN configurations).  This module
-packages that loop as a pipeline with three levers:
+packages that loop as a pipeline with two levers:
 
 * **Batching** — every workload is converted once into per-phase
   :class:`~repro.core.access.AccessBatch` columns
@@ -16,9 +16,11 @@ packages that loop as a pipeline with three levers:
   generated trace and repeated sweeps across experiment drivers are
   free.  Opt out per call with ``use_cache=False`` or globally with
   ``TRACE_CACHE.enabled = False``.
-* **Parallelism** — ``sweep_schemes(..., jobs=N)`` with ``N >= 2`` runs
-  independent schemes across worker processes (opt-in; results are
-  bit-identical to the serial path).
+
+Parallelism lives one level up: the suite's artifact graph
+(:mod:`repro.sim.scheduler`) drains through the file-lock queue
+(:mod:`repro.sim.queue`) into this cache's disk tier, and the sweeps
+here then restore from it.
 """
 
 from __future__ import annotations
@@ -340,10 +342,10 @@ class TraceCache:
     whole figure suite prices zero traces.  Traces spill in the columnar
     binary layout of :mod:`repro.sim.spillfmt` and load **zero-copy**:
     the file is mmapped and the phases are rebuilt as read-only column
-    views, so cooperating ``--jobs``/``--workers`` processes loading the
-    same spill share one copy in the OS page cache.  Other kinds spill
-    as single-line JSON.  Writes are atomic (tmp + rename), making the
-    directory safe to share between the sweep workers and the parent.
+    views, so cooperating ``--jobs`` queue workers loading the same
+    spill share one copy in the OS page cache.  Other kinds spill as
+    single-line JSON.  Writes are atomic (tmp + rename), making the
+    directory safe to share between the queue workers and the parent.
     """
 
     def __init__(self, max_entries: int = 512,
@@ -360,7 +362,7 @@ class TraceCache:
         self.spill_bytes: Counter[str] = Counter()
         #: Digest-mismatch spills deleted on load (bit-rot / torn
         #: writes): the artifact is rebuilt and respilled, and deleting
-        #: stops ``has`` from advertising a corrupt file as done.
+        #: stops ``has_spill`` from advertising a corrupt file as done.
         self.corrupt_dropped = 0
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
         self._cache_dir: Path | None = None
@@ -422,7 +424,7 @@ class TraceCache:
             return None  # stale, truncated or foreign spill: rebuild
 
     def _drop_corrupt(self, path: Path) -> None:
-        """Delete a digest-mismatch spill so ``has`` stops advertising it.
+        """Delete a digest-mismatch spill so ``has_spill`` stops advertising it.
 
         A failed digest is bit-rot or a torn write, never version skew
         (stale-codec spills keep valid digests), so deleting is safe —
@@ -551,35 +553,24 @@ class TraceCache:
     def has_spill(self, key: Hashable) -> bool:
         """Disk-tier-only presence check (the shared completion marker).
 
-        Unlike :meth:`has` this ignores the memory tier: a value this
-        process holds in memory is invisible to cooperating workers, so
-        executors deciding whether the *shared store* needs a job must
-        ask the store, not the two-tier cache.
+        It ignores the memory tier: a value this process holds in memory
+        is invisible to cooperating workers, so executors deciding
+        whether the *shared store* needs a job must ask the store.  It
+        never parses a spill, so the work queue can poll availability
+        without decoding multi-megabyte traces; a truncated/corrupt
+        spill can make it report True where :meth:`peek` returns
+        ``None``, and consumers fall back to rebuilding via
+        :meth:`get_or_build`.
         """
         if not self.enabled:
             return False
         return any(path.exists() for path in self._disk_paths(key))
 
-    def has(self, key: Hashable) -> bool:
-        """Cheap presence check: memory tier, or a spill file on disk.
-
-        Unlike :meth:`peek` this never parses a spill, so the distributed
-        work queue can poll artifact availability without repeatedly
-        decoding multi-megabyte traces.  A truncated/corrupt spill can
-        make ``has`` report True where ``peek`` would return ``None``;
-        consumers fall back to rebuilding via :meth:`get_or_build`.
-        """
-        if not self.enabled:
-            return False
-        if key in self._entries:
-            return True
-        return self.has_spill(key)
-
     def put(self, key: Hashable, value: object, built: bool = True) -> None:
-        """Insert a value computed elsewhere (e.g. by a sweep worker).
+        """Insert a value computed outside :meth:`get_or_build`.
 
-        ``built`` keeps the miss accounting honest: a value priced by a
-        worker this run still counts as a miss of its kind.
+        ``built`` keeps the miss accounting honest: a value priced by an
+        artifact job this run still counts as a miss of its kind.
         """
         if not self.enabled:
             return
@@ -687,19 +678,11 @@ def sweep_schemes(
     protected_bytes: int,
     schemes: dict[str, ProtectionScheme] | None = None,
     batches: list[AccessBatch] | None = None,
-    jobs: int | None = None,
 ) -> SchemeSweep:
     """Run every scheme over ``phases`` and collect normalized results.
 
-    ``batches`` shares precomputed per-phase columns across the schemes.
-    ``jobs >= 2`` distributes independent schemes over the suite-wide
-    shared worker pool (see :mod:`repro.sim.scheduler`): the trace is
-    spilled once to the scheduler's store and each scheme job loads it by
-    content digest, so the per-job payload stays small and the pool is
-    reused across every sweep of the run.  Scheme objects are mutated in
-    the workers, the caller's instances stay untouched, and results are
-    collected in presentation order — bit-identical to the serial path.
-    ``None`` (or ``jobs <= 1``) runs serially.
+    ``batches`` shares precomputed per-phase columns across the schemes;
+    results are collected in presentation order.
     """
     suite = schemes if schemes is not None else scheme_suite(protected_bytes)
     names = [name for name in SCHEMES if name in suite]
@@ -707,13 +690,6 @@ def sweep_schemes(
     if batches is None:
         # Convert once here rather than per scheme in run().
         batches = [AccessBatch.from_phase(phase) for phase in phases]
-    if jobs is not None and jobs > 1 and len(names) > 1:
-        from repro.sim.scheduler import effective_workers, parallel_sweep
-
-        if effective_workers(jobs) >= 2:
-            return parallel_sweep(workload, phases, model, suite, names,
-                                  batches, jobs)
-        # Single core: a pool would only add spill + pickling overhead.
     sweep = SchemeSweep(workload=workload)
     for name in names:
         sweep.results[name] = model.run(phases, suite[name], batches=batches)
@@ -882,7 +858,7 @@ def graph_workload(benchmark: str, algorithm: str = "PR",
 
 def _sweep_workload(build_workload: Callable[[], Workload],
                     sweep_key: Hashable | None,
-                    use_cache: bool, jobs: int | None) -> SchemeSweep:
+                    use_cache: bool) -> SchemeSweep:
     """Sweep the five-scheme suite over a workload, reusing cached results.
 
     The workload (and with it the trace) is only constructed when the
@@ -897,7 +873,6 @@ def _sweep_workload(build_workload: Callable[[], Workload],
             workload.performance_model(),
             workload.protected_bytes,
             batches=workload.trace.batches,
-            jobs=jobs,
         )
 
     if use_cache and sweep_key is not None:
@@ -906,22 +881,20 @@ def _sweep_workload(build_workload: Callable[[], Workload],
 
 
 def dnn_sweep(model_name: str, config_name: str = "Cloud", training: bool = False,
-              batch: int = 1, use_cache: bool = True,
-              jobs: int | None = None) -> SchemeSweep:
+              batch: int = 1, use_cache: bool = True) -> SchemeSweep:
     """Sweep all schemes over one DNN workload (Fig. 12/13 data points)."""
     key = ("dnn-sweep", model_name, config_name, training, batch)
     return _sweep_workload(
         lambda: dnn_workload(model_name, config_name, training, batch,
                              use_cache=use_cache),
-        key, use_cache, jobs,
+        key, use_cache,
     )
 
 
 def graph_sweep(benchmark: str, algorithm: str = "PR", iterations: int | None = None,
                 scale_divisor: int = 64,
                 config: GraphAcceleratorConfig | None = None,
-                use_cache: bool = True,
-                jobs: int | None = None) -> SchemeSweep:
+                use_cache: bool = True) -> SchemeSweep:
     """Sweep all schemes over one graph workload (Fig. 14 data points)."""
     config = config or GraphAcceleratorConfig()
     key = ("graph-sweep", benchmark, algorithm, iterations, scale_divisor,
@@ -929,5 +902,5 @@ def graph_sweep(benchmark: str, algorithm: str = "PR", iterations: int | None = 
     return _sweep_workload(
         lambda: graph_workload(benchmark, algorithm, iterations, scale_divisor,
                                config=config, use_cache=use_cache),
-        key, use_cache, jobs,
+        key, use_cache,
     )

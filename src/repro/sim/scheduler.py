@@ -18,173 +18,27 @@ whose disk tier is the cross-process / cross-machine substrate):
   rendered tables (``ExperimentResult.to_doc()`` docs; a table node
   soft-depends on the suite sweeps it assembles its rows from).
 
-Two executors drain the graph, through **one** execution path
-(:func:`compute_job` via :func:`_compute_job_shared`), so both populate
-identical artifact sets — per-scheme ``result`` spills included:
-
-* :func:`prefetch_artifacts` — **one shared process pool** inside a
-  single run.  Ready nodes fan out immediately and each job is
-  dispatched the moment its dependencies' artifacts exist, so pricing
-  of workload A overlaps trace generation of workload B; the finished
-  artifacts are then promoted under the serial drivers' exact cache
-  keys, so figure tables are byte-identical to a serial run.
-* :func:`repro.sim.queue.drain_graph` — a **file-lock work queue** over
-  the shared cache directory, letting ``--workers`` processes on
-  separate machines pointed at the same ``REPRO_CACHE_DIR`` drain one
-  graph cooperatively.
-
-Single-workload parallel sweeps (``sweep_schemes(..., jobs=N)``, the
-trace-file CLI) ride the same shared pool: the trace is spilled once to
-the scheduler's store and each scheme job references it by content
-digest.
-
-Prefetch spills go through :data:`~repro.sim.runner.TRACE_CACHE`'s
-``cache_dir`` when one is attached (so they persist across runs) and a
-process-lifetime temporary directory otherwise; one-off external traces
-always use the temporary store, which :func:`shutdown` removes.
+:func:`compute_job` is the single execution path, and a job is done
+when its artifact exists on the disk tier
+(:meth:`~repro.sim.runner.TraceCache.has_spill`).  The file-lock queue
+(:mod:`repro.sim.queue`) is the only parallel executor:
+``python -m repro.experiments --jobs N`` and ``run_all(jobs=N)`` drain
+the selection's graph with N local queue workers, and the drivers then
+render their tables from the cache — byte-identical to a serial run.
+Serially, :meth:`SweepSpec.fetch` and :meth:`ProfileSpec.fetch` are the
+drivers' entry points for one artifact each.
 """
 
 from __future__ import annotations
 
-import atexit
-import mmap
-import os
-import shutil
-import tempfile
 import threading
-from collections import OrderedDict
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import Future
 from dataclasses import dataclass
-from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.perf import PerformanceModel, SimResult
-    from repro.sim.runner import BatchedTrace, SchemeSweep, Workload
-
-# ---------------------------------------------------------------------------
-# Shared process pool
-# ---------------------------------------------------------------------------
-
-_POOLS: dict[int, ProcessPoolExecutor] = {}
-
-
-def effective_workers(jobs: int | None) -> int:
-    """Worker processes a ``jobs`` request can actually keep busy."""
-    if jobs is None:
-        return 1
-    return max(1, min(jobs, os.cpu_count() or 1))
-
-
-def shared_pool(jobs: int) -> ProcessPoolExecutor:
-    """The process pool shared by every sweep of the suite.
-
-    Pools are keyed by worker count and live until process exit (or
-    :func:`shutdown`), so repeated ``sweep_schemes(jobs=N)`` calls and
-    whole-suite prefetches reuse warm workers instead of forking a fresh
-    pool per sweep.
-    """
-    workers = effective_workers(jobs)
-    pool = _POOLS.get(workers)
-    if pool is None:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        _POOLS[workers] = pool
-    return pool
-
-
-def shutdown() -> None:
-    """Tear down the shared pools and the temporary trace store."""
-    global _SPILL_DIR
-    for pool in _POOLS.values():
-        pool.shutdown(wait=False, cancel_futures=True)
-    _POOLS.clear()
-    if _SPILL_DIR is not None:
-        shutil.rmtree(_SPILL_DIR, ignore_errors=True)
-        _SPILL_DIR = None
-
-
-atexit.register(shutdown)
-
-# ---------------------------------------------------------------------------
-# Trace store
-# ---------------------------------------------------------------------------
-
-_SPILL_DIR: Path | None = None
-
-
-def _temp_store_dir() -> Path:
-    """Process-lifetime spill directory (removed by :func:`shutdown`)."""
-    global _SPILL_DIR
-    if _SPILL_DIR is None:
-        _SPILL_DIR = Path(tempfile.mkdtemp(prefix="repro-sweep-store-"))
-    return _SPILL_DIR
-
-
-def trace_store_dir() -> Path:
-    """Directory workload traces are spilled to for cross-worker sharing."""
-    from repro.sim.runner import TRACE_CACHE
-
-    if TRACE_CACHE.cache_dir is not None:
-        return TRACE_CACHE.cache_dir
-    return _temp_store_dir()
-
-
-def store_trace(trace: "BatchedTrace") -> str:
-    """Spill a one-off external trace; returns its content digest.
-
-    External traces always land in the temporary store (cleaned at
-    shutdown), never the persistent cache dir: their cache-key spill
-    would duplicate them there with nothing ever reclaiming the space.
-    The payload is the columnar binary layout of
-    :mod:`repro.sim.spillfmt`, so every pool worker pricing this trace
-    mmaps the same file — one copy of the columns in the OS page cache
-    shared across ``--jobs``, instead of N independent JSON parses.
-    """
-    from repro.sim.runner import _encode_trace
-    from repro.sim.tracefile import doc_digest
-
-    payload = _encode_trace(trace)
-    digest = doc_digest(payload)
-    path = _temp_store_dir() / f"xtrace-{digest}.bin"
-    if not path.exists():
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_bytes(payload)
-        os.replace(tmp, path)
-    return digest
-
-
-#: Worker-side memo of external traces, keyed by content digest, so a
-#: worker pricing several schemes of one trace decodes the spill once.
-#: Bounded: workers are long-lived (the pool is shared suite-wide), so
-#: an unbounded memo would pin every trace ever priced in every worker.
-#: (A memoized trace holds its mmap alive via the column views, which
-#: is cheap: the pages are shared and reclaimable.)
-_TRACE_MEMO: "OrderedDict[str, BatchedTrace]" = OrderedDict()
-_TRACE_MEMO_ENTRIES = 8
-
-
-def _load_stored_trace(digest: str, store_dir: str) -> "BatchedTrace":
-    from repro.sim.runner import _decode_trace
-
-    trace = _TRACE_MEMO.get(digest)
-    if trace is None:
-        path = Path(store_dir) / f"xtrace-{digest}.bin"
-        try:
-            with open(path, "rb") as f:
-                payload: object = mmap.mmap(f.fileno(), 0,
-                                            access=mmap.ACCESS_READ)
-        except FileNotFoundError:
-            # A store populated by an older process: fall back to the
-            # legacy JSON spill name.
-            payload = (Path(store_dir) / f"xtrace-{digest}.json").read_text()
-        trace = _decode_trace(payload)
-        _TRACE_MEMO[digest] = trace
-        while len(_TRACE_MEMO) > _TRACE_MEMO_ENTRIES:
-            _TRACE_MEMO.popitem(last=False)
-    else:
-        _TRACE_MEMO.move_to_end(digest)
-    return trace
-
+    from repro.sim.perf import SimResult
+    from repro.sim.runner import SchemeSweep, Workload
 
 # ---------------------------------------------------------------------------
 # Single-flight coalescing
@@ -264,9 +118,9 @@ class SingleFlight:
 class SweepSpec:
     """A (workload, all-schemes) sweep request the scheduler can ship.
 
-    Specs are tiny and picklable: workers rebuild the workload from the
-    spec through their own trace cache (memory tier, then the shared
-    disk store, then regeneration), so no trace crosses the pipe.
+    Specs are tiny and picklable: queue workers rebuild the workload
+    from the spec through their own trace cache (memory tier, then the
+    shared disk store, then regeneration), so no trace crosses a pipe.
     """
 
     kind: str  # "dnn" | "graph"
@@ -318,8 +172,8 @@ class SweepSpec:
                                      iterations=iterations,
                                      scale_divisor=scale_divisor)
 
-    def run_inline(self) -> "SchemeSweep":
-        """Serial fallback: the ordinary cached sweep in this process."""
+    def fetch(self) -> "SchemeSweep":
+        """The cached sweep, priced on a miss — the figure drivers' entry."""
         from repro.sim import runner
 
         if self.kind == "dnn":
@@ -479,9 +333,8 @@ class ArtifactJob:
     ``key`` is the artifact's exact :data:`~repro.sim.runner.TRACE_CACHE`
     key (its content address — the disk-tier file name is a stable digest
     of it); ``deps`` are the keys whose artifacts must exist before this
-    job can run.  Jobs are tiny, picklable and hashable, so the same
-    graph can be drained by the in-process pool or by the file-lock
-    queue across machines.
+    job can run.  Jobs are tiny, picklable and hashable, so local queue
+    workers and peers on other machines derive and drain the same graph.
     """
 
     kind: str  # "trace" | "result" | "sweep" | "profile"
@@ -542,14 +395,16 @@ def build_graph(specs: Iterable["SweepSpec | ProfileSpec"]) -> list[ArtifactJob]
 def compute_job(job: ArtifactJob, attempt: int = 0) -> None:
     """Execute one job inline, storing its artifact in the shared cache.
 
-    This is the single execution path the file-lock queue workers use;
-    every kind stores under its content key through
+    This is the single execution path of every drain; every kind
+    stores under its content key through
     :data:`~repro.sim.runner.TRACE_CACHE`, whose disk tier (atomic
     tmp+rename writes) makes concurrent duplicate computation harmless —
-    deterministic jobs produce byte-identical artifacts.
+    deterministic jobs produce byte-identical artifacts.  The spill is
+    the job's completion marker, so every kind writes it, even when this
+    process already holds the value in memory.
 
     ``attempt`` is the job's persisted failure count (from the queue's
-    attempt records, or a local retry counter): it indexes the
+    attempt records): it indexes the
     ``compute`` fault-injection decision, so whether a given attempt of
     a given job crashes is identical across workers and orderings —
     the property that makes quarantine sets deterministic.
@@ -559,7 +414,11 @@ def compute_job(job: ArtifactJob, attempt: int = 0) -> None:
 
     faults.maybe_fault("compute", job.job_id(), attempt=attempt)
     if job.kind == "trace":
-        job.spec.build_workload()  # get_or_build spills under the trace key
+        trace = job.spec.build_workload().trace  # get_or_build spills a miss
+        if not TRACE_CACHE.has_spill(job.key):
+            # A memory-tier hit (say, a retry after a failed spill) wrote
+            # nothing; the store still needs the artifact.
+            TRACE_CACHE.put(job.key, trace, built=False)
     elif job.kind == "result":
         TRACE_CACHE.put(job.key, _price_spec(job.spec, job.scheme))
     elif job.kind == "profile":
@@ -581,54 +440,6 @@ def compute_job(job: ArtifactJob, attempt: int = 0) -> None:
         raise ValueError(f"unknown artifact job kind {job.kind!r}")
 
 
-# ---------------------------------------------------------------------------
-# Worker entry points (must be picklable module functions)
-# ---------------------------------------------------------------------------
-
-def _attach_store(store_dir: str) -> None:
-    """Point the worker's trace cache at the shared trace store.
-
-    Workers are long-lived (the pool is shared suite-wide), so their
-    memory tier is also tightened: the disk store is the system of
-    record, and a small hot set per worker prevents every worker from
-    pinning the whole suite's traces in memory.
-
-    Re-pointing to a *different* store drops the memory tier first: an
-    artifact's existence in the shared store is its completion marker,
-    and a worker whose memory still holds keys from a previous store
-    must not skip the spill the new store is waiting for.
-    """
-    from repro.sim.runner import TRACE_CACHE
-
-    TRACE_CACHE.max_entries = min(TRACE_CACHE.max_entries, 32)
-    if TRACE_CACHE.cache_dir is None or str(TRACE_CACHE.cache_dir) != store_dir:
-        TRACE_CACHE.clear()
-        TRACE_CACHE.set_cache_dir(store_dir)
-
-
-def _compute_job_shared(job: ArtifactJob, store_dir: str, attempt: int = 0,
-                        fault_spec: str | None = None) -> None:
-    """Pool entry point for a file-lock queue worker's claimed job.
-
-    Attaches the worker's trace cache to the shared store, then runs the
-    single inline execution path; the artifact's atomic tmp+rename spill
-    makes a duplicate computation (claim reclaimed mid-flight) harmless.
-
-    ``fault_spec`` carries the parent's chaos plan explicitly: pool
-    workers are long-lived and shared, so a plan installed in the parent
-    *after* the pool forked would never reach them through the
-    environment alone.
-    """
-    from repro.sim import faults
-    from repro.sim.runner import TRACE_CACHE
-
-    if fault_spec != faults.active_spec():
-        faults.install(fault_spec)
-    _attach_store(store_dir)
-    if not TRACE_CACHE.has(job.key):
-        compute_job(job, attempt=attempt)
-
-
 def _price_spec(spec: SweepSpec, scheme_name: str) -> "SimResult":
     """One (workload × scheme) pricing; the workload comes via the cache."""
     from repro.core.schemes import scheme_suite
@@ -637,200 +448,3 @@ def _price_spec(spec: SweepSpec, scheme_name: str) -> "SimResult":
     scheme = scheme_suite(workload.protected_bytes)[scheme_name]
     model = workload.performance_model()
     return model.run(workload.trace.phases, scheme, batches=workload.trace.batches)
-
-
-def _price_stored_job(digest: str, store_dir: str, model: "PerformanceModel",
-                      scheme) -> "SimResult":
-    """Price node for an externally-supplied (spilled) trace."""
-    trace = _load_stored_trace(digest, store_dir)
-    return model.run(trace.phases, scheme, batches=trace.batches)
-
-
-# ---------------------------------------------------------------------------
-# Scheduling
-# ---------------------------------------------------------------------------
-
-def parallel_sweep(workload: str, phases, model: "PerformanceModel", suite: dict,
-                   names: Sequence[str], batches, jobs: int) -> "SchemeSweep":
-    """All schemes of one workload across the shared pool.
-
-    The trace is spilled once to the scheduler store; each scheme job
-    references it by digest, so the per-job payload is the (small)
-    scheme object and performance model.  Results are collected in
-    presentation order — bit-identical to the serial path.
-    """
-    from repro.core.access import AccessBatch
-    from repro.sim.runner import BatchedTrace, SchemeSweep
-
-    if batches is None:
-        batches = [AccessBatch.from_phase(phase) for phase in phases]
-    digest = store_trace(BatchedTrace(list(phases), list(batches)))
-    store = str(_temp_store_dir())
-    pool = shared_pool(jobs)
-    futures = {
-        name: pool.submit(_price_stored_job, digest, store, model, suite[name])
-        for name in names
-    }
-    sweep = SchemeSweep(workload=workload)
-    for name in names:
-        sweep.results[name] = futures[name].result()
-    return sweep
-
-
-def prefetch_artifacts(specs: Iterable["SweepSpec | ProfileSpec"],
-                       jobs: int | None = None) -> dict:
-    """Compute every spec's missing artifact; returns a summary.
-
-    This is the cross-workload fan-out over the artifact graph: the
-    pending specs expand through :func:`build_graph` and the jobs drain
-    on the shared pool through :func:`_compute_job_shared` — the *same*
-    execution path the file-lock queue workers use — so a ``--jobs`` run
-    and a ``--workers`` run populate identical artifact sets (traces,
-    per-scheme results, assembled sweeps, profiles/tables; one codec,
-    and an artifact's existence is its completion marker in both).  Each
-    workload's scheme-price nodes dispatch the moment its trace lands,
-    table nodes wait for the sweeps they consume, and the finished
-    sweeps and profiles are promoted into the parent's memory tier under
-    the serial drivers' keys, so the drivers afterwards run entirely
-    from cache — deterministically.  Sweeps always cover the full scheme
-    suite: the cache keys are the drivers' full-sweep keys, so a partial
-    sweep must never land there.
-
-    Without an attached cache dir the workers spill into the scheduler's
-    process-lifetime temporary store, which the parent attaches for the
-    duration of the drain (and detaches after promoting the finished
-    artifacts); :func:`shutdown` removes it.
-    """
-    from repro.sim.runner import TRACE_CACHE
-
-    sweep_specs: list[SweepSpec] = []
-    profile_specs: list[ProfileSpec] = []
-    seen: set = set()
-    for spec in specs:
-        if spec in seen:
-            continue
-        seen.add(spec)
-        if isinstance(spec, ProfileSpec):
-            profile_specs.append(spec)
-        else:
-            sweep_specs.append(spec)
-    pending = [s for s in sweep_specs if TRACE_CACHE.peek(s.sweep_key()) is None]
-    pending_profiles = [
-        p for p in profile_specs if TRACE_CACHE.peek(p.artifact_key()) is None
-    ]
-    summary = {
-        "workloads": len(sweep_specs) + len(profile_specs),
-        "cached": (len(sweep_specs) - len(pending)
-                   + len(profile_specs) - len(pending_profiles)),
-        "priced": 0,
-        "traces_built": 0,
-        "results_built": 0,
-        "profiles_built": 0,
-    }
-    if not pending and not pending_profiles:
-        return summary
-    if not TRACE_CACHE.enabled:
-        # Nowhere to put prefetched results; the drivers will price (and
-        # parallelize per sweep) themselves.
-        return summary
-    if effective_workers(jobs) < 2:
-        # One core (or jobs <= 1): a worker pool would only add pickling
-        # and process churn, so compute inline — the cache still fills.
-        # (The serial sweep path prices whole sweeps without materializing
-        # per-result artifacts; only the pool and queue paths spill them.)
-        for spec in pending:
-            before = TRACE_CACHE.miss_kinds.get("trace", 0)
-            spec.run_inline()
-            summary["traces_built"] += (
-                TRACE_CACHE.miss_kinds.get("trace", 0) > before
-            )
-            summary["priced"] += 1
-        for profile_spec in pending_profiles:
-            profile_spec.fetch()
-            summary["profiles_built"] += 1
-        return summary
-
-    store = str(trace_store_dir())
-    detach_after = TRACE_CACHE.cache_dir is None
-    if detach_after:
-        # No persistent cache dir: the workers spill into the temporary
-        # store; attach the parent to it so presence checks and the final
-        # promotion read the same substrate.
-        TRACE_CACHE.set_cache_dir(store)
-    try:
-        graph = build_graph(pending + pending_profiles)
-        pool = shared_pool(jobs)
-        done: set = set()
-        waiting: list[ArtifactJob] = []
-        for job in graph:
-            # A job is done only when its artifact is in the *shared
-            # store* — a memory-tier value in this process is invisible
-            # to the workers, and skipping the job would leave every
-            # worker regenerating the dependency for itself.
-            if TRACE_CACHE.has_spill(job.key):
-                done.add(job.key)
-            else:
-                waiting.append(job)
-        in_flight: dict[Future, ArtifactJob] = {}
-        from repro.sim import faults
-        from repro.sim.queue import QUARANTINE_AFTER
-
-        #: Local retry ledger for the pool path.  The pool has no shared
-        #: queue dir to persist attempts in, but the counter still feeds
-        #: compute_job's fault-decision index, so a transient injected
-        #: crash resolves on retry instead of failing the whole prefetch.
-        attempts: dict[str, int] = {}
-
-        def submit(job: ArtifactJob) -> None:
-            future = pool.submit(_compute_job_shared, job, store,
-                                 attempts.get(job.job_id(), 0),
-                                 faults.active_spec())
-            in_flight[future] = job
-
-        def submit_ready() -> None:
-            nonlocal waiting
-            blocked: list[ArtifactJob] = []
-            for job in waiting:
-                if all(dep in done for dep in job.deps):
-                    submit(job)
-                else:
-                    blocked.append(job)
-            waiting = blocked
-
-        computed = {"trace": 0, "result": 0, "sweep": 0, "profile": 0}
-        submit_ready()
-        while in_flight:
-            finished, _ = wait(set(in_flight), return_when=FIRST_COMPLETED)
-            for future in finished:
-                job = in_flight.pop(future)
-                try:
-                    future.result()
-                except Exception:
-                    job_id = job.job_id()
-                    attempts[job_id] = attempts.get(job_id, 0) + 1
-                    if attempts[job_id] >= QUARANTINE_AFTER:
-                        raise  # persistent failure: propagate to caller
-                    submit(job)
-                    continue
-                done.add(job.key)
-                computed[job.kind] += 1
-            submit_ready()
-        summary["traces_built"] = computed["trace"]
-        summary["results_built"] = computed["result"]
-
-        # Promote the finished artifacts into the parent's memory tier
-        # under the drivers' exact keys (disk hits, not misses).  A spill
-        # that fails to decode — torn write on a shared mount — falls
-        # back to the ordinary serial path, exactly like get_or_build.
-        for spec in pending:
-            if TRACE_CACHE.peek(spec.sweep_key()) is None:
-                spec.run_inline()
-            summary["priced"] += 1
-        for profile_spec in pending_profiles:
-            if TRACE_CACHE.peek(profile_spec.artifact_key()) is None:
-                profile_spec.fetch()
-            summary["profiles_built"] += 1
-    finally:
-        if detach_after:
-            TRACE_CACHE.set_cache_dir(None)
-    return summary

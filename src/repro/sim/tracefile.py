@@ -132,11 +132,10 @@ def phases_to_doc(phases: list[Phase]) -> list[dict]:
 def doc_digest(doc: str | bytes | bytearray | memoryview) -> str:
     """Stable content digest of a serialized trace/artifact document.
 
-    This is the content-addressing primitive shared by the scheduler's
-    spill store and the distributed work queue: equal documents get equal
-    names on every machine, so a shared cache directory deduplicates by
-    construction.  Accepts text or a bytes-like view; binary documents
-    (columnar trace spills) hash without an intermediate encode copy.
+    Equal documents get equal digests on every machine, so a name built
+    from one deduplicates by construction.  Accepts text or a bytes-like
+    view; binary documents (columnar trace spills) hash without an
+    intermediate encode copy.
     """
     if isinstance(doc, str):
         doc = doc.encode()
@@ -180,13 +179,12 @@ def dumps(trace: TraceFile) -> str:
     return json.dumps(doc, indent=2)
 
 
-def evaluate(trace: TraceFile, jobs: int | None = None) -> SchemeSweep:
+def evaluate(trace: TraceFile) -> SchemeSweep:
     """Run all protection schemes over a parsed trace.
 
     External traces go through the same batched pipeline as the built-in
     workloads: the phases are converted to structure-of-arrays columns
-    once and shared across all schemes, and ``jobs >= 2`` fans the
-    schemes out over the shared sweep worker pool.
+    once and shared across all schemes.
     """
     perf = PerformanceModel(
         DramModel(DramConfig(channels=trace.dram_channels)),
@@ -194,7 +192,7 @@ def evaluate(trace: TraceFile, jobs: int | None = None) -> SchemeSweep:
     )
     batches = [AccessBatch.from_phase(phase) for phase in trace.phases]
     return sweep_schemes(trace.name, trace.phases, perf, trace.protected_bytes,
-                         batches=batches, jobs=jobs)
+                         batches=batches)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -205,9 +203,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("trace", help="path to the JSON trace file")
     parser.add_argument("--scheme", nargs="*", choices=list(SCHEMES),
                         help="schemes to report (default: all)")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="price independent schemes across N worker "
-                             "processes (shared sweep pool)")
     parser.add_argument("--validate", action="store_true",
                         help="check the trace's VN discipline first")
     args = parser.parse_args(argv)
@@ -222,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {violation}")
         if not report.ok:
             return 1
-    sweep = evaluate(trace, jobs=args.jobs)
+    sweep = evaluate(trace)
     schemes = args.scheme or [s for s in SCHEMES if s != "NP"]
     print(f"{trace.name}: {len(trace.phases)} phases, "
           f"{sum(p.total_bytes() for p in trace.phases) / (1 << 20):.1f} MiB")

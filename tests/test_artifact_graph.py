@@ -166,26 +166,14 @@ class TestProfileArtifacts:
 
     def test_profile_prefetch_serves_the_drivers(self, fresh_cache):
         from repro.experiments.fig16_gact import profile_specs
-        from repro.sim.scheduler import prefetch_artifacts
-
-        summary = prefetch_artifacts(profile_specs(quick=True), jobs=1)
-        assert summary["profiles_built"] == 2
-        before = fresh_cache.misses
         from repro.experiments.registry import run_experiment
 
+        for spec in profile_specs(quick=True):
+            spec.fetch()
+        assert fresh_cache.miss_kinds.get("profile", 0) == 2
+        before = fresh_cache.misses
         run_experiment("fig16", quick=True)
         assert fresh_cache.misses == before  # pure cache hits
-
-    def test_pool_prefetch_of_profiles_matches_inline(self, fresh_cache,
-                                                      monkeypatch):
-        from repro.sim.scheduler import prefetch_artifacts
-
-        spec = gop_profile_spec("IBPB", 8, 8)
-        reference = spec.build_profile()
-        monkeypatch.setattr("repro.sim.scheduler.os.cpu_count", lambda: 2)
-        summary = prefetch_artifacts([spec], jobs=2)
-        assert summary["profiles_built"] == 1
-        assert fresh_cache.peek(spec.artifact_key()) == reference
 
 
 class TestProfileCodecs:

@@ -6,8 +6,8 @@ equal — byte for byte, per traffic category, per phase — processing the
 same accesses in order.  These tests pin that down with a Hypothesis
 differential over random two-level cuts (price calls, and phases within
 each call), a randomized-seed property sweep over all five schemes plus
-real DNN and graph traces, and cover the trace/sweep cache and the
-parallel sweep path the runner builds on top.
+real DNN and graph traces, and cover the trace/sweep cache the runner
+builds on top.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from repro.sim.runner import (
     TraceCache,
     dnn_sweep,
     dnn_workload,
-    graph_sweep,
     graph_workload,
 )
 
@@ -526,18 +525,3 @@ class TestTraceCache:
 
     def test_global_cache_is_enabled_by_default(self):
         assert TRACE_CACHE.enabled
-
-
-class TestParallelSweep:
-    def test_parallel_matches_serial(self):
-        serial = graph_sweep("google-plus", "PR", iterations=2, scale_divisor=256,
-                             use_cache=False)
-        parallel = graph_sweep("google-plus", "PR", iterations=2, scale_divisor=256,
-                               use_cache=False, jobs=2)
-        assert set(parallel.results) == set(serial.results)
-        for name in SCHEMES:
-            assert (parallel.results[name].total_cycles
-                    == serial.results[name].total_cycles), name
-            assert astuple(parallel.results[name].traffic) == astuple(
-                serial.results[name].traffic
-            ), name

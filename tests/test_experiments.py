@@ -1,6 +1,7 @@
 """Experiment harness: every figure runs (quick mode) and lands in band."""
 
 import re
+import tempfile
 
 import pytest
 
@@ -31,6 +32,99 @@ class TestCli:
         assert re.search(r"^trace cache: disabled \(--no-cache\), "
                          r"(python|native) pricing engine$", err, re.M), err
         assert "misses" not in err
+
+    def test_help_lists_jobs_and_no_workers(self, capsys):
+        """``--jobs`` is the one parallelism flag."""
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--jobs" in out
+        assert "--workers" not in out
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, jobs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["--quick", "--only", "fig13", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs must be >= 1" in capsys.readouterr().err
+
+    @staticmethod
+    def _report(path, *flags) -> list[str]:
+        """Render fig13 (quick) to ``path``; its lines minus timings."""
+        assert cli_main(["--quick", "--only", "fig13", *flags,
+                         "-o", str(path)]) == 0
+        return [line for line in path.read_text().splitlines()
+                if "completed in" not in line]
+
+    def test_jobs_drain_without_cache_matches_serial(self, tmp_path,
+                                                     monkeypatch, capsys,
+                                                     fresh_cache):
+        """``--no-cache --jobs 2`` drains into a temporary dir, renders
+        the serial tables and removes the dir afterwards."""
+        monkeypatch.setattr(TRACE_CACHE, "enabled", True)  # undo --no-cache
+        temp_root = tmp_path / "tmp"
+        temp_root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp_root))
+        serial = self._report(tmp_path / "serial.txt", "--no-cache")
+        drained = self._report(tmp_path / "drained.txt", "--no-cache",
+                               "--jobs", "2")
+        assert drained == serial
+        err = capsys.readouterr().err
+        assert re.search(r"^drain: [1-9]\d*/\d+ jobs computed here", err,
+                         re.M), err
+        assert list(temp_root.iterdir()) == []
+        assert not TRACE_CACHE.enabled  # --no-cache still holds afterwards
+        assert TRACE_CACHE.cache_dir is None
+
+    def test_jobs_drain_into_cache_dir_matches_serial(self, tmp_path,
+                                                      monkeypatch, capsys,
+                                                      fresh_cache):
+        """``--jobs 2`` with a cache dir fills it and renders the serial
+        tables; a rerun on the filled dir computes nothing."""
+        monkeypatch.setattr(TRACE_CACHE, "enabled", True)  # undo --no-cache
+        serial = self._report(tmp_path / "serial.txt", "--no-cache")
+        TRACE_CACHE.enabled = True
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        flags = ("--cache-dir", str(cache_dir), "--jobs", "2")
+        assert self._report(tmp_path / "drained.txt", *flags) == serial
+        artifacts = {p.name: p.stat().st_mtime_ns
+                     for p in cache_dir.glob("*-*.*")}
+        assert artifacts
+        capsys.readouterr()
+        TRACE_CACHE.clear()  # a fresh process: memory tier gone
+        assert self._report(tmp_path / "rerun.txt", *flags) == serial
+        err = capsys.readouterr().err
+        assert re.search(r"^drain: 0/\d+ jobs computed here", err, re.M), err
+        assert "0 misses (0 trace, 0 sweep, 0 result, 0 profile)" in err
+        assert {p.name: p.stat().st_mtime_ns
+                for p in cache_dir.glob("*-*.*")} == artifacts
+
+
+    def test_jobs_drain_quarantine_exits_3(self, tmp_path, monkeypatch,
+                                           capsys, fresh_cache):
+        """A job that always crashes is quarantined by the drain; the CLI
+        reports it and exits 3 instead of rendering."""
+        from repro.sim import faults
+
+        monkeypatch.setattr(TRACE_CACHE, "enabled", True)  # undo --no-cache
+        monkeypatch.setenv("REPRO_FAULTS", "")  # the CLI exports its plan
+        temp_root = tmp_path / "tmp"
+        temp_root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp_root))
+        try:
+            status = cli_main(["--quick", "--only", "fig19", "--no-cache",
+                               "--jobs", "2", "--faults", "compute:crash:1.0",
+                               "-o", str(tmp_path / "out.txt")])
+        finally:
+            faults.install(None)
+        assert status == 3
+        err = capsys.readouterr().err
+        assert re.search(r"^quarantined: profile-\w+ \(failed 3\+ times",
+                         err, re.M), err
+        assert not (tmp_path / "out.txt").exists()
+        assert list(temp_root.iterdir()) == []
 
 
 class TestResultStructure:

@@ -13,6 +13,7 @@ artifacts with a deterministic quarantine set.
 from __future__ import annotations
 
 import hashlib
+import threading
 import time
 from pathlib import Path
 
@@ -200,7 +201,7 @@ class TestQuarantine:
         assert summary["failures"] == 2
         assert summary["quarantined"] == [jobs[0].job_id()]
         assert queue.is_quarantined(jobs[0].job_id())
-        assert not disk_cache.has(jobs[0].key)
+        assert not disk_cache.has_spill(jobs[0].key)
         # The attempt record is durable: a fresh drain over the same
         # queue dir sees the quarantine immediately, zero new failures.
         again = drain_graph(jobs, _fast_queue(tmp_path, quarantine_after=2),
@@ -241,7 +242,7 @@ class TestQuarantine:
         assert summary["computed"] == 1
         assert summary["quarantined"] == []
         assert queue.failure_count(job_id) == 0
-        assert disk_cache.has(jobs[0].key)
+        assert disk_cache.has_spill(jobs[0].key)
 
     def test_attempt_counts_census(self, tmp_path):
         queue = _fast_queue(tmp_path, quarantine_after=2)
@@ -284,17 +285,29 @@ class TestDeadlines:
         assert reclaimed == ["job-hang"]
         claim.release()  # the hung owner resuming later is harmless
 
-    def test_release_returns_promptly_under_injected_delay(self, tmp_path,
-                                                           disk_cache):
+    def test_release_returns_promptly_under_injected_delay(
+            self, tmp_path, disk_cache, monkeypatch):
         """Injected heartbeat delays wait on the stop event, so release
-        joins the beat thread promptly instead of truncating it."""
-        faults.install("heartbeat:delay:1.0:5.0@seed=0")  # 5 s every beat
+        ends the beat thread instead of waiting the delay out.
+
+        The delay is an hour, far longer than the join timeout, so a
+        beat thread still alive after ``release`` is a delay that
+        ignored the stop event — no wall-clock bound involved.
+        """
+        faults.install("heartbeat:delay:1.0:3600@seed=0")  # every beat
+        entered = threading.Event()
+        maybe_fault = faults.maybe_fault
+
+        def observed(point, context, *args, **kwargs):
+            if point == "heartbeat":
+                entered.set()  # the beat is entering its injected delay
+            return maybe_fault(point, context, *args, **kwargs)
+
+        monkeypatch.setattr(faults, "maybe_fault", observed)
         queue = _fast_queue(tmp_path, heartbeat_seconds=0.05)
         claim = queue.try_claim("job-slow")
-        time.sleep(0.2)  # let the beat enter its injected delay
-        start = time.monotonic()
-        claim.release()
-        assert time.monotonic() - start < 2.0
+        assert entered.wait(timeout=30.0)
+        claim.release(timeout=30.0)
         assert not claim._thread.is_alive()
         assert not queue.is_claimed("job-slow")
 
@@ -325,11 +338,11 @@ class TestCorruptSpills:
         corrupted = text.replace("{", "{ ", 1)  # payload changes, digest kept
         path.write_text(corrupted)
         disk_cache.clear()  # drop the memory tier: force a disk load
-        assert disk_cache.has(key)  # existence check is fooled...
+        assert disk_cache.has_spill(key)  # existence check is fooled...
         assert disk_cache.peek(key) is None  # ...but the load rejects it
         assert not path.exists()  # and deletes the provably-corrupt file
         assert disk_cache.corrupt_dropped == 1
-        assert not disk_cache.has(key)
+        assert not disk_cache.has_spill(key)
         disk_cache.put(key, value)  # rebuild path respills cleanly
         disk_cache.clear()
         assert disk_cache.peek(key) is not None

@@ -17,7 +17,14 @@ import time
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.sim.queue import QUEUE_SUBDIR, WorkQueue, _drain_worker, drain_graph
+from repro.sim.queue import (
+    QUARANTINE_AFTER,
+    QUEUE_SUBDIR,
+    WorkQueue,
+    _drain_worker,
+    drain_graph,
+    run_workers,
+)
 from repro.sim.runner import TRACE_CACHE
 from repro.sim.scheduler import (
     ablation_table_spec,
@@ -96,41 +103,84 @@ class TestClaims:
             WorkQueue(tmp_path / "q", heartbeat_seconds=5.0, stale_seconds=2.0)
 
 
+def _assert_drained_sweep_matches_serial(disk_cache):
+    """The drained AlexNet/Cloud sweep artifact, restored from disk,
+    decodes to the same results a serial, uncached sweep computes."""
+    from dataclasses import astuple
+
+    from repro.sim.runner import SCHEMES, dnn_sweep
+
+    disk_cache.clear()
+    restored = dnn_sweep("AlexNet", "Cloud")
+    assert disk_cache.disk_hits == 1
+    reference = dnn_sweep("AlexNet", "Cloud", use_cache=False)
+    for name in SCHEMES:
+        assert (restored.results[name].total_cycles
+                == reference.results[name].total_cycles), name
+        assert astuple(restored.results[name].traffic) == astuple(
+            reference.results[name].traffic
+        ), name
+
+
 class TestDrain:
     def test_single_process_drain_fills_cache(self, tmp_path, disk_cache):
         jobs = build_graph(_small_specs())
         summary = drain_graph(jobs, _fast_queue(tmp_path), timeout=120.0)
         assert summary["computed"] == len(jobs)
         for job in jobs:
-            assert disk_cache.has(job.key)
+            assert disk_cache.has_spill(job.key)
         # A second drain finds everything present and computes nothing.
         summary = drain_graph(jobs, _fast_queue(tmp_path), timeout=120.0)
         assert summary["computed"] == 0
+        _assert_drained_sweep_matches_serial(disk_cache)
 
     def test_pool_drain_fills_cache_and_matches_serial(self, tmp_path,
                                                        disk_cache):
-        """``pool_jobs``: claimed jobs compute on the shared in-process
-        pool; artifacts and decoded sweeps stay byte-identical."""
-        from dataclasses import astuple
-
-        from repro.sim.runner import SCHEMES, dnn_sweep
-
+        """A pool of two queue processes (``run_workers``, the ``--jobs 2``
+        path) spills every artifact; decoded sweeps stay byte-identical."""
         jobs = build_graph(_small_specs())
-        summary = drain_graph(jobs, _fast_queue(tmp_path), timeout=300.0,
-                              pool_jobs=2)
-        assert summary["computed"] == len(jobs)
+        summary = run_workers(jobs, tmp_path / "cache", 2, timeout=300.0)
+        assert summary["quarantined"] == []
         for job in jobs:
-            assert disk_cache.has(job.key)
-        # The drained sweep artifact decodes to the same results a
-        # serial, uncached sweep computes.
-        restored = dnn_sweep("AlexNet", "Cloud")
-        reference = dnn_sweep("AlexNet", "Cloud", use_cache=False)
-        for name in SCHEMES:
-            assert (restored.results[name].total_cycles
-                    == reference.results[name].total_cycles), name
-            assert astuple(restored.results[name].traffic) == astuple(
-                reference.results[name].traffic
-            ), name
+            assert disk_cache.has_spill(job.key)
+        _assert_drained_sweep_matches_serial(disk_cache)
+
+    def test_memory_only_artifact_is_not_done(self, tmp_path, disk_cache,
+                                              monkeypatch):
+        """A job whose spill never lands stays undone, even though this
+        process holds its value in memory: it is retried until it is
+        quarantined, and its attempt record survives for the census."""
+        store = disk_cache._disk_store
+
+        def drop_profile_spills(key, value):
+            if disk_cache._kind(key) != "profile":
+                store(key, value)
+
+        monkeypatch.setattr(disk_cache, "_disk_store", drop_profile_spills)
+        jobs = build_graph([gop_profile_spec("IBPB", 8, 8)])
+        job_id = jobs[0].job_id()
+        queue = _fast_queue(tmp_path)
+        summary = drain_graph(jobs, queue, timeout=120.0)
+        assert summary["quarantined"] == [job_id]
+        assert summary["failures"] == QUARANTINE_AFTER
+        assert summary["computed"] == 0
+        assert not disk_cache.has_spill(jobs[0].key)
+        assert queue.failure_count(job_id) == QUARANTINE_AFTER
+
+    def test_trace_job_spills_a_memory_tier_hit(self, tmp_path, disk_cache):
+        """A trace this process already holds in memory (built with no
+        cache dir attached) still lands in the store when its job runs."""
+        spec = dnn_spec("AlexNet", "Cloud")
+        disk_cache.set_cache_dir(None)
+        spec.build_workload()  # the trace is now in the memory tier only
+        disk_cache.set_cache_dir(tmp_path / "cache")
+        trace_job = build_graph([spec])[0]
+        assert trace_job.kind == "trace"
+        assert not disk_cache.has_spill(trace_job.key)
+        summary = drain_graph([trace_job], _fast_queue(tmp_path), timeout=120.0)
+        assert summary["computed"] == 1
+        assert summary["failures"] == 0
+        assert disk_cache.has_spill(trace_job.key)
 
     def test_drain_requires_cache_dir(self, tmp_path):
         saved = TRACE_CACHE.cache_dir
@@ -333,7 +383,7 @@ class TestTwoWorkerDeterminism:
             assert worker.exitcode == 0
         # Every artifact must now be on disk; the parent never computed.
         for job in jobs:
-            assert disk_cache.has(job.key)
+            assert disk_cache.has_spill(job.key)
 
         before = dict(disk_cache.miss_kinds)
         rendered = {

@@ -1,10 +1,10 @@
 """Sweep scheduler and disk-tier cache: determinism and round trips.
 
 The scheduler's contract is that fan-out is *invisible* in the results:
-``run_all(jobs=N)`` must render byte-identical figure tables to the
-serial run, prefetched sweeps must land under the exact cache keys the
-drivers use, and a sweep restored from the disk tier must compare equal
-— float for float — to the one that was spilled.
+``run_all(jobs=N)`` — a queue drain — must render byte-identical figure
+tables to the serial run, fetched sweeps must land under the exact
+cache keys the drivers use, and a sweep restored from the disk tier
+must compare equal — float for float — to the one that was spilled.
 """
 
 from __future__ import annotations
@@ -12,12 +12,7 @@ from __future__ import annotations
 from dataclasses import astuple
 
 from repro.sim.runner import SCHEMES, dnn_sweep, graph_sweep
-from repro.sim.scheduler import (
-    dnn_spec,
-    effective_workers,
-    graph_spec,
-    prefetch_artifacts,
-)
+from repro.sim.scheduler import build_graph, dnn_spec, graph_spec
 
 
 def _sweeps_equal(a, b) -> None:
@@ -30,13 +25,13 @@ def _sweeps_equal(a, b) -> None:
 class TestSweepSpecKeys:
     def test_dnn_spec_key_matches_driver_key(self, fresh_cache):
         spec = dnn_spec("AlexNet", "Cloud")
-        prefetch_artifacts([spec], jobs=1)
+        spec.fetch()
         sweep = dnn_sweep("AlexNet", "Cloud")
         assert fresh_cache.peek(spec.sweep_key()) is sweep
 
     def test_graph_spec_key_matches_driver_key(self, fresh_cache):
         spec = graph_spec("google-plus", "PR", iterations=2, scale_divisor=256)
-        prefetch_artifacts([spec], jobs=1)
+        spec.fetch()
         sweep = graph_sweep("google-plus", "PR", iterations=2, scale_divisor=256)
         assert fresh_cache.peek(spec.sweep_key()) is sweep
 
@@ -53,67 +48,11 @@ class TestSweepSpecKeys:
                 == GraphAcceleratorConfig().cache_key())
 
     def test_specs_dedup_in_prefetch(self, fresh_cache):
+        """Repeated specs expand to one workload's jobs, priced once."""
         spec = dnn_spec("AlexNet", "Cloud")
-        summary = prefetch_artifacts([spec, spec, spec], jobs=1)
-        assert summary["workloads"] == 1
-        assert summary["priced"] == 1
-
-
-class TestPrefetchParallel:
-    def test_pool_prefetch_matches_inline(self, fresh_cache, monkeypatch):
-        """The worker-pool job graph produces bit-identical sweeps."""
-        specs = [
-            dnn_spec("AlexNet", "Cloud"),
-            dnn_spec("AlexNet", "Cloud", training=True),
-            graph_spec("google-plus", "PR", iterations=2, scale_divisor=256),
-        ]
-        reference = {}
-        for spec in specs:
-            reference[spec] = spec.run_inline()
-        fresh_cache.clear()
-        # Force the pool path even on single-core machines.
-        monkeypatch.setattr("repro.sim.scheduler.os.cpu_count", lambda: 2)
-        summary = prefetch_artifacts(specs, jobs=2)
-        assert summary["priced"] == len(specs)
-        for spec in specs:
-            cached = fresh_cache.peek(spec.sweep_key())
-            assert cached is not None
-            _sweeps_equal(cached, reference[spec])
-
-    def test_prefetch_skips_cached_sweeps(self, fresh_cache):
-        spec = dnn_spec("AlexNet", "Cloud")
-        prefetch_artifacts([spec], jobs=1)
-        summary = prefetch_artifacts([spec], jobs=1)
-        assert summary == {"workloads": 1, "cached": 1, "priced": 0,
-                           "traces_built": 0, "results_built": 0,
-                           "profiles_built": 0}
-
-    def test_pool_prefetch_spills_result_artifacts(self, disk_cache,
-                                                   monkeypatch):
-        """The pool path drains the same graph the queue workers do, so
-        per-scheme result artifacts land on disk under the same codec."""
-        from repro.sim.scheduler import build_graph
-
-        monkeypatch.setattr("repro.sim.scheduler.os.cpu_count", lambda: 2)
-        spec = dnn_spec("AlexNet", "Cloud")
-        summary = prefetch_artifacts([spec], jobs=2)
-        assert summary["results_built"] == len(SCHEMES)
-        for job in build_graph([spec]):
-            assert disk_cache.has(job.key), job.kind
-        on_disk = sorted(
-            p.name.split("-")[0]
-            for suffix in ("*.json", "*.bin")
-            for p in disk_cache.cache_dir.glob(suffix)
-        )
-        assert on_disk == (["result"] * len(SCHEMES) + ["sweep", "trace"])
-        # Traces spill in the columnar binary layout, everything else as JSON.
-        assert [p.name.split("-")[0]
-                for p in disk_cache.cache_dir.glob("*.bin")] == ["trace"]
-
-    def test_effective_workers_clamps_to_cores(self):
-        assert effective_workers(None) == 1
-        assert effective_workers(1) == 1
-        assert effective_workers(64) >= 1
+        graph = build_graph([spec, spec, spec])
+        assert graph == build_graph([spec])
+        assert [job.kind for job in graph].count("sweep") == 1
 
 
 class TestRunAllDeterminism:
@@ -127,6 +66,44 @@ class TestRunAllDeterminism:
         parallel = {eid: result.to_text()
                     for eid, result in run_all(quick=True, jobs=4).items()}
         assert parallel == serial
+
+
+class TestDrainSuite:
+    """``drain_suite``: where the ``--jobs`` drain runs, and what it
+    leaves attached afterwards."""
+
+    def test_no_cache_dir_drains_into_a_removed_temp_dir(self, fresh_cache):
+        from repro.experiments.registry import drain_suite
+
+        with drain_suite(["fig19"], True, 2) as summary:
+            drain_dir = fresh_cache.cache_dir
+            assert drain_dir is not None and fresh_cache.enabled
+            assert summary["jobs"] == 1
+            assert list(drain_dir.glob("profile-*.json"))
+        assert fresh_cache.cache_dir is None
+        assert not drain_dir.exists()
+
+    def test_attached_dir_is_drained_in_place(self, disk_cache):
+        from repro.experiments.registry import drain_suite
+
+        cache_dir = disk_cache.cache_dir
+        with drain_suite(["fig19"], True, 2):
+            assert disk_cache.cache_dir == cache_dir
+        assert disk_cache.cache_dir == cache_dir
+        assert list(cache_dir.glob("profile-*.json"))
+
+    def test_disabled_cache_drains_elsewhere_and_stays_disabled(
+            self, disk_cache, monkeypatch):
+        from repro.experiments.registry import drain_suite
+
+        cache_dir = disk_cache.cache_dir
+        monkeypatch.setattr(disk_cache, "enabled", False)  # --no-cache
+        with drain_suite(["fig19"], True, 2):
+            assert disk_cache.enabled
+            assert disk_cache.cache_dir != cache_dir
+        assert not disk_cache.enabled
+        assert disk_cache.cache_dir == cache_dir
+        assert not list(cache_dir.glob("*.json"))  # the real dir untouched
 
 
 class TestDiskTier:
@@ -192,27 +169,6 @@ class TestDiskTier:
 
 
 class TestExternalTraceJobs:
-    def test_parallel_sweep_pool_path_matches_serial(self, fresh_cache,
-                                                     monkeypatch):
-        """Force the shared-pool path (even on one core): bit-identical."""
-        monkeypatch.setattr("repro.sim.scheduler.os.cpu_count", lambda: 2)
-        serial = graph_sweep("google-plus", "PR", iterations=2,
-                             scale_divisor=256, use_cache=False)
-        pooled = graph_sweep("google-plus", "PR", iterations=2,
-                             scale_divisor=256, use_cache=False, jobs=2)
-        _sweeps_equal(pooled, serial)
-
-    def test_single_core_jobs_degrade_to_serial(self, fresh_cache, monkeypatch):
-        """With one effective worker, jobs=N must not spawn a pool."""
-        monkeypatch.setattr("repro.sim.scheduler.os.cpu_count", lambda: 1)
-
-        def boom(*args, **kwargs):
-            raise AssertionError("pool used despite one effective worker")
-
-        monkeypatch.setattr("repro.sim.scheduler.shared_pool", boom)
-        sweep = dnn_sweep("AlexNet", "Cloud", use_cache=False, jobs=4)
-        assert set(sweep.results) == set(SCHEMES)
-
     def test_tracefile_evaluate_routes_through_batched_sweep(self, fresh_cache):
         from repro.sim import tracefile
 
@@ -231,7 +187,5 @@ class TestExternalTraceJobs:
          ]}
         """
         trace = tracefile.loads(doc)
-        serial = tracefile.evaluate(trace)
-        parallel = tracefile.evaluate(trace, jobs=2)
-        _sweeps_equal(parallel, serial)
-        assert set(serial.results) == set(SCHEMES)
+        sweep = tracefile.evaluate(trace)
+        assert set(sweep.results) == set(SCHEMES)

@@ -308,19 +308,6 @@ class TestKeyDigestStability:
 
 
 class TestExternalTraceStore:
-    def test_store_trace_spills_binary_and_mmap_loads(self):
-        from repro.sim.scheduler import (_TRACE_MEMO, _load_stored_trace,
-                                         _temp_store_dir, store_trace)
-
-        trace = _trace()
-        digest = store_trace(trace)
-        path = _temp_store_dir() / f"xtrace-{digest}.bin"
-        assert path.exists()
-        _TRACE_MEMO.clear()
-        loaded = _load_stored_trace(digest, str(_temp_store_dir()))
-        assert not loaded.batches[0].address.flags.writeable  # mmap view
-        _phase_lists_equal(loaded.phases, trace.phases)
-
     def test_pickles_as_plain_phases(self):
         import pickle
 

@@ -108,3 +108,14 @@ class TestEvaluate:
         assert tracefile.main([str(path), "--scheme", "MGX"]) == 0
         out = capsys.readouterr().out
         assert "MGX" in out
+
+    def test_cli_has_no_jobs_flag(self, tmp_path, capsys):
+        """Schemes price in-process; there is no pool to size."""
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(_MINIMAL))
+        with pytest.raises(SystemExit) as exc:
+            tracefile.main([str(path), "--jobs", "2"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit):
+            tracefile.main(["--help"])
+        assert "--jobs" not in capsys.readouterr().out
