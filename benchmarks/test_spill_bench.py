@@ -1,26 +1,24 @@
-"""Benchmarks of the columnar binary trace spill codec (disk format v3).
+"""Benchmarks of the columnar binary trace spill codec.
 
 Times the three legs of the cache plane's trace path — encode, cold
 decode and warm mmap load through the disk tier — on a suite-shaped
 trace (every quick training workload concatenated), and asserts the
 format's two contracts with deterministic proxies rather than
-wall-clock ratios: the binary spill is smaller than its v2 JSON form,
-and its decode builds zero-copy column views and not one per-access
-object.
+wall-clock ratios: the binary spill is smaller than the trace's JSON
+interchange form, and its decode builds zero-copy column views and not
+one per-access object.
 """
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.access import LazyAccessList, MemAccess
-from repro.sim.runner import (
-    BatchedTrace,
-    _decode_trace,
-    _encode_trace,
-    dnn_workload,
-    encode_trace_v2,
-)
+from repro.sim.runner import BatchedTrace, dnn_workload
+from repro.sim.spillfmt import decode_trace, encode_trace
+from repro.sim.tracefile import phases_to_doc
 
 
 @pytest.fixture(scope="module")
@@ -36,9 +34,10 @@ def suite_trace() -> BatchedTrace:
 
 
 def test_spill_encode(benchmark, suite_trace):
-    """Vectorized columnar encode; the payload must undercut v2 JSON."""
-    payload = benchmark(_encode_trace, suite_trace)
-    assert len(payload) < len(encode_trace_v2(suite_trace))
+    """Vectorized columnar encode; the payload must undercut the JSON
+    interchange form of the same phases."""
+    payload = benchmark(encode_trace, suite_trace)
+    assert len(payload) < len(json.dumps(phases_to_doc(suite_trace.phases)))
 
 
 def _count_mem_accesses(monkeypatch) -> list:
@@ -55,28 +54,19 @@ def _count_mem_accesses(monkeypatch) -> list:
 
 
 def test_spill_decode_cold(benchmark, suite_trace, monkeypatch):
-    """Cold v3 decode: read-only column views over the payload and zero
-    ``MemAccess`` objects, where the v2 JSON decode builds one per access."""
-    payload = _encode_trace(suite_trace)
-    decoded = benchmark(_decode_trace, payload)
+    """Cold decode: read-only column views over the payload and zero
+    ``MemAccess`` objects."""
+    payload = encode_trace(suite_trace)
+    decoded = benchmark(decode_trace, payload)
     assert decoded.total_accesses == suite_trace.total_accesses
     for batch in decoded.batches:
         assert not batch.address.flags.writeable  # a view, not a copy
         assert batch.address.base is not None
     built = _count_mem_accesses(monkeypatch)
-    decoded = _decode_trace(payload)
+    decoded = decode_trace(payload)
     assert all(isinstance(phase.accesses, LazyAccessList)
                for phase in decoded.phases)
     assert built == []
-    _decode_trace(encode_trace_v2(suite_trace))
-    assert len(built) == suite_trace.total_accesses
-
-
-def test_spill_decode_v2_json(benchmark, suite_trace):
-    """The legacy JSON decode, recorded so the trend shows the gap."""
-    payload = encode_trace_v2(suite_trace)
-    decoded = benchmark(_decode_trace, payload)
-    assert decoded.total_accesses == suite_trace.total_accesses
 
 
 def test_spill_warm_mmap_load(benchmark, disk_cache, suite_trace):

@@ -32,16 +32,16 @@ def main() -> None:
     user = UserSession(ca=ca, expected_firmware=FIRMWARE, kernel=KERNEL)
 
     # -- provisioning -------------------------------------------------------
-    user.connect(device)
+    session = user.connect(device)
     print("attestation verified: genuine device, expected firmware, our kernel ✔")
 
     record = user.send("input", SECRET)
-    device.receive_payload("input", record)
-    assert device.read_protected("input") == SECRET
+    session.receive_payload("input", record)
+    assert session.read_protected("input") == SECRET
     print("kernel + private input provisioned into protected DRAM ✔")
 
-    attacker = Attacker(device.store)
-    dump = attacker.observe(0, device.protected_bytes)
+    attacker = Attacker(session.store)
+    dump = attacker.observe(0, session.protected_bytes)
     assert SECRET[:24] not in dump
     print("DRAM dump contains no plaintext ✔")
 
@@ -49,7 +49,7 @@ def main() -> None:
     print("\nattacks from the untrusted host:")
 
     try:  # 1. replay a channel record
-        device.receive_payload("input", record)
+        session.receive_payload("input", record)
         raise SystemExit("channel replay went undetected")
     except ReplayError:
         print("  channel record replay → ReplayError ✔")
@@ -64,7 +64,7 @@ def main() -> None:
 
     try:  # 3. flip a bit in protected DRAM
         attacker.flip_bit(64, 2)
-        device.read_protected("input")
+        session.read_protected("input")
         raise SystemExit("DRAM tamper went undetected")
     except IntegrityError:
         print("  protected-DRAM bit flip → IntegrityError ✔")

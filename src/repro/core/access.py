@@ -140,7 +140,7 @@ class Phase:
 class LazyAccessList(list):
     """A phase's access list, materialized from its column batch on demand.
 
-    Warm loads of columnar (v3) trace spills rebuild phases directly
+    Warm loads of columnar trace spills rebuild phases directly
     from read-only column views; pricing sessions price the columns and
     never look at individual accesses, so the ``MemAccess`` objects are
     constructed only if something actually reads the list — the
@@ -167,11 +167,6 @@ class LazyAccessList(list):
         if self._batch is not None:
             return len(self._batch)
         return list.__len__(self)
-
-    def __reduce__(self):
-        # Pickle as a plain list: the lazy view is a load-time
-        # optimization, not part of the trace's identity.
-        return (list, (), None, iter(self))
 
 
 def _lazy_reader(name):

@@ -207,17 +207,6 @@ class CounterModeProtection(ProtectionScheme):
         self._geometry_memo = None
         self._finished = False
 
-    def __getstate__(self) -> dict:
-        # The engine is a pure cache-state accelerator (the durable LRU
-        # state lives in ``_cache``) and the native backend holds ctypes
-        # handles, so pickling drops it — along with the compiled
-        # geometry table it was built from; both are rebuilt lazily on
-        # first use after unpickling.
-        state = self.__dict__.copy()
-        state["_engine"] = None
-        state["_geometry_memo"] = None
-        return state
-
     # ------------------------------------------------------------------
     def reset(self) -> None:
         if self._cache is not None:
@@ -415,13 +404,11 @@ class CounterModeProtection(ProtectionScheme):
         Encodes exactly :meth:`_parent_of`: the VN region maps to
         level-1 tree nodes, each stored level below the top to the next,
         and MAC lines / the top stored level (whose parent is the
-        on-chip root) fall in no region.  Memoized per scheme instance
-        (and dropped from pickles like ``_engine``), so repeated
-        ``pricing_session()`` opens stop rebuilding it.
+        on-chip root) fall in no region.  Memoized per scheme instance,
+        so repeated ``pricing_session()`` opens stop rebuilding it.
         """
-        memo = getattr(self, "_geometry_memo", None)
-        if memo is not None:
-            return memo
+        if self._geometry_memo is not None:
+            return self._geometry_memo
         regions: list[tuple[int, int, int, int]] = []
         tree = self._tree
         if tree is not None and tree.stored_levels >= 1:

@@ -67,6 +67,10 @@ class DramConfig:
     stream_efficiency: float = 0.97
 
     def __post_init__(self) -> None:
+        for name in ("channels", "ranks", "banks", "row_bytes"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(
+                    f"{name} must be positive, got {getattr(self, name)}")
         if not 0.5 <= self.stream_efficiency <= 1.0:
             raise ConfigError(f"stream_efficiency out of range: {self.stream_efficiency}")
 

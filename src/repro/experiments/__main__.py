@@ -128,12 +128,10 @@ def cache_main(argv: list[str]) -> int:
         for kind in ARTIFACT_KINDS:
             bucket = stats["kinds"][kind]
             print(f"  {kind:>8s}: {bucket['files']:5d} files, "
-                  f"{cache_gc.format_bytes(bucket['bytes'])} "
-                  f"(v2 {bucket['v2']}, v3 {bucket['v3']})")
+                  f"{cache_gc.format_bytes(bucket['bytes'])}")
         print(f"  {'total':>8s}: {stats['total_files']:5d} files, "
               f"{cache_gc.format_bytes(stats['total_bytes'])} "
-              f"(v2 {stats['format_v2']}, v3 {stats['format_v3']}; "
-              f"{stats['reachable']} reachable, "
+              f"({stats['reachable']} reachable, "
               f"{stats['unreachable']} unreachable)")
         print(f"  queue: {stats['queue_locks']} locks "
               f"({stats['stale_queue_locks']} stale), "
@@ -176,7 +174,6 @@ def cache_main(argv: list[str]) -> int:
     ok, issues = cache_gc.verify_artifacts(cache_dir)
     corrupt = sum(1 for issue in issues if issue.status == "corrupt")
     stale = sum(1 for i in issues if i.status == "stale")
-    unverifiable = sum(1 for i in issues if i.status == "unverifiable")
     if args.json:
         import json
 
@@ -185,7 +182,6 @@ def cache_main(argv: list[str]) -> int:
             "ok": ok,
             "corrupt": corrupt,
             "stale": stale,
-            "unverifiable": unverifiable,
             "issues": [
                 {"file": issue.path.name, "status": issue.status,
                  "detail": issue.detail}
@@ -195,8 +191,7 @@ def cache_main(argv: list[str]) -> int:
         return 1 if corrupt else 0
     for issue in issues:
         print(f"  [{issue.status}] {issue.path.name}: {issue.detail}")
-    print(f"verify: {ok} artifacts ok, {corrupt} corrupt, "
-          f"{stale} stale, {unverifiable} unverifiable")
+    print(f"verify: {ok} artifacts ok, {corrupt} corrupt, {stale} stale")
     return 1 if corrupt else 0
 
 

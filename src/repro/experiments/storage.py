@@ -104,7 +104,7 @@ def dumps_sweep(sweep) -> str:
     return json.dumps(sweep_to_doc(sweep))
 
 
-def loads_sweep(text: str):
+def loads_sweep(text: str | bytes):
     return sweep_from_doc(json.loads(text))
 
 
@@ -114,7 +114,7 @@ def dumps_result(result) -> str:
                        "result": result_to_doc(result)})
 
 
-def loads_result(text: str):
+def loads_result(text: str | bytes):
     doc = json.loads(text)
     if doc.get("version") != SWEEP_CODEC_VERSION:
         raise ValueError(f"unsupported result codec version {doc.get('version')!r}")
@@ -133,7 +133,7 @@ def dumps_profile(profile: dict) -> str:
     return json.dumps({"version": PROFILE_CODEC_VERSION, "profile": profile})
 
 
-def loads_profile(text: str) -> dict:
+def loads_profile(text: str | bytes) -> dict:
     doc = json.loads(text)
     if doc.get("version") != PROFILE_CODEC_VERSION:
         raise ValueError(

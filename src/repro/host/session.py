@@ -16,9 +16,10 @@ Everything here is functional: the DH is real, the GCM records are real,
 and the protected memory is a :class:`MgxFunctionalEngine` over a
 :class:`BackingStore` an attacker can reach.
 
-The per-session state lives in :class:`DeviceSession`, so a device can
-hold **many concurrent attested sessions** — one per tenant of the
-serving front-end (:mod:`repro.serve`) — each with its own channel key,
+:meth:`SecureAcceleratorDevice.open_session` is the one session API:
+each call returns a fresh :class:`DeviceSession`, so a device can hold
+**many concurrent attested sessions** — one per tenant of the serving
+front-end (:mod:`repro.serve`) — each with its own channel key,
 memory-protection keys and protected store.  Key isolation is
 end-to-end: no tenant can verify (or forge) another tenant's records,
 because the channel keys derive from independent DH exchanges.  Session
@@ -31,7 +32,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from repro.common.errors import ConfigError, ReplayError, SecurityError
+from repro.common.errors import ReplayError, SecurityError
 from repro.common.units import round_up
 from repro.core.functional import MgxFunctionalEngine
 from repro.core.vngen import DnnVnState
@@ -136,26 +137,24 @@ class SecureAcceleratorDevice:
     ca: ManufacturerCa
     protected_bytes: int = 1 << 20
     mac_granularity: int = 512
-    store: BackingStore = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         self._sk_accel = self.ca.device_key(self.device_id)
-        if self.store is None:
-            self.store = BackingStore(2 * self.protected_bytes)
-        self._session: DeviceSession | None = None
         self._seen_nonces: set[bytes] = set()
 
     # -- step 2: session establishment + attestation -----------------------
-    def _establish(self, user_nonce: bytes, user_dh_public: int,
-                   kernel_hash: bytes,
-                   store: BackingStore) -> tuple[int, AttestationQuote,
-                                                 DeviceSession]:
-        """DH + key derivation + quote for one new session over ``store``.
+    def open_session(self, user_nonce: bytes, user_dh_public: int,
+                     kernel_hash: bytes,
+                     ) -> tuple[int, AttestationQuote, DeviceSession]:
+        """DH + key derivation + quote for one new session.
 
-        Session nonces are single-use for the device's lifetime: the
-        device DH seed (and with it every session key) is a function of
-        the nonce, so accepting a replay would re-derive a previous
-        tenant's keys for whoever replays the handshake.
+        Each session gets an isolated :class:`DeviceSession` over a fresh
+        protected store, whose keys and memory are its tenant's alone;
+        opening one displaces no other.  Session nonces are single-use
+        for the device's lifetime: the device DH seed (and with it every
+        session key) is a function of the nonce, so accepting a replay
+        would re-derive a previous tenant's keys for whoever replays the
+        handshake.
         """
         if user_nonce in self._seen_nonces:
             raise ReplayError("session nonce replayed: open_session nonces "
@@ -167,6 +166,7 @@ class SecureAcceleratorDevice:
         # Fresh state for the new session (§II: "clear its internal
         # state, set a pair of new symmetric keys ...").
         keys = SessionKeys.derive(shared, transcript)
+        store = BackingStore(2 * self.protected_bytes)
         session = DeviceSession(
             engine=MgxFunctionalEngine(
                 keys, store, data_bytes=self.protected_bytes,
@@ -189,46 +189,6 @@ class SecureAcceleratorDevice:
         )
         return device_dh.public, quote, session
 
-    def open_session(self, user_nonce: bytes, user_dh_public: int,
-                     kernel_hash: bytes) -> tuple[int, AttestationQuote]:
-        """The single-session API: the new session owns the device store."""
-        public, quote, session = self._establish(user_nonce, user_dh_public,
-                                                 kernel_hash, self.store)
-        self._session = session
-        return public, quote
-
-    def open_tenant_session(self, user_nonce: bytes, user_dh_public: int,
-                            kernel_hash: bytes,
-                            ) -> tuple[int, AttestationQuote, DeviceSession]:
-        """One of many concurrent sessions, over its own protected store.
-
-        Unlike :meth:`open_session` this does not displace any existing
-        session: each tenant gets an isolated :class:`DeviceSession`
-        whose keys and protected memory are theirs alone.
-        """
-        store = BackingStore(2 * self.protected_bytes)
-        return self._establish(user_nonce, user_dh_public, kernel_hash, store)
-
-    # -- single-session back-compat surface --------------------------------
-    @property
-    def session(self) -> DeviceSession | None:
-        """The session opened by :meth:`open_session` (``None`` before)."""
-        return self._session
-
-    def _require_session(self) -> DeviceSession:
-        if self._session is None:
-            raise ConfigError("no open session")
-        return self._session
-
-    # -- step 4: receive data into protected memory -------------------------
-    def receive_payload(self, name: str, record: tuple[int, bytes, bytes]) -> None:
-        """Decrypt a channel record and place it in protected DRAM."""
-        self._require_session().receive_payload(name, record)
-
-    def read_protected(self, name: str) -> bytes:
-        """What the kernel sees when it loads the tensor on-chip."""
-        return self._require_session().read_protected(name)
-
 
 @dataclass
 class UserSession:
@@ -239,9 +199,14 @@ class UserSession:
     kernel: bytes
     nonce: bytes = b"user-nonce-0001"
 
-    def connect(self, device: SecureAcceleratorDevice) -> None:
+    def connect(self, device: SecureAcceleratorDevice) -> DeviceSession:
+        """Attest ``device`` and open a channel to it.
+
+        Returns the device-side :class:`DeviceSession` the handshake
+        opened, which receives what :meth:`send` seals.
+        """
         user_dh = DhParty(self.nonce + b"user-entropy")
-        device_public, quote = device.open_session(
+        device_public, quote, session = device.open_session(
             self.nonce, user_dh.public, measurement(self.kernel)
         )
         # Verify the quote: genuine device, expected firmware, our kernel,
@@ -254,6 +219,7 @@ class UserSession:
         shared = user_dh.shared_secret(device_public)
         self._channel = SecureChannel(derive_channel_key(shared, transcript),
                                       direction=0)
+        return session
 
     def send(self, name: str, payload: bytes) -> tuple[int, bytes, bytes]:
         return self._channel.send(payload, aad=name.encode())

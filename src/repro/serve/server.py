@@ -200,7 +200,7 @@ class ProtectionServer:
         """
         if self._pool is None:
             self.start()
-        public, quote, session = self.device.open_tenant_session(
+        public, quote, session = self.device.open_session(
             user_nonce, user_dh_public, kernel_hash
         )
         conn = TenantConnection(self._ids, session)

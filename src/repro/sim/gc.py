@@ -12,11 +12,10 @@ discard anything, and the only question is what is worth keeping.
 * **Mark** — the live set is derived exactly the way the distributed
   queue derives its job list: expand the suite's artifact graph
   (figures *and* ablation/extra tables, quick and full mode) and map
-  every job key to its spill file names
-  (:func:`~repro.sim.runner.spill_filenames` — for binary kinds that is
-  both the current ``.bin`` name and the legacy v2 ``.json`` one, so a
-  reachable v2 spill survives the sweep too).  Reachable artifacts are
-  never deleted, by any policy.
+  every job key to its one spill file name
+  (:func:`~repro.sim.runner.spill_filename`).  Reachable artifacts are
+  never deleted, by any policy; a file in a retired layout (such as a
+  ``trace-<digest>.json``) is no key's name, so it is unreachable.
 * **Sweep** — unreachable artifacts are deletion candidates, filtered
   by an age grace (``max_age``) and, after that, by a size budget
   (``max_bytes``) applied oldest-first with a stable name tiebreak, so
@@ -25,12 +24,11 @@ discard anything, and the only question is what is worth keeping.
   :func:`repro.sim.queue.find_stale_locks`) and abandoned ``*.tmp.*``
   spill temporaries are removed; fresh locks of live workers are left
   alone.
-* **Verify** — every spill carries a ``#sha256:`` content-digest
-  trailer (:func:`~repro.sim.runner.split_spill` for JSON spills,
-  :func:`~repro.sim.runner.split_spill_bytes` for columnar binary
-  ones); ``verify`` re-hashes the payloads — binary spills over a
-  memoryview, no text copy — and decodes them under their kind codec,
-  flagging corruption and stale layouts without touching the artifacts.
+* **Verify** — every spill ends in a fixed-size ``#sha256:``
+  content-digest trailer (:func:`~repro.sim.runner.split_spill_bytes`);
+  ``verify`` re-hashes the payloads over a memoryview, with no copy,
+  and decodes them under their kind codec, flagging corruption and
+  stale layouts without touching the artifacts.
 
 CLI: ``python -m repro.experiments cache {stats,gc,verify}``.
 """
@@ -53,8 +51,8 @@ from repro.sim.runner import (
     ARTIFACT_KINDS,
     decode_spill,
     payload_digest,
-    spill_filenames,
-    split_spill,
+    spill_filename,
+    spill_name,
     split_spill_bytes,
 )
 
@@ -70,18 +68,13 @@ TMP_STALE_SECONDS = 3600.0
 
 @dataclass(frozen=True)
 class ArtifactFile:
-    """One artifact spill on disk (a ``<kind>-<keydigest>.json`` file in
-    disk format v2, ``<kind>-<keydigest>.bin`` in format v3)."""
+    """One artifact spill on disk (a ``<kind>-<keydigest>.json`` or
+    ``.bin`` file)."""
 
     path: Path
     kind: str
     size: int
     mtime: float
-
-    @property
-    def format_version(self) -> int:
-        """The disk-format version the file's framing encodes."""
-        return 3 if self.path.suffix == ".bin" else 2
 
 
 def _artifact_kind(name: str) -> str | None:
@@ -110,16 +103,8 @@ def scan_artifacts(cache_dir: str | os.PathLike) -> list[ArtifactFile]:
 
 
 def live_file_names(jobs: Iterable) -> set[str]:
-    """The spill names a job graph's artifacts occupy (the mark set).
-
-    A binary-kind key contributes every name it is readable under —
-    current ``.bin`` and legacy ``.json`` — so pre-migration spills of a
-    live key are reachable, not garbage.
-    """
-    names: set[str] = set()
-    for job in jobs:
-        names.update(spill_filenames(job.key))
-    return names
+    """The spill names a job graph's artifacts occupy (the mark set)."""
+    return {spill_filename(job.key) for job in jobs}
 
 
 def default_live_names() -> set[str]:
@@ -224,14 +209,11 @@ def plan_gc(
                                             now=now)
         for record in sorted(queue_dir.glob("*.attempts")):
             # A failure record is stale once the job's artifact exists
-            # under either spill format (the failure resolved — usually a
-            # peer computed it, so nobody cleared the loser's record) or
-            # once it has aged past the tmp grace: either way, keeping
-            # it only pollutes the quarantine census.
-            resolved = any(
-                (Path(cache_dir) / f"{record.stem}{ext}").exists()
-                for ext in (".bin", ".json")
-            )
+            # (the failure resolved — usually a peer computed it, so
+            # nobody cleared the loser's record) or once it has aged
+            # past the tmp grace: either way, keeping it only pollutes
+            # the quarantine census.
+            resolved = (Path(cache_dir) / spill_name(record.stem)).exists()
             try:
                 aged = now - record.stat().st_mtime >= tmp_stale_seconds
             except OSError:
@@ -241,7 +223,7 @@ def plan_gc(
     # The tmp glob matches every artifact kind: spill temporaries keep
     # their `<kind>-<keydigest>` stem and only swap the extension for
     # `.tmp.<pid>`, so a worker SIGKILLed mid-write leaves exactly one
-    # matching orphan regardless of kind or format version.
+    # matching orphan regardless of kind.
     for tmp in sorted(Path(cache_dir).glob("*.tmp.*")):
         try:
             if now - tmp.stat().st_mtime >= tmp_stale_seconds:
@@ -304,48 +286,33 @@ class VerifyIssue:
     """One artifact that failed re-verification."""
 
     path: Path
-    status: str  # "corrupt" | "stale" | "unverifiable"
+    status: str  # "corrupt" | "stale"
     detail: str
 
 
 def verify_artifacts(cache_dir: str | os.PathLike) -> tuple[int, list[VerifyIssue]]:
     """Re-hash and re-decode every stored artifact.
 
-    Returns ``(ok_count, issues)``.  ``corrupt`` means the payload no
-    longer matches its recorded content digest (bit rot, truncation,
-    manual edits); ``stale`` means the digest holds but the payload no
-    longer decodes under the current codec (an old layout version —
-    harmless, the cache rebuilds over it, and ``gc`` will sweep it once
-    unreachable); ``unverifiable`` marks legacy spills without a digest
-    trailer.
+    Returns ``(ok_count, issues)``.  ``corrupt`` means the spill has no
+    valid digest trailer or its payload no longer matches the recorded
+    digest (bit rot, truncation, manual edits); ``stale`` means the
+    digest holds but the payload no longer decodes under the current
+    codec (an old layout version — harmless, the cache rebuilds over
+    it, and ``gc`` will sweep it once unreachable).
     """
     ok = 0
     issues: list[VerifyIssue] = []
     for artifact in scan_artifacts(cache_dir):
-        binary = artifact.format_version >= 3
         try:
             raw = artifact.path.read_bytes()
         except OSError as exc:
             issues.append(VerifyIssue(artifact.path, "corrupt", str(exc)))
             continue
-        payload: str | memoryview
-        if binary:
-            payload, digest = split_spill_bytes(raw)
-        else:
-            try:
-                text = raw.decode()
-            except UnicodeDecodeError as exc:
-                issues.append(VerifyIssue(artifact.path, "corrupt", str(exc)))
-                continue
-            payload, digest = split_spill(text)
+        payload, digest = split_spill_bytes(raw)
         if digest is None:
-            status = "corrupt" if binary else "unverifiable"
-            detail = ("missing digest trailer (truncated binary spill)"
-                      if binary else "no digest trailer (legacy spill)")
-            issues.append(VerifyIssue(artifact.path, status, detail))
+            issues.append(VerifyIssue(artifact.path, "corrupt",
+                                      "missing digest trailer"))
             continue
-        # payload_digest hashes the binary payload through its
-        # memoryview — no intermediate copy of a multi-megabyte spill.
         if payload_digest(payload) != digest:
             issues.append(VerifyIssue(artifact.path, "corrupt",
                                       "payload does not match its digest"))
@@ -366,12 +333,9 @@ def cache_stats(cache_dir: str | os.PathLike,
         live = default_live_names()
     stats: dict = {
         "cache_dir": str(cache_dir),
-        "kinds": {kind: {"files": 0, "bytes": 0, "v2": 0, "v3": 0}
-                  for kind in ARTIFACT_KINDS},
+        "kinds": {kind: {"files": 0, "bytes": 0} for kind in ARTIFACT_KINDS},
         "total_files": 0,
         "total_bytes": 0,
-        "format_v2": 0,
-        "format_v3": 0,
         "reachable": 0,
         "unreachable": 0,
     }
@@ -379,10 +343,8 @@ def cache_stats(cache_dir: str | os.PathLike,
         bucket = stats["kinds"][artifact.kind]
         bucket["files"] += 1
         bucket["bytes"] += artifact.size
-        bucket[f"v{artifact.format_version}"] += 1
         stats["total_files"] += 1
         stats["total_bytes"] += artifact.size
-        stats[f"format_v{artifact.format_version}"] += 1
         if artifact.path.name in live:
             stats["reachable"] += 1
         else:

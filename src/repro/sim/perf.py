@@ -12,6 +12,7 @@ residual few-percent overhead the paper reports for MGX.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -34,8 +35,9 @@ class PerfConfig:
     crypto_efficiency: float = 0.97
 
     def __post_init__(self) -> None:
-        if self.accel_freq_hz <= 0:
-            raise ConfigError("accelerator frequency must be positive")
+        if not math.isfinite(self.accel_freq_hz) or self.accel_freq_hz <= 0:
+            raise ConfigError("accelerator frequency must be positive and "
+                              f"finite, got {self.accel_freq_hz}")
         if not 0.5 <= self.crypto_efficiency <= 1.0:
             raise ConfigError(
                 f"crypto_efficiency must be in [0.5, 1], got {self.crypto_efficiency}"

@@ -21,13 +21,19 @@ Parallelism lives one level up: the suite's artifact graph
 (:mod:`repro.sim.scheduler`) drains through the file-lock queue
 (:mod:`repro.sim.queue`) into this cache's disk tier, and the sweeps
 here then restore from it.
+
+Every disk-tier artifact has one file name (:func:`spill_filename`),
+one layout and one framing: the payload — columnar binary for traces
+(:mod:`repro.sim.spillfmt`), single-line JSON for every other kind —
+followed by a fixed-size ``#sha256:`` digest trailer.  A file in a
+retired layout is a plain miss: the artifact is rebuilt, and ``cache
+gc`` (:mod:`repro.sim.gc`) sweeps the old file as unreachable.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import mmap
 import os
 from collections import Counter, OrderedDict
@@ -43,7 +49,7 @@ from repro.dnn.tracegen import DnnTraceGenerator
 from repro.dram.model import DramModel
 from repro.graph.generators import build_benchmark_graph
 from repro.graph.graphlily import GraphAcceleratorConfig, GraphTraceGenerator
-from repro.sim import faults
+from repro.sim import faults, spillfmt
 from repro.sim.perf import PerfConfig, PerformanceModel, SimResult
 
 #: Paper scheme names in presentation order.
@@ -106,32 +112,23 @@ class StreamingTrace:
         return self.build_phases()
 
 
-#: Bump when the disk-tier file layout changes.
-#: v2: single-line JSON payloads with a ``#sha256:`` content-digest
-#: trailer, verified on load and re-checkable offline by ``python -m
-#: repro.experiments cache verify`` (see :mod:`repro.sim.gc`).
-#: v3: **trace** spills switch to the columnar binary layout of
-#: :mod:`repro.sim.spillfmt` (``trace-<digest>.bin``), mmapped and
-#: decoded zero-copy on load; all other kinds keep the v2 JSON layout,
-#: and v2 trace spills remain readable (same digest trailer framing).
-_DISK_FORMAT_VERSION = 3
-
 #: The disk-format version pinned into the key→filename digest.  Keys
-#: are content addresses: v3 changed the *payload* layout, not what a
-#: key means, so filenames keep their v2-era digests and existing cache
-#: dirs stay addressable without re-keying.  Bump only when the key
-#: schema itself changes meaning.
+#: are content addresses: a payload layout change (the trace layout's
+#: ``spillfmt.SPILL_VERSION``, the JSON kinds' ``SWEEP_CODEC_VERSION``
+#: and ``PROFILE_CODEC_VERSION``) does not change what a key means, so
+#: filenames keep their digests and a spill in a retired layout is a
+#: plain miss that is rebuilt in place.  Bump only when the key schema
+#: itself changes meaning.
 _KEY_DIGEST_VERSION = 2
 
-#: Trailer separating a spill's payload from its content digest.  v2
-#: payloads are single-line JSON, so the first occurrence of the marker
-#: is unambiguous; v3 binary spills carry the same trailer as a
-#: fixed-size tail (see :func:`split_spill_bytes`).
-DIGEST_TRAILER = "\n#sha256:"
-DIGEST_TRAILER_BYTES = DIGEST_TRAILER.encode()
+#: Every spill ends with exactly ``\n#sha256:<64 hex>\n``, the content
+#: digest of the payload before it.  Payloads may contain the marker as
+#: data, so the trailer is framed by position (see
+#: :func:`split_spill_bytes`).
+DIGEST_TRAILER_BYTES = b"\n#sha256:"
 
-#: Exact byte length of a binary spill's trailer: marker + 64 hex digits
-#: of sha256 + newline.
+#: Exact byte length of a spill's trailer: marker + 64 hex digits of
+#: sha256 + newline.
 _TRAILER_LEN = len(DIGEST_TRAILER_BYTES) + 64 + 1
 
 
@@ -157,31 +154,13 @@ def payload_digest(payload: str | bytes | bytearray | memoryview) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def attach_digest(payload: str) -> str:
-    """Append the content-digest trailer to a text spill payload."""
-    return f"{payload}{DIGEST_TRAILER}{payload_digest(payload)}\n"
-
-
-def split_spill(text: str) -> tuple[str, str | None]:
-    """Split a text spill file into ``(payload, digest)``.
-
-    ``digest`` is ``None`` for legacy spills without a trailer; callers
-    that verify must treat those as unverifiable rather than corrupt.
-    """
-    payload, sep, trailer = text.partition(DIGEST_TRAILER)
-    if not sep:
-        return text, None
-    return payload, trailer.strip()
-
-
 def split_spill_bytes(data: bytes | memoryview,
                       ) -> tuple[memoryview, str | None]:
-    """Split a binary spill into ``(payload view, digest)`` — zero-copy.
+    """Split a spill into ``(payload view, digest)`` — zero-copy.
 
-    Binary payloads may contain the trailer marker as data, so the
-    trailer is framed by *position*, not by search: a well-formed binary
-    spill ends with exactly ``\\n#sha256:<64 hex>\\n``.  Anything else
-    returns the whole buffer with ``digest=None`` (unverifiable).
+    A well-formed spill ends with exactly ``\\n#sha256:<64 hex>\\n``.
+    Anything else returns the whole buffer with ``digest=None``: the
+    spill is corrupt.
     """
     view = memoryview(data)
     if len(view) < _TRAILER_LEN:
@@ -193,87 +172,52 @@ def split_spill_bytes(data: bytes | memoryview,
     return view[: len(view) - _TRAILER_LEN], digest
 
 
-#: The trace-spill JSON schema of disk format v2, still accepted on load.
-_V2_TRACE_VERSION = 2
-
-
-def _encode_trace(value: "BatchedTrace") -> bytes:
-    from repro.sim import spillfmt
-
-    return spillfmt.encode_trace(value)
-
-
-def encode_trace_v2(value: "BatchedTrace") -> str:
-    """The legacy (format v2) JSON payload for a trace.
-
-    Kept for the back-compat tests and CI's migration gate, which seed
-    v2 spills into a cache dir and assert they load byte-identically.
-    """
-    from repro.sim.tracefile import phases_to_doc
-
-    return json.dumps({"version": _V2_TRACE_VERSION,
-                       "phases": phases_to_doc(value.phases)})
-
-
-def _decode_trace(payload: str | bytes | memoryview) -> "BatchedTrace":
-    if not isinstance(payload, str):
-        from repro.sim import spillfmt
-
-        return spillfmt.decode_trace(payload)
-    doc = json.loads(payload)
-    if doc.get("version") != _V2_TRACE_VERSION:
-        raise ValueError(f"unsupported trace spill version {doc.get('version')!r}")
-    from repro.sim.tracefile import phases_from_doc
-
-    return BatchedTrace.from_phases(phases_from_doc(doc["phases"]))
-
-
-def _encode_sweep(value: "SchemeSweep") -> str:
+def _encode_sweep(value: "SchemeSweep") -> bytes:
     from repro.experiments.storage import dumps_sweep
 
-    return dumps_sweep(value)
+    return dumps_sweep(value).encode()
 
 
-def _decode_sweep(text: str) -> "SchemeSweep":
+def _decode_sweep(payload: memoryview) -> "SchemeSweep":
     from repro.experiments.storage import loads_sweep
 
-    return loads_sweep(text)
+    return loads_sweep(bytes(payload))
 
 
-def _encode_result(value) -> str:
+def _encode_result(value) -> bytes:
     from repro.experiments.storage import dumps_result
 
-    return dumps_result(value)
+    return dumps_result(value).encode()
 
 
-def _decode_result(text: str):
+def _decode_result(payload: memoryview):
     from repro.experiments.storage import loads_result
 
-    return loads_result(text)
+    return loads_result(bytes(payload))
 
 
-def _encode_profile(value) -> str:
+def _encode_profile(value) -> bytes:
     from repro.experiments.storage import dumps_profile
 
-    return dumps_profile(value)
+    return dumps_profile(value).encode()
 
 
-def _decode_profile(text: str):
+def _decode_profile(payload: memoryview):
     from repro.experiments.storage import loads_profile
 
-    return loads_profile(text)
+    return loads_profile(bytes(payload))
 
 
 #: Disk codecs by key kind (the suffix of a key's leading tag, e.g.
 #: ``("dnn-trace", ...)`` → ``trace``).  Kinds without a codec stay
 #: memory-only.  ``result`` entries are the artifact graph's per-scheme
 #: price nodes and ``profile`` entries its functional-pipeline nodes
-#: (fig16 tile factors, fig19 GOP profiles).  Encoders return ``str``
-#: (JSON spills) or ``bytes`` (columnar binary spills); decoders accept
-#: whichever framing the file on disk carries.
-_DISK_CODECS: dict[str, tuple[Callable[[object], str | bytes],
-                              Callable[[str | bytes | memoryview], object]]] = {
-    "trace": (_encode_trace, _decode_trace),
+#: (fig16 tile factors, fig19 GOP profiles).  Encoders return the
+#: payload bytes; decoders accept a bytes-like view of them (possibly
+#: over an mmap).
+_DISK_CODECS: dict[str, tuple[Callable[[object], bytes],
+                              Callable[[memoryview], object]]] = {
+    "trace": (spillfmt.encode_trace, spillfmt.decode_trace),
     "sweep": (_encode_sweep, _decode_sweep),
     "result": (_encode_result, _decode_result),
     "profile": (_encode_profile, _decode_profile),
@@ -282,46 +226,35 @@ _DISK_CODECS: dict[str, tuple[Callable[[object], str | bytes],
 #: Every artifact kind with a disk codec, in reporting order.
 ARTIFACT_KINDS = ("trace", "sweep", "result", "profile")
 
-#: Kinds spilled in the columnar binary layout (``.bin``) under format
-#: v3; everything else keeps the single-line JSON layout (``.json``).
+#: Kinds spilled in the columnar binary layout (``.bin``); everything
+#: else spills as single-line JSON (``.json``).
 _BINARY_KINDS = frozenset({"trace"})
 
 
-@functools.lru_cache(maxsize=4096)
-def spill_filenames(key: Hashable) -> tuple[str, ...]:
-    """Every disk-tier file name for a cache key, preferred first.
+def spill_name(job_id: str) -> str:
+    """The spill file name of artifact ``<kind>-<key digest>`` (the id
+    the work queue files its locks and attempt records under)."""
+    kind = job_id.split("-", 1)[0]
+    return job_id + (".bin" if kind in _BINARY_KINDS else ".json")
 
-    Binary kinds list the current ``.bin`` name and then the legacy v2
-    ``.json`` name — both are valid addresses for the key, so loads try
-    them in order and the GC's mark phase keeps either alive.  Empty for
-    memory-only kinds.
+
+@functools.lru_cache(maxsize=4096)
+def spill_filename(key: Hashable) -> str | None:
+    """A cache key's disk-tier file name — its only address.
+
+    ``trace-<digest>.bin`` for traces, ``<kind>-<digest>.json`` for
+    every other kind, ``None`` for memory-only kinds.
     """
     kind = TraceCache._kind(key)
     if kind not in _DISK_CODECS:
-        return ()
-    digest = _key_digest(key)
-    if kind in _BINARY_KINDS:
-        return (f"{kind}-{digest}.bin", f"{kind}-{digest}.json")
-    return (f"{kind}-{digest}.json",)
+        return None
+    return spill_name(f"{kind}-{_key_digest(key)}")
 
 
-def spill_filename(key: Hashable) -> str | None:
-    """The *current* disk-tier file name for a cache key (``None``:
-    memory-only kind).
-
-    This is the content address new spills are written under; the full
-    set of readable names (including a binary kind's legacy ``.json``)
-    is :func:`spill_filenames`.
-    """
-    names = spill_filenames(key)
-    return names[0] if names else None
-
-
-def decode_spill(kind: str, payload: str | bytes | memoryview) -> object:
+def decode_spill(kind: str, payload: memoryview) -> object:
     """Decode one spill payload under its kind's codec (raises on stale).
 
-    ``payload`` is text for JSON spills and a bytes-like view (possibly
-    over an mmap) for columnar binary spills.
+    ``payload`` is a bytes-like view, possibly over an mmap.
     """
     return _DISK_CODECS[kind][1](payload)
 
@@ -389,49 +322,36 @@ class TraceCache:
             return key[0].rsplit("-", 1)[-1]
         return "other"
 
-    def _disk_paths(self, key: Hashable) -> list[Path]:
-        """Candidate spill files for a key, preferred (current) first."""
-        if self._cache_dir is None:
-            return []
-        return [self._cache_dir / name for name in spill_filenames(key)]
-
     def _disk_path(self, key: Hashable) -> Path | None:
-        """The current-format spill path (writes go here; loads try all
-        of :meth:`_disk_paths`)."""
-        paths = self._disk_paths(key)
-        return paths[0] if paths else None
+        """The key's spill file (``None``: no disk tier, or a
+        memory-only kind)."""
+        name = spill_filename(key)
+        if self._cache_dir is None or name is None:
+            return None
+        return self._cache_dir / name
 
     @staticmethod
-    def _load_binary_spill(path: Path, kind: str) -> object | None:
-        """mmap a columnar spill and decode it into zero-copy views.
+    def _map_spill(path: Path) -> mmap.mmap | bytes:
+        """A spill's bytes, mmapped so trace columns load zero-copy.
 
-        Structural validation (magic, version, bounds) happens in the
-        decoder and catches truncation; the digest trailer is *not*
-        hashed here — that would fault in every page and defeat the lazy
-        mmap — full bit-rot detection is ``cache verify``'s job.  The
-        mmap stays alive exactly as long as the decoded arrays reference
-        it.
+        The mmap stays alive exactly as long as the decoded arrays
+        reference it.
         """
-        try:
-            with open(path, "rb") as f:
-                mm = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-        except (OSError, ValueError):
-            return None  # unreadable or empty file: rebuild
-        payload, _digest = split_spill_bytes(mm)
-        try:
-            return _DISK_CODECS[kind][1](payload)
-        except (ValueError, KeyError, TypeError, AttributeError):
-            return None  # stale, truncated or foreign spill: rebuild
+        with open(path, "rb") as f:
+            if os.fstat(f.fileno()).st_size == 0:
+                return b""  # mmap refuses empty files; no trailer: corrupt
+            return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
 
     def _drop_corrupt(self, path: Path) -> None:
-        """Delete a digest-mismatch spill so ``has_spill`` stops advertising it.
+        """Delete a corrupt spill so ``has_spill`` stops advertising it.
 
-        A failed digest is bit-rot or a torn write, never version skew
-        (stale-codec spills keep valid digests), so deleting is safe —
-        and necessary: executors use spill *existence* as the completion
-        marker, and a corrupt file left in place would make every drain
-        treat the artifact as done while every decode fails.  The next
-        successful rebuild respills under the same name.
+        A missing trailer or a failed digest is truncation, bit-rot or a
+        torn write, never version skew (stale-codec spills keep valid
+        trailers), so deleting is safe — and necessary: executors use
+        spill *existence* as the completion marker, and a corrupt file
+        left in place would make every drain treat the artifact as done
+        while every decode fails.  The next successful rebuild respills
+        under the same name.
         """
         try:
             path.unlink()
@@ -440,35 +360,31 @@ class TraceCache:
         self.corrupt_dropped += 1
 
     def _disk_load(self, key: Hashable) -> object | None:
+        path = self._disk_path(key)
+        if path is None:
+            return None
+        try:
+            # A missing spill is a cold miss, not a transient error:
+            # no backoff (injected io faults still retry).
+            data = faults.call_with_retries(
+                lambda: self._map_spill(path), "spill_read", path.name,
+                no_retry=(FileNotFoundError,))
+        except OSError:
+            return None  # missing, or a transient read outlasted retries
         kind = self._kind(key)
-        for path in self._disk_paths(key):
-            if path.suffix == ".bin":
-                try:
-                    value = faults.call_with_retries(
-                        lambda: self._load_binary_spill(path, kind),
-                        "spill_read", path.name)
-                except OSError:
-                    continue  # transient read outlasted retries: rebuild
-                if value is not None:
-                    return value
-                continue
-            try:
-                # A missing spill is a cold miss, not a transient error:
-                # no backoff (injected io faults still retry).
-                text = faults.call_with_retries(
-                    path.read_text, "spill_read", path.name,
-                    no_retry=(FileNotFoundError,))
-            except OSError:
-                continue
-            payload, digest = split_spill(text)
-            if digest is not None and digest != payload_digest(payload):
-                self._drop_corrupt(path)
-                continue  # bit-rot or torn write: rebuild
-            try:
-                return _DISK_CODECS[kind][1](payload)
-            except (ValueError, KeyError, TypeError, AttributeError):
-                continue  # stale, truncated or foreign spill: rebuild
-        return None
+        payload, digest = split_spill_bytes(data)
+        # Columnar spills are not hashed here — that would fault in every
+        # page and defeat the lazy mmap; their decoder validates the
+        # structure (magic, version, bounds), and full bit-rot detection
+        # is ``cache verify``'s job.
+        if digest is None or (kind not in _BINARY_KINDS
+                              and digest != payload_digest(payload)):
+            self._drop_corrupt(path)
+            return None  # truncation, bit-rot or a torn write: rebuild
+        try:
+            return _DISK_CODECS[kind][1](payload)
+        except (ValueError, KeyError, TypeError, AttributeError):
+            return None  # stale or foreign spill: rebuild
 
     def _disk_store(self, key: Hashable, value: object) -> None:
         path = self._disk_path(key)
@@ -482,21 +398,15 @@ class TraceCache:
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
 
         def _write() -> int:
-            if isinstance(payload, str):
-                text = attach_digest(payload)
-                tmp.write_text(text)
-                nbytes = len(text.encode())
-            else:
-                # Payload and trailer are written as separate pieces —
-                # no concatenation copy of a multi-megabyte buffer.
-                trailer = (DIGEST_TRAILER_BYTES
-                           + payload_digest(payload).encode() + b"\n")
-                with open(tmp, "wb") as f:
-                    f.write(payload)
-                    f.write(trailer)
-                nbytes = len(payload) + len(trailer)
+            # Payload and trailer are written as separate pieces — no
+            # concatenation copy of a multi-megabyte buffer.
+            trailer = (DIGEST_TRAILER_BYTES
+                       + payload_digest(payload).encode() + b"\n")
+            with open(tmp, "wb") as f:
+                f.write(payload)
+                f.write(trailer)
             os.replace(tmp, path)
-            return nbytes
+            return len(payload) + len(trailer)
 
         try:
             nbytes = faults.call_with_retries(_write, "spill_write", path.name)
@@ -564,7 +474,8 @@ class TraceCache:
         """
         if not self.enabled:
             return False
-        return any(path.exists() for path in self._disk_paths(key))
+        path = self._disk_path(key)
+        return path is not None and path.exists()
 
     def put(self, key: Hashable, value: object, built: bool = True) -> None:
         """Insert a value computed outside :meth:`get_or_build`.
@@ -613,13 +524,6 @@ class TraceCache:
             counters[f"{kind}_spill_bytes"] = self.spill_bytes.get(kind, 0)
         counters["spill_bytes"] = sum(self.spill_bytes.values())
         counters["corrupt_dropped"] = self.corrupt_dropped
-        if self._cache_dir is not None:
-            # On-disk format census so migrations are observable: every
-            # ``.bin`` artifact is format v3, every ``.json`` one v2.
-            counters["disk_spills_v3"] = sum(
-                1 for _ in self._cache_dir.glob("*-*.bin"))
-            counters["disk_spills_v2"] = sum(
-                1 for _ in self._cache_dir.glob("*-*.json"))
         # Which LRU-engine backend priced this run's misses: cached
         # artifacts are backend-independent (all backends are
         # byte-identical), but perf numbers are not, so reports carry it.

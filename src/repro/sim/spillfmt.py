@@ -1,15 +1,7 @@
-"""Columnar binary trace spills: the artifact cache's disk format v3.
+"""Columnar binary trace spills: the artifact cache's trace layout.
 
-Disk format v2 spilled traces as single-line JSON — one Python dict per
-:class:`~repro.core.access.MemAccess` on the way out, a full JSON parse
-plus object reconstruction on the way in, after which
-:class:`~repro.core.access.AccessBatch` re-derived the very columns the
-generator already had.  On warm and distributed runs that (de)serialization
-round trip *was* the cache plane's dominant cost — the same
-metadata-movement overhead the paper eliminates from the protection
-pipeline.
-
-Format v3 stores the structure-of-arrays form directly::
+A trace spills in the structure-of-arrays form the generators already
+produce::
 
     REPROCOL                          8-byte magic
     <header length>                   8-byte little-endian uint64
@@ -18,8 +10,8 @@ Format v3 stores the structure-of-arrays form directly::
     <column blocks>                   raw little-endian arrays, 64-byte
                                       aligned, one block per column, each
                                       of length ``total_accesses``
-    \\n#sha256:<payload digest>\\n      content-digest trailer (the same
-                                      framing v2 text spills carry)
+    \\n#sha256:<payload digest>\\n      content-digest trailer (the
+                                      framing every spill carries)
 
 The header records the layout (``version``, per-phase
 name/compute_cycles/access count, per-column dtype/offset/nbytes), so a
@@ -35,10 +27,11 @@ Encoding is equally object-free: :func:`phases_to_columns` concatenates
 the trace's existing batch columns (``BatchedTrace`` always carries
 them), so a spill never walks per-access Python objects either.
 
-Loads perform *structural* validation (magic, version, bounds — which
-catches truncation); full bit-rot detection against the digest trailer
-is ``python -m repro.experiments cache verify``'s job, exactly because
-hashing every page on load would defeat the lazy mmap.
+Loads check the trailer's framing and the payload's structure (magic,
+version, bounds — which catches truncation); full bit-rot detection
+against the digest is ``python -m repro.experiments cache verify``'s
+job, exactly because hashing every page on load would defeat the lazy
+mmap.
 """
 
 from __future__ import annotations
@@ -52,7 +45,8 @@ import numpy as np
 
 from repro.core.access import AccessBatch, Phase, lazy_phase
 
-#: The trace-spill layout this module writes (``_DISK_FORMAT_VERSION``).
+#: The trace-spill layout version.  Bump it when the layout changes: a
+#: spill in any other version is stale, a plain miss that is rebuilt.
 SPILL_VERSION = 3
 
 MAGIC = b"REPROCOL"
@@ -122,8 +116,8 @@ def phases_to_columns(phases: Sequence[Phase],
             stacked = np.zeros(0, dtype=dtype)
         columns[name] = stacked
     return TraceColumns(
-        # compute_cycles passes through untouched (no float() coercion):
-        # int-valued cycles must re-encode to the identical v2 JSON.
+        # compute_cycles passes through untouched (no float() coercion),
+        # so int-valued cycles stay ints through a spill round trip.
         names=[phase.name for phase in phases],
         compute_cycles=[phase.compute_cycles for phase in phases],
         counts=[len(batch) for batch in batches],
@@ -183,7 +177,7 @@ def _header_doc(cols: TraceColumns) -> tuple[bytes, int]:
 
 
 def encode_columns(cols: TraceColumns) -> bytes:
-    """Pack columnar trace data into the v3 binary payload (no trailer)."""
+    """Pack columnar trace data into the columnar spill payload (no trailer)."""
     header_bytes, data_start = _header_doc(cols)
     out = bytearray(data_start)
     out[: len(MAGIC)] = MAGIC
@@ -199,12 +193,12 @@ def encode_columns(cols: TraceColumns) -> bytes:
 
 
 def encode_trace(trace) -> bytes:
-    """A :class:`~repro.sim.runner.BatchedTrace` as the v3 payload."""
+    """A :class:`~repro.sim.runner.BatchedTrace` as the columnar spill payload."""
     return encode_columns(phases_to_columns(trace.phases, trace.batches))
 
 
 def decode_columns(payload) -> TraceColumns:
-    """Parse a v3 payload into zero-copy column views.
+    """Parse a columnar spill payload into zero-copy column views.
 
     ``payload`` may be ``bytes``, a ``memoryview`` or an ``mmap`` — the
     returned arrays are views over it (read-only when the buffer is),
@@ -266,7 +260,7 @@ def decode_columns(payload) -> TraceColumns:
 
 
 def decode_trace(payload):
-    """A v3 payload as a :class:`~repro.sim.runner.BatchedTrace` of
+    """A columnar spill payload as a :class:`~repro.sim.runner.BatchedTrace` of
     zero-copy batches and lazy phases."""
     from repro.sim.runner import BatchedTrace
 

@@ -29,14 +29,20 @@ Schema::
       ]
     }
 
-Only ``address``, ``size`` and ``kind`` are required per access; the
-rest default to a sequential bulk transfer with scheme-managed VNs.
+Only ``address`` and ``size`` are required per access; the rest
+default to a sequential bulk read with scheme-managed VNs.  Every
+access is a JSON object; ``address``, ``size``, ``burst_bytes`` and
+``spread_bytes`` are JSON integers, ``vn`` an integer in [0, 2**64),
+``sequential`` a JSON bool, and ``compute_cycles`` a finite number
+≥ 0.  A malformed trace is a ``ConfigError`` naming the phase and
+access at fault.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
+import math
+import sys
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigError
@@ -61,7 +67,29 @@ class TraceFile:
     protected_bytes: int
 
 
+def _int_field(raw: dict, field: str, required: bool = False) -> int | None:
+    """An access's integer field: a JSON integer, never a bool, float
+    or string (``None`` when absent and optional)."""
+    value = raw.get(field)
+    if value is None:
+        if required:
+            raise ConfigError(f"{field!r} is required")
+        return None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{field!r} must be a JSON integer, got {value!r}")
+    return value
+
+
 def _parse_access(raw: dict) -> MemAccess:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"an access must be a JSON object, got {raw!r}")
+    vn = _int_field(raw, "vn")
+    if vn is not None and not 0 <= vn < 1 << 64:
+        raise ConfigError(f"'vn' must be in [0, 2**64), got {vn}")
+    sequential = raw.get("sequential", True)
+    if not isinstance(sequential, bool):
+        raise ConfigError(
+            f"'sequential' must be a JSON bool, got {sequential!r}")
     try:
         kind = _KINDS[raw.get("kind", "read")]
     except KeyError:
@@ -74,26 +102,39 @@ def _parse_access(raw: dict) -> MemAccess:
             f"unknown data class {class_name!r}; known: {sorted(_CLASSES)}"
         )
     return MemAccess(
-        address=int(raw["address"]),
-        size=int(raw["size"]),
+        address=_int_field(raw, "address", required=True),
+        size=_int_field(raw, "size", required=True),
         kind=kind,
         data_class=data_class,
-        sequential=bool(raw.get("sequential", True)),
-        vn=raw.get("vn"),
-        burst_bytes=raw.get("burst_bytes"),
-        spread_bytes=raw.get("spread_bytes"),
+        sequential=sequential,
+        vn=vn,
+        burst_bytes=_int_field(raw, "burst_bytes"),
+        spread_bytes=_int_field(raw, "spread_bytes"),
     )
 
 
 def phases_from_doc(doc: list[dict]) -> list[Phase]:
     """Decode a list of phase dictionaries (inverse of :func:`phases_to_doc`)."""
     phases: list[Phase] = []
-    for raw_phase in doc:
-        accesses = [_parse_access(a) for a in raw_phase.get("accesses", [])]
+    for index, raw_phase in enumerate(doc):
+        if not isinstance(raw_phase, dict):
+            raise ConfigError(f"phase {index} must be a JSON object")
+        cycles = raw_phase.get("compute_cycles", 0.0)
+        if (isinstance(cycles, bool) or not isinstance(cycles, (int, float))
+                or not math.isfinite(cycles) or cycles < 0):
+            raise ConfigError(f"phase {index}: 'compute_cycles' must be a "
+                              f"finite number >= 0, got {cycles!r}")
+        accesses = []
+        for position, raw in enumerate(raw_phase.get("accesses", [])):
+            try:
+                accesses.append(_parse_access(raw))
+            except ConfigError as exc:
+                raise ConfigError(
+                    f"phase {index} access {position}: {exc}") from None
         phases.append(
             Phase(
-                name=str(raw_phase.get("name", f"phase{len(phases)}")),
-                compute_cycles=float(raw_phase.get("compute_cycles", 0.0)),
+                name=str(raw_phase.get("name", f"phase{index}")),
+                compute_cycles=float(cycles),
                 accesses=accesses,
             )
         )
@@ -127,19 +168,6 @@ def phases_to_doc(phases: list[Phase]) -> list[dict]:
         }
         for phase in phases
     ]
-
-
-def doc_digest(doc: str | bytes | bytearray | memoryview) -> str:
-    """Stable content digest of a serialized trace/artifact document.
-
-    Equal documents get equal digests on every machine, so a name built
-    from one deduplicates by construction.  Accepts text or a bytes-like
-    view; binary documents (columnar trace spills) hash without an
-    intermediate encode copy.
-    """
-    if isinstance(doc, str):
-        doc = doc.encode()
-    return hashlib.sha256(doc).hexdigest()[:32]
 
 
 def loads(text: str) -> TraceFile:
@@ -207,17 +235,21 @@ def main(argv: list[str] | None = None) -> int:
                         help="check the trace's VN discipline first")
     args = parser.parse_args(argv)
 
-    trace = load(args.trace)
-    if args.validate:
-        from repro.core.validate import validate_trace
+    try:
+        trace = load(args.trace)
+        if args.validate:
+            from repro.core.validate import validate_trace
 
-        report = validate_trace(trace.phases)
-        print(f"VN discipline: {report.summary()}")
-        for violation in report.violations[:10]:
-            print(f"  {violation}")
-        if not report.ok:
-            return 1
-    sweep = evaluate(trace)
+            report = validate_trace(trace.phases)
+            print(f"VN discipline: {report.summary()}")
+            for violation in report.violations[:10]:
+                print(f"  {violation}")
+            if not report.ok:
+                return 1
+        sweep = evaluate(trace)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     schemes = args.scheme or [s for s in SCHEMES if s != "NP"]
     print(f"{trace.name}: {len(trace.phases)} phases, "
           f"{sum(p.total_bytes() for p in trace.phases) / (1 << 20):.1f} MiB")

@@ -106,6 +106,15 @@ class TestBankState:
         assert bank.misses == 2
 
 
+class TestDramConfig:
+    @pytest.mark.parametrize("field", ["channels", "ranks", "banks",
+                                       "row_bytes"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_non_positive_geometry_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            DramConfig(**{field: value})
+
+
 class TestDramModel:
     def test_peak_bandwidth(self):
         assert DramModel(DramConfig(channels=4)).config.peak_bandwidth_gbs == (

@@ -11,8 +11,6 @@ replaces.
 
 from __future__ import annotations
 
-import pickle
-
 import pytest
 
 import repro.core.engine_backend as engine_backend
@@ -169,25 +167,6 @@ class TestCrossBackendPricing:
                     table[name] += (scheme._cache.stats.as_dict(),)
             results[backend] = table
         assert results["python"] == results["native"]
-
-    def test_scheme_pickles_without_engine(self, monkeypatch):
-        """Sweep workers pickle schemes; the engine handle must not ride."""
-        monkeypatch.setenv("REPRO_ENGINE", "native")
-        scheme = CounterModeProtection(
-            "T", vn_onchip=False, mac_policy=FINE_MAC_POLICY,
-            protected_bytes=1 << 20, cache_bytes=32 * 1024,
-        )
-        batches = _sequential_trace()
-        first = [t.__dict__ for t in _price_session(scheme, batches)]
-        assert scheme._engine is not None
-        clone = pickle.loads(pickle.dumps(scheme))
-        assert clone._engine is None
-        # The clone carries the cache state and prices the next batches
-        # exactly as the original would.
-        again_orig = [t.__dict__ for t in _price_session(scheme, batches)]
-        again_clone = [t.__dict__ for t in _price_session(clone, batches)]
-        assert again_orig == again_clone
-        assert first  # the warm-up actually priced something
 
 
 @needs_native

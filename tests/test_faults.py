@@ -333,7 +333,7 @@ class TestCorruptSpills:
                      else SchemeSweep(workload="fake",
                                       results={"NP": result}))
         disk_cache.put(key, value)
-        (path,) = [p for p in disk_cache._disk_paths(key) if p.exists()]
+        path = disk_cache._disk_path(key)
         text = path.read_text()
         corrupted = text.replace("{", "{ ", 1)  # payload changes, digest kept
         path.write_text(corrupted)

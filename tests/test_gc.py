@@ -19,8 +19,20 @@ import pytest
 from repro.experiments.__main__ import main as cli_main
 from repro.sim import gc as cache_gc
 from repro.sim.queue import QUEUE_SUBDIR
-from repro.sim.runner import attach_digest, spill_filename, split_spill
+from repro.sim.runner import payload_digest, spill_filename, split_spill_bytes
 from repro.sim.scheduler import build_graph, dnn_spec, gop_profile_spec
+
+
+def _framed(payload: bytes, digest: str | None = None) -> bytes:
+    """``payload`` plus a digest trailer (``payload``'s own by default)."""
+    digest = digest or payload_digest(payload)
+    return payload + b"\n#sha256:" + digest.encode() + b"\n"
+
+
+def _flip_first_byte(path: Path) -> None:
+    """Change a spill's payload but keep its recorded digest."""
+    payload, digest = split_spill_bytes(path.read_bytes())
+    path.write_bytes(_framed(b"y" + bytes(payload[1:]), digest))
 
 
 def _fake_artifact(cache_dir: Path, kind: str, tag: str, size: int = 64,
@@ -28,7 +40,7 @@ def _fake_artifact(cache_dir: Path, kind: str, tag: str, size: int = 64,
     """A synthetic spill file with a controlled size and age."""
     digest = f"{abs(hash((kind, tag))):032x}"[:32]
     path = cache_dir / f"{kind}-{digest}.json"
-    path.write_text(attach_digest("x" * size))
+    path.write_bytes(_framed(b"x" * size))
     if age:
         old = time.time() - age
         os.utime(path, (old, old))
@@ -53,8 +65,6 @@ class TestMarkAndSweep:
         """An actually-computed graph is fully reachable: gc is a no-op."""
         from repro.sim.scheduler import compute_job
 
-        from repro.sim.runner import spill_filename
-
         jobs = build_graph([dnn_spec("AlexNet", "Cloud"),
                             gop_profile_spec("IBPB", 8, 8)])
         for job in jobs:
@@ -62,11 +72,10 @@ class TestMarkAndSweep:
         live = cache_gc.live_file_names(jobs)
         on_disk = {p.name for p in disk_cache.cache_dir.glob("*.json")}
         on_disk |= {p.name for p in disk_cache.cache_dir.glob("*.bin")}
-        # Fresh computation writes exactly the current-format names; the
-        # mark set additionally contains binary kinds' legacy .json
-        # aliases, so reachability is a superset of what's on disk.
+        # Fresh computation writes exactly each key's one name, and the
+        # mark set is exactly those names.
         assert on_disk == {spill_filename(job.key) for job in jobs}
-        assert on_disk < live
+        assert on_disk == live
         plan = cache_gc.plan_gc(disk_cache.cache_dir, live=live, max_age=0.0)
         assert plan.delete == []
         assert {f.path.name for f in plan.keep} == on_disk
@@ -259,14 +268,13 @@ class TestVerify:
 
         first = dnn_sweep("AlexNet", "Cloud")
         spill = next(iter(disk_cache.cache_dir.glob("sweep-*.json")))
-        text = spill.read_text()
-        payload, digest = split_spill(text)
+        payload, digest = split_spill_bytes(spill.read_bytes())
         assert digest is not None
         # Corrupt one byte *inside* valid JSON: still decodes, but the
         # content no longer matches the recorded digest.
-        corrupted = payload.replace('"workload"', '"workLoad"', 1)
+        corrupted = bytes(payload).replace(b'"workload"', b'"workLoad"', 1)
         assert corrupted != payload
-        spill.write_text(corrupted + "\n#sha256:" + digest + "\n")
+        spill.write_bytes(_framed(corrupted, digest))
         ok, issues = cache_gc.verify_artifacts(disk_cache.cache_dir)
         assert any(i.status == "corrupt" and i.path == spill for i in issues)
         # The loader refuses the corrupt spill and rebuilds transparently.
@@ -279,17 +287,17 @@ class TestVerify:
         cache = tmp_path / "cache"
         cache.mkdir()
         path = cache / f"sweep-{'0' * 32}.json"
-        path.write_text(attach_digest('{"version": -1}'))
+        path.write_bytes(_framed(b'{"version": -1}'))
         ok, issues = cache_gc.verify_artifacts(cache)
         assert ok == 0
         assert [i.status for i in issues] == ["stale"]
 
-    def test_legacy_spill_without_trailer_is_unverifiable(self, tmp_path):
+    def test_legacy_spill_without_trailer_is_corrupt(self, tmp_path):
         cache = tmp_path / "cache"
         cache.mkdir()
         (cache / f"profile-{'1' * 32}.json").write_text('{"version": 2}')
         ok, issues = cache_gc.verify_artifacts(cache)
-        assert [i.status for i in issues] == ["unverifiable"]
+        assert [i.status for i in issues] == ["corrupt"]
 
 
 class TestSpillNames:
@@ -375,8 +383,7 @@ class TestCli:
         cache = tmp_path / "cache"
         cache.mkdir()
         path = _fake_artifact(cache, "profile", "x")
-        payload, digest = split_spill(path.read_text())
-        path.write_text("y" + payload[1:] + "\n#sha256:" + digest + "\n")
+        _flip_first_byte(path)
         assert cli_main(["cache", "verify", "--cache-dir", str(cache)]) == 1
         assert "1 corrupt" in capsys.readouterr().out
 
@@ -423,8 +430,7 @@ class TestCli:
         cache.mkdir()
         _fake_artifact(cache, "sweep", "ok")
         bad = _fake_artifact(cache, "profile", "bad")
-        payload, digest = split_spill(bad.read_text())
-        bad.write_text("y" + payload[1:] + "\n#sha256:" + digest + "\n")
+        _flip_first_byte(bad)
         assert cli_main(["cache", "verify", "--json",
                          "--cache-dir", str(cache)]) == 1
         report = json.loads(capsys.readouterr().out)

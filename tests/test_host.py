@@ -109,16 +109,17 @@ class TestSecureChannel:
 class TestProvisioningFlow:
     def test_end_to_end(self, ca, device):
         user = UserSession(ca=ca, expected_firmware=_FIRMWARE, kernel=_KERNEL)
-        user.connect(device)
+        session = user.connect(device)
         payload = b"private training batch" * 20
-        device.receive_payload("input", user.send("input", payload))
-        assert device.read_protected("input") == payload
+        session.receive_payload("input", user.send("input", payload))
+        assert session.read_protected("input") == payload
 
     def test_plaintext_never_in_dram(self, ca, device):
         user = UserSession(ca=ca, expected_firmware=_FIRMWARE, kernel=_KERNEL)
-        user.connect(device)
-        device.receive_payload("input", user.send("input", b"SECRETPATTERN" * 40))
-        dump = Attacker(device.store).observe(0, device.protected_bytes)
+        session = user.connect(device)
+        session.receive_payload("input",
+                                user.send("input", b"SECRETPATTERN" * 40))
+        dump = Attacker(session.store).observe(0, session.protected_bytes)
         assert b"SECRETPATTERN" not in dump
 
     def test_wrong_firmware_detected(self, ca):
@@ -136,18 +137,15 @@ class TestProvisioningFlow:
 
     def test_session_reset_clears_state(self, ca, device):
         user = UserSession(ca=ca, expected_firmware=_FIRMWARE, kernel=_KERNEL)
-        user.connect(device)
-        device.receive_payload("input", user.send("input", b"round one" * 10))
+        first = user.connect(device)
+        first.receive_payload("input", user.send("input", b"round one" * 10))
         # Re-provisioning starts a fresh session with fresh keys.
         user2 = UserSession(ca=ca, expected_firmware=_FIRMWARE, kernel=_KERNEL,
                             nonce=b"user-nonce-0002")
-        user2.connect(device)
-        device.receive_payload("input", user2.send("input", b"round two" * 10))
-        assert device.read_protected("input") == b"round two" * 10
-
-    def test_receive_without_session_rejected(self, ca, device):
-        with pytest.raises(ConfigError):
-            device.receive_payload("input", (0, b"", b""))
+        second = user2.connect(device)
+        second.receive_payload("input", user2.send("input", b"round two" * 10))
+        assert second.read_protected("input") == b"round two" * 10
+        assert second.store is not first.store
 
 
 class TestConcurrentSessions:
@@ -165,11 +163,11 @@ class TestConcurrentSessions:
 
     def test_tenant_nonce_replay_rejected(self, ca, device):
         dh = DhParty(b"tenant-a-entropy")
-        device.open_tenant_session(b"nonce-a", dh.public, measurement(_KERNEL))
+        device.open_session(b"nonce-a", dh.public, measurement(_KERNEL))
+        # A replay fails whether it reuses the DH value or not.
         with pytest.raises(ReplayError):
-            device.open_tenant_session(b"nonce-a", DhParty(b"other").public,
-                                       measurement(_KERNEL))
-        # Nonces are single-use across *both* session APIs.
+            device.open_session(b"nonce-a", DhParty(b"other").public,
+                                measurement(_KERNEL))
         with pytest.raises(ReplayError):
             device.open_session(b"nonce-a", dh.public, measurement(_KERNEL))
 
@@ -179,7 +177,7 @@ class TestConcurrentSessions:
         sessions = {}
         for tenant in (b"tenant-a", b"tenant-b"):
             dh = DhParty(tenant + b"-entropy")
-            public, quote, session = device.open_tenant_session(
+            public, quote, session = device.open_session(
                 tenant, dh.public, measurement(_KERNEL))
             ca.verify(quote)
             key = derive_channel_key(dh.shared_secret(public),
@@ -200,7 +198,7 @@ class TestConcurrentSessions:
         out = {}
         for tenant in (b"tenant-a", b"tenant-b"):
             dh = DhParty(tenant + b"-entropy")
-            public, _quote, session = device.open_tenant_session(
+            public, _quote, session = device.open_session(
                 tenant, dh.public, measurement(_KERNEL))
             from repro.host.session import derive_channel_key, dh_transcript
 

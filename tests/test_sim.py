@@ -82,6 +82,11 @@ class TestPerformanceModel:
         with pytest.raises(ConfigError):
             PerfConfig(accel_freq_hz=1e9, crypto_efficiency=0.1)
 
+    @pytest.mark.parametrize("freq", [float("nan"), float("inf")])
+    def test_perf_config_rejects_non_finite_frequency(self, freq):
+        with pytest.raises(ConfigError):
+            PerfConfig(accel_freq_hz=freq)
+
     def test_mismatched_phase_and_batch_iterators_rejected(self):
         """Phases and batches pair strictly, iterators included: a
         surplus on either side is an error, never a silently dropped

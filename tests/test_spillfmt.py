@@ -1,6 +1,9 @@
-"""Columnar binary trace spills (disk format v3) and v2 back-compat."""
+"""Columnar binary trace spills and the one-format disk tier: a file
+in a retired layout is a plain miss that GC sweeps."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -19,21 +22,33 @@ from repro.sim import spillfmt
 from repro.sim.runner import (
     BatchedTrace,
     TraceCache,
-    attach_digest,
     dnn_workload,
-    encode_trace_v2,
     payload_digest,
     spill_filename,
-    spill_filenames,
     split_spill_bytes,
     sweep_schemes,
 )
+from repro.sim.tracefile import phases_to_doc
 
 KEY = ("dnn-trace", "AlexNet", "Cloud", False, 1)
 
 
 def _trace() -> BatchedTrace:
     return dnn_workload("AlexNet", "Cloud", use_cache=False).trace
+
+
+def _framed(payload: bytes) -> bytes:
+    """``payload`` plus the digest trailer every spill ends with."""
+    return payload + b"\n#sha256:" + payload_digest(payload).encode() + b"\n"
+
+
+def _write_legacy_json(cache_dir, trace: BatchedTrace):
+    """A retired-layout (JSON) trace spill for ``KEY``, validly framed,
+    under the ``.bin`` name's stem."""
+    legacy = cache_dir / spill_filename(KEY).replace(".bin", ".json")
+    doc = {"version": 2, "phases": phases_to_doc(trace.phases)}
+    legacy.write_bytes(_framed(json.dumps(doc).encode()))
+    return legacy
 
 
 def _phase_lists_equal(a: list[Phase], b: list[Phase]) -> None:
@@ -142,54 +157,31 @@ class TestDiskTier:
         disk_cache.clear()
         restored = disk_cache.peek(KEY)
         assert restored is not None
-        assert encode_trace_v2(restored) == encode_trace_v2(trace)
-
-    def test_v2_spill_loads_without_rekeying(self, disk_cache):
-        """A pre-migration JSON spill is found under the same key digest."""
-        trace = _trace()
-        names = spill_filenames(KEY)
-        assert names[0].endswith(".bin") and names[1].endswith(".json")
-        # Same digest in both names: v3 did not re-key the store.
-        assert names[0].rsplit(".", 1)[0] == names[1].rsplit(".", 1)[0]
-        legacy = disk_cache.cache_dir / names[1]
-        legacy.write_text(attach_digest(encode_trace_v2(trace)))
-        assert disk_cache.has_spill(KEY)
-        restored = disk_cache.peek(KEY)
-        assert restored is not None
-        assert disk_cache.disk_hits == 1
         _phase_lists_equal(restored.phases, trace.phases)
-
-    def test_v2_load_byte_identical_to_v3_reencode(self, disk_cache):
-        """Mixed-dir invariant: the v2 payload a spill decodes from is
-        exactly what its v3 re-encode decodes back to."""
-        trace = _trace()
-        legacy = disk_cache.cache_dir / spill_filenames(KEY)[1]
-        legacy.write_text(attach_digest(encode_trace_v2(trace)))
-        from_v2 = disk_cache.peek(KEY)
-        from_v3 = spillfmt.decode_trace(spillfmt.encode_trace(from_v2))
-        assert encode_trace_v2(from_v3) == encode_trace_v2(from_v2)
-        _phase_lists_equal(from_v3.phases, from_v2.phases)
-
-    def test_binary_spill_preferred_over_legacy(self, disk_cache):
-        trace = _trace()
-        disk_cache.get_or_build(KEY, lambda: trace)  # writes the .bin
-        legacy = disk_cache.cache_dir / spill_filenames(KEY)[1]
-        legacy.write_text(attach_digest(encode_trace_v2(trace)))
-        disk_cache.clear()
-        restored = disk_cache.peek(KEY)
-        # Loaded from the binary spill: zero-copy views, not parsed JSON.
-        assert not restored.batches[0].address.flags.writeable
 
     def test_corrupt_binary_falls_back_then_rebuilds(self, disk_cache):
         trace = _trace()
-        reference = encode_trace_v2(trace)
         disk_cache.get_or_build(KEY, lambda: trace)
         path = disk_cache.cache_dir / spill_filename(KEY)
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 3])
         disk_cache.clear()
         rebuilt = disk_cache.get_or_build(KEY, _trace)
         assert disk_cache.misses == 1
-        assert encode_trace_v2(rebuilt) == reference
+        assert disk_cache.corrupt_dropped == 1  # no trailer: corrupt
+        _phase_lists_equal(rebuilt.phases, trace.phases)
+
+    def test_trailerless_json_spill_is_dropped_on_load(self, disk_cache):
+        """A JSON spill without its digest trailer is corrupt, not a
+        legacy spill to trust: verify flags it and the loader drops it."""
+        key = ("gop-profile", "trailerless")
+        path = disk_cache.cache_dir / spill_filename(key)
+        path.write_text('{"version": 2, "profile": {"cycles": 1}}')
+        ok, issues = cache_gc.verify_artifacts(disk_cache.cache_dir)
+        assert ok == 0
+        assert [(i.path, i.status) for i in issues] == [(path, "corrupt")]
+        assert disk_cache.peek(key) is None
+        assert disk_cache.corrupt_dropped == 1
+        assert not path.exists()
 
     def test_warm_load_prices_identically(self, disk_cache):
         workload = dnn_workload("AlexNet", "Cloud")
@@ -211,36 +203,37 @@ class TestDiskTier:
     def test_stats_report_spill_counts_bytes_and_formats(self, disk_cache):
         trace = _trace()
         disk_cache.get_or_build(KEY, lambda: trace)
-        legacy = disk_cache.cache_dir / spill_filenames(KEY)[1]
-        legacy.write_text(attach_digest(encode_trace_v2(trace)))
         stats = disk_cache.stats()
         assert stats["trace_spills"] == 1
         assert stats["trace_spill_bytes"] > 0
         assert stats["spill_bytes"] == stats["trace_spill_bytes"]
-        assert stats["disk_spills_v3"] == 1
-        assert stats["disk_spills_v2"] == 1
 
 
 class TestGcAndVerifyMixedFormats:
+    """A dir holding a trace's ``.bin`` plus a retired-layout ``.json``
+    of the same key digest."""
+
     def _seed_mixed_dir(self, disk_cache):
         trace = _trace()
         disk_cache.get_or_build(KEY, lambda: trace)
-        legacy = disk_cache.cache_dir / spill_filenames(KEY)[1]
-        legacy.write_text(attach_digest(encode_trace_v2(trace)))
+        _write_legacy_json(disk_cache.cache_dir, trace)
         return disk_cache.cache_dir
 
-    def test_scan_sees_both_formats(self, disk_cache):
-        cache_dir = self._seed_mixed_dir(disk_cache)
-        artifacts = cache_gc.scan_artifacts(cache_dir)
-        assert sorted(a.format_version for a in artifacts) == [2, 3]
-        assert all(a.kind == "trace" for a in artifacts)
-
-    def test_both_formats_reachable_under_live_key(self, disk_cache):
-        cache_dir = self._seed_mixed_dir(disk_cache)
-        live = set(spill_filenames(KEY))
-        plan = cache_gc.plan_gc(cache_dir, live=live)
-        assert plan.delete == []
-        assert len(plan.keep) == 2
+    def test_legacy_json_under_live_key_is_a_miss_then_swept(self,
+                                                            disk_cache):
+        trace = _trace()
+        legacy = _write_legacy_json(disk_cache.cache_dir, trace)
+        assert not disk_cache.has_spill(KEY)
+        assert disk_cache.peek(KEY) is None
+        rebuilt = disk_cache.get_or_build(KEY, _trace)
+        assert disk_cache.misses == 1
+        _phase_lists_equal(rebuilt.phases, trace.phases)
+        binary = disk_cache.cache_dir / spill_filename(KEY)
+        assert binary.exists() and legacy.exists()
+        plan = cache_gc.plan_gc(disk_cache.cache_dir,
+                                live={spill_filename(KEY)})
+        assert [f.path for f in plan.delete] == [legacy]
+        assert [f.path for f in plan.keep] == [binary]
 
     def test_unreachable_formats_both_swept(self, disk_cache):
         cache_dir = self._seed_mixed_dir(disk_cache)
@@ -252,7 +245,9 @@ class TestGcAndVerifyMixedFormats:
     def test_verify_passes_a_clean_mixed_dir(self, disk_cache):
         cache_dir = self._seed_mixed_dir(disk_cache)
         ok, issues = cache_gc.verify_artifacts(cache_dir)
-        assert (ok, issues) == (2, [])
+        assert ok == 1
+        assert [(i.path.suffix, i.status) for i in issues] == [
+            (".json", "stale")]
 
     def test_verify_flags_flipped_byte_in_column_block(self, disk_cache):
         cache_dir = self._seed_mixed_dir(disk_cache)
@@ -261,35 +256,27 @@ class TestGcAndVerifyMixedFormats:
         data[len(data) // 2] ^= 0xFF  # deep inside a column block
         path.write_bytes(bytes(data))
         ok, issues = cache_gc.verify_artifacts(cache_dir)
-        assert ok == 1
-        assert [(i.path.name, i.status) for i in issues] == [
-            (path.name, "corrupt")]
+        assert ok == 0
+        assert sorted((i.path.name, i.status) for i in issues) == [
+            (path.name, "corrupt"), (path.stem + ".json", "stale")]
 
     def test_verify_flags_truncated_binary(self, disk_cache):
         cache_dir = self._seed_mixed_dir(disk_cache)
         path = cache_dir / spill_filename(KEY)
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         ok, issues = cache_gc.verify_artifacts(cache_dir)
-        assert ok == 1
-        assert [i.status for i in issues] == ["corrupt"]
-
-    def test_cache_stats_format_census(self, disk_cache):
-        cache_dir = self._seed_mixed_dir(disk_cache)
-        stats = cache_gc.cache_stats(cache_dir, live=set(spill_filenames(KEY)))
-        assert stats["kinds"]["trace"] == {
-            "files": 2, "bytes": stats["total_bytes"], "v2": 1, "v3": 1}
-        assert stats["format_v2"] == 1
-        assert stats["format_v3"] == 1
-        assert stats["reachable"] == 2
+        assert ok == 0
+        assert sorted((i.path.suffix, i.status) for i in issues) == [
+            (".bin", "corrupt"), (".json", "stale")]
 
 
 class TestKeyDigestStability:
     def test_spill_names_are_memoized(self):
-        assert spill_filenames(KEY) is spill_filenames(KEY)
+        assert spill_filename(KEY) is spill_filename(KEY)
 
     def test_filename_digest_unchanged_from_v2(self):
-        # The key→digest map is pinned to the v2 canonical string; the
-        # v3 payload migration must not re-address existing cache dirs.
+        # The key→digest map is pinned to the v2 canonical string, so a
+        # payload layout change never re-addresses existing cache dirs.
         import hashlib
 
         expected = hashlib.sha256(f"v2|{KEY!r}".encode()).hexdigest()[:32]
@@ -300,22 +287,6 @@ class TestKeyDigestStability:
         assert (payload_digest(blob)
                 == payload_digest(memoryview(blob))
                 == payload_digest(blob.decode()))
-
-    def test_doc_digest_accepts_bytes(self):
-        from repro.sim.tracefile import doc_digest
-
-        assert doc_digest(b"abc") == doc_digest("abc")
-
-
-class TestExternalTraceStore:
-    def test_pickles_as_plain_phases(self):
-        import pickle
-
-        trace = _trace()
-        decoded = spillfmt.decode_trace(spillfmt.encode_trace(trace))
-        clone = pickle.loads(pickle.dumps(decoded.phases))
-        assert all(type(p.accesses) is list for p in clone)
-        _phase_lists_equal(clone, trace.phases)
 
 
 class TestMemoryOnlyCache:

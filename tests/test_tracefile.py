@@ -74,6 +74,64 @@ class TestParsing:
             tracefile.loads(json.dumps(doc))
 
 
+def _with(access: dict | None = None, phase: dict | None = None,
+          **top) -> dict:
+    """A one-phase, one-access document with the given fields overridden
+    (``None`` values delete the field)."""
+    doc = json.loads(json.dumps(_MINIMAL))
+    doc["phases"] = [doc["phases"][0]]
+    doc["phases"][0]["accesses"] = [{"address": 0, "size": 1 << 16,
+                                     "sequential": False, "burst_bytes": 64}]
+    for target, fields in ((doc["phases"][0]["accesses"][0], access),
+                           (doc["phases"][0], phase), (doc, top)):
+        for name, value in (fields or {}).items():
+            if value is None:
+                target.pop(name, None)
+            else:
+                target[name] = value
+    return doc
+
+
+class TestMalformedInput:
+    """External traces are validated, never mispriced or crashed on."""
+
+    @pytest.mark.parametrize("doc,message", [
+        (_with(access={"sequential": "false"}), "phase 0 access 0: 'sequential'"),
+        (_with(access={"vn": 1.9}), "phase 0 access 0: 'vn'"),
+        (_with(access={"size": 4096.9}), "phase 0 access 0: 'size'"),
+        (_with(access={"vn": -1}), "phase 0 access 0: 'vn'"),
+        (_with(access={"vn": 2**64}), "phase 0 access 0: 'vn'"),
+        (_with(access={"address": None}), "phase 0 access 0: 'address'"),
+        (_with(phase={"accesses": [[0, 4096]]}),
+         "phase 0 access 0: an access must be a JSON object"),
+        (_with(dram_channels=0), "channels must be positive"),
+        (_with(phase={"compute_cycles": float("nan")}),
+         "phase 0: 'compute_cycles'"),
+        (_with(accel_freq_mhz=float("nan")), "accelerator frequency"),
+    ], ids=["sequential-string", "vn-float", "size-float", "vn-negative",
+            "vn-2**64", "address-missing", "access-not-object",
+            "dram-channels-0", "compute-cycles-nan", "freq-nan"])
+    def test_rejected_with_config_error(self, doc, message, tmp_path, capsys):
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(doc))
+        assert tracefile.main([str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_access_errors_name_phase_and_access(self):
+        doc = _with()
+        doc["phases"].append(_with(access={"size": "4096"})["phases"][0])
+        with pytest.raises(ConfigError, match=r"phase 1 access 0: 'size'"):
+            tracefile.loads(json.dumps(doc))
+
+    def test_json_bool_gather_prices_as_a_gather(self):
+        """The same gather, well-formed: ``sequential`` is the JSON bool."""
+        sweep = tracefile.evaluate(tracefile.loads(json.dumps(_with())))
+        assert sweep.normalized_time("MGX") == pytest.approx(9.0)
+
+
 class TestRoundTrip:
     def test_dumps_loads_identity(self):
         trace = tracefile.loads(json.dumps(_MINIMAL))
