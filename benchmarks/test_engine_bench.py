@@ -5,14 +5,18 @@ sees — capacity floods, dirty chain-heavy conveyors, and short
 walk-style scalar runs — once per available backend, so the
 ``bench_trend.py`` gate (filter term: ``engine``) tracks the compiled
 and reference implementations separately (each entry records its
-backend in ``extra_info``).  The streaming benchmark times a chunked
-trace through the session pricing path and asserts the headline memory
-property: the streamed peak stays several times below what
-materializing every batch costs.
+backend in ``extra_info``).  ``test_engine_suite_trace`` times one
+full-size BP pricing session over a suite trace — a DNN training step,
+whose run rows mix floods, dirty write-back streaks and tree walks — so
+the per-row cost of the no-compiler path is tracked too.  The streaming
+benchmark times a chunked trace through the session pricing path and
+asserts the headline memory property: the streamed peak stays several
+times below what materializing every batch costs.
 """
 
 from __future__ import annotations
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -20,8 +24,9 @@ import pytest
 
 from repro.core.access import AccessBatch, AccessKind, DataClass, MemAccess, Phase
 from repro.core.engine_backend import TreeGeometry, create_engine, native_available
-from repro.core.lru_engine import EventSink
+from repro.core.lru_engine import FLOOD_MAC, FLOOD_VN, EventSink
 from repro.core.schemes.counter_mode import FINE_MAC_POLICY, CounterModeProtection
+from repro.core.schemes.factory import make_baseline
 from repro.sim.runner import StreamingTrace, dnn_workload
 
 BACKENDS = ("python",) + (("native",) if native_available() else ())
@@ -89,6 +94,64 @@ def test_engine_walk_runs(benchmark, backend):
 
     sink = benchmark.pedantic(walk, rounds=3, iterations=1, warmup_rounds=1)
     assert sink.miss_count > 0
+
+
+#: The suite trace ``test_engine_suite_trace`` prices.
+SUITE_TRACE = ("ResNet", "Cloud")
+
+
+@functools.lru_cache(maxsize=1)
+def _suite_trace():
+    """(protected bytes, whole-trace batch, phase offsets), built once."""
+    workload = dnn_workload(*SUITE_TRACE, training=True, use_cache=False)
+    batches = workload.trace.batches
+    offsets = np.cumsum([0] + [len(batch) for batch in batches])
+    return workload.protected_bytes, AccessBatch.concat(batches), offsets
+
+
+def _price_suite_trace(monkeypatch, backend, rows=None):
+    """One BP pricing session over the whole suite trace on ``backend``:
+    per-phase traffic, the closing flush, and the cache counters.
+    ``rows`` collects each engine call's run columns."""
+    protected_bytes, batch, offsets = _suite_trace()
+    monkeypatch.setenv("REPRO_ENGINE", backend)
+    scheme = make_baseline(protected_bytes)
+    engine = scheme._lru_engine()
+    assert engine.backend_name == backend
+    if rows is not None:
+        probe = engine.probe_run_batch
+
+        def spy(*columns):
+            rows.append(columns[:7])
+            return probe(*columns)
+
+        engine.probe_run_batch = spy
+    with scheme.pricing_session() as session:
+        traffic = session.price(batch, offsets)
+    tail = scheme.finish()
+    return (traffic.table.tolist(), tail.__dict__,
+            scheme._cache.stats.as_dict())
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_engine_suite_trace(benchmark, monkeypatch, backend):
+    """A full-size BP session over a training step: every backend
+    prices identical traffic; no wall-clock bound."""
+    benchmark.extra_info["engine_backend"] = backend
+    priced = benchmark.pedantic(_price_suite_trace,
+                                args=(monkeypatch, backend),
+                                rounds=3, iterations=1, warmup_rounds=1)
+    rows: list = []
+    for other in BACKENDS:
+        assert _price_suite_trace(monkeypatch, other, rows) == priced, other
+    # The trace exercises every engine path: flood rows, dirty runs
+    # (write-back streaks) and tree walks.
+    flood = np.concatenate([columns[6] for columns in rows])
+    dirty = np.concatenate([columns[4] for columns in rows])
+    walk = np.concatenate([columns[5] for columns in rows])
+    assert (flood & FLOOD_MAC).any() and (flood & FLOOD_VN).any()
+    assert dirty.any() and walk.any()
+    assert priced[2]["writebacks"] > 0
 
 
 def _stream_phases(n_phases: int = 96, accesses_per_phase: int = 400):

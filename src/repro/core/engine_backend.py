@@ -19,11 +19,11 @@ equivalence chain in ROADMAP "Architecture invariants" extends to each
 of them, pinned by the backend-parametrized Hypothesis models in
 ``tests/test_lru_engine.py``.
 
-The native backend cannot call back into Python for the integrity-tree
-parent function, so tree-aware consumers describe their metadata layout
-as a :class:`TreeGeometry` — a flat table of ``(base, end, parent_base,
-arity)`` regions that both backends (and the C code) evaluate
-identically.
+Tree-aware consumers describe their metadata layout's integrity-tree
+parent function as a :class:`TreeGeometry` — a flat table of ``(base,
+end, parent_base, arity)`` regions.  Both backends take the same table:
+the C code scans it per line, the Python engine gathers a whole column's
+parents with one ``searchsorted`` over the region bases.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,29 +52,88 @@ _SOURCE = Path(__file__).with_name("_lru_native.c")
 _lib: object | None = None
 _load_error: str | None = None
 
+#: A gap entry's stride in :meth:`TreeGeometry.parents`: larger than
+#: any address, so every address's quotient is 0.
+_GAP_STRIDE = 1 << 62
+
 
 @dataclass(frozen=True)
 class TreeGeometry:
     """Region table describing a metadata layout's parent function.
 
     Each region ``(base, end, parent_base, arity)`` maps addresses in
-    ``[base, end)`` to ``parent_base + ((addr - base) // line_bytes //
-    arity) * line_bytes``; addresses in no region (MAC lines, the top
-    stored tree level) have no parent.  This is exactly the shape of
-    ``CounterModeProtection._parent_of``, evaluated identically by the
-    Python fallback here and the C backend's ``parent_of``.
+    ``[base, end)`` to ``parent_base + (addr - base) // (arity *
+    line_bytes) * line_bytes``; addresses in no region (MAC lines, the
+    top stored tree level) have no parent.  Regions are ascending and
+    disjoint (adjacent is fine), so an address lies in at most one and
+    the table is searchable by base.  This is exactly the shape of
+    ``CounterModeProtection._parent_of``; the C backend's ``parent_of``
+    and the Python engine (:meth:`parent_of` per line, :meth:`parents`
+    per column) evaluate it identically.  An engine only accepts a
+    geometry whose ``line_bytes`` is its own.
     """
 
     regions: tuple[tuple[int, int, int, int], ...] = ()
     line_bytes: int = CACHE_BLOCK
 
-    def parent_of(self, address: int) -> int | None:
+    def __post_init__(self) -> None:
+        if self.line_bytes <= 0:
+            raise ConfigError(
+                f"geometry line_bytes must be positive, got {self.line_bytes}"
+            )
+        previous_end = None
         for base, end, parent_base, arity in self.regions:
-            if base <= address < end:
-                return (parent_base
-                        + ((address - base) // self.line_bytes // arity)
-                        * self.line_bytes)
-        return None
+            if base >= end or arity < 1:
+                raise ConfigError(
+                    f"geometry region {(base, end, parent_base, arity)} needs "
+                    "base < end and arity >= 1"
+                )
+            if previous_end is not None and base < previous_end:
+                raise ConfigError(
+                    f"geometry regions must be ascending and disjoint: "
+                    f"{base:#x} starts below the previous end {previous_end:#x}"
+                )
+            previous_end = end
+        # The gather's table: region bases and ends split the address
+        # space into entries, each a region or a gap (below, between or
+        # above them).  A gap is base 0, parent -1 and a stride no
+        # address reaches, so its quotient is 0 and its parent -1.
+        breaks: list[int] = []
+        entries = [(0, -1, _GAP_STRIDE)]
+        for base, end, parent_base, arity in self.regions:
+            breaks += [base, end]
+            entries += [(base, parent_base, arity * self.line_bytes),
+                        (0, -1, _GAP_STRIDE)]
+        columns = np.array(entries, dtype=np.int64).T.copy()
+        # Not dataclass fields: equality and hashing stay on the table.
+        object.__setattr__(self, "_base_list", [r[0] for r in self.regions])
+        object.__setattr__(self, "_breaks", np.array(breaks, dtype=np.int64))
+        object.__setattr__(self, "_columns", columns)
+
+    def parent_of(self, address: int) -> int | None:
+        """The parent line of ``address`` (``None``: no stored parent)."""
+        index = bisect_right(self._base_list, address) - 1
+        if index < 0:
+            return None
+        base, end, parent_base, arity = self.regions[index]
+        if address >= end:
+            return None
+        line_bytes = self.line_bytes
+        return parent_base + (address - base) // (arity * line_bytes) * line_bytes
+
+    def parents(self, lines: np.ndarray) -> np.ndarray:
+        """:meth:`parent_of` over a column of (non-negative) addresses,
+        -1 for no parent.
+
+        One region gather: a ``searchsorted`` over the region bounds
+        picks each line's entry, whose base, parent base and stride
+        give the parent in three more column operations.
+        """
+        entry = np.searchsorted(self._breaks, lines, side="right")
+        bases, parent_bases, strides = self._columns
+        return (parent_bases.take(entry)
+                + (lines - bases.take(entry)) // strides.take(entry)
+                * self.line_bytes)
 
     def encode(self) -> np.ndarray:
         """Flat int64 form consumed by the C backend."""
@@ -81,6 +141,24 @@ class TreeGeometry:
         for region in self.regions:
             flat.extend(region)
         return np.array(flat, dtype=np.int64)
+
+
+def engine_geometry(geometry: TreeGeometry | None,
+                    line_bytes: int) -> TreeGeometry:
+    """The geometry an engine with ``line_bytes`` lines prices with.
+
+    ``None`` is the empty table (no line has a parent).  A table built
+    for another line size is a :class:`ConfigError`: the backends would
+    disagree on its parent arithmetic.
+    """
+    if geometry is None:
+        return TreeGeometry((), line_bytes)
+    if geometry.line_bytes != line_bytes:
+        raise ConfigError(
+            f"geometry line_bytes {geometry.line_bytes} differs from the "
+            f"engine's {line_bytes}"
+        )
+    return geometry
 
 
 def requested_backend() -> str:
@@ -281,18 +359,16 @@ def active_backend() -> str:
 def create_engine(capacity_lines: int, line_bytes: int = CACHE_BLOCK,
                   ways: int | None = None,
                   geometry: TreeGeometry | None = None,
-                  parent_of=None, parent_of_vec=None,
                   backend: str | None = None):
     """Build an LRU engine on the selected backend.
 
-    ``geometry`` is the backend-portable parent description; callers may
-    additionally pass ``parent_of``/``parent_of_vec`` callables, which
-    the Python backend prefers (they can memoize against the caller's
-    tables).  A callable parent *without* a geometry pins the engine to
-    the Python backend — the C code cannot call back into Python.
+    Both backends take the same arguments: ``geometry`` is the tree's
+    parent function (``None``: no line has a parent), and its
+    ``line_bytes`` must equal the engine's (a
+    :class:`~repro.common.errors.ConfigError` otherwise).
     """
     resolved = resolve_backend(backend)
-    if resolved == "native" and (geometry is not None or parent_of is None):
+    if resolved == "native":
         # Imported lazily: core must stay importable without repro.sim
         # (the sim package imports core during its own init).
         from repro.sim import faults
@@ -312,7 +388,5 @@ def create_engine(capacity_lines: int, line_bytes: int = CACHE_BLOCK,
             demote_to_python(f"{type(exc).__name__}: {exc}")
     from repro.core.lru_engine import LruEngine
 
-    if parent_of is None and geometry is not None:
-        parent_of = geometry.parent_of
     return LruEngine(capacity_lines, line_bytes=line_bytes, ways=ways,
-                     parent_of=parent_of, parent_of_vec=parent_of_vec)
+                     geometry=geometry)

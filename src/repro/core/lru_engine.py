@@ -40,16 +40,26 @@ Hypothesis models in ``tests/test_lru_engine.py`` and
 Set-associative configurations route every line to its set and take the
 event-by-event path (the protection schemes only build fully-associative
 caches; sets exist for the model-validation tests).
+
+The engine takes the C engine's arguments, the integrity tree's parent
+function included: a :class:`~repro.core.engine_backend.TreeGeometry`
+region table.  A victim window's or a walk wave's parents resolve in one
+region gather (:meth:`TreeGeometry.parents`), a chain's one parent at a
+time (:meth:`TreeGeometry.parent_of`).  Short work stays scalar: a run,
+a tree-walk wave or a dirty-victim streak of at most ``_SCALAR_RUN``
+lines is priced event by event, and a walk finishes line by line once
+its wave is that short, as the C engine's ``walk_tick`` does.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
 from repro.common.errors import ConfigError
 from repro.common.units import CACHE_BLOCK
+from repro.core.engine_backend import TreeGeometry, engine_geometry
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -224,29 +234,31 @@ class _RunContext:
     not-yet-touched run line *demotes* it (it will miss), and a chain
     that inserts a run line *promotes* it (it will hit).  ``pending``
     counts upcoming hits so pure-miss runs skip the rescheduling scans.
+    The run's lines ascend, so a line's position is a binary search:
+    ``bisect`` over ``line_list`` for one line, ``searchsorted`` over
+    ``lines`` for a column.
     """
 
-    __slots__ = ("lines", "resident", "pending", "position", "promoted",
-                 "_first", "_last", "_index")
+    __slots__ = ("lines", "line_list", "resident", "pending", "position",
+                 "promoted")
 
-    def __init__(self, lines: np.ndarray, resident: np.ndarray) -> None:
+    def __init__(self, lines: np.ndarray, line_list: list,
+                 resident: np.ndarray) -> None:
         self.lines = lines
+        self.line_list = line_list
         self.resident = resident
         self.pending = int(resident.sum())
         self.position = 0
         self.promoted = False
-        self._first = int(lines[0])
-        self._last = int(lines[-1])
-        self._index: dict[int, int] | None = None
 
     def _position_of(self, line: int) -> int | None:
-        if self._index is None:
-            self._index = {int(l): i for i, l in enumerate(self.lines.tolist())}
-        return self._index.get(line)
+        line_list = self.line_list
+        if line < line_list[0] or line > line_list[-1]:
+            return None
+        position = bisect_left(line_list, line)
+        return position if line_list[position] == line else None
 
     def demote(self, line: int) -> None:
-        if line < self._first or line > self._last:
-            return
         position = self._position_of(line)
         if position is not None and position >= self.position \
                 and self.resident[position]:
@@ -254,15 +266,19 @@ class _RunContext:
             self.pending -= 1
 
     def demote_array(self, lines: np.ndarray) -> None:
+        """:meth:`demote` each of ``lines`` (distinct evicted lines)."""
         if self.pending == 0 or len(lines) == 0:
             return
-        in_range = lines[(lines >= self._first) & (lines <= self._last)]
-        for line in in_range.tolist():
-            self.demote(line)
+        run = self.lines
+        positions = np.minimum(np.searchsorted(run, lines), len(run) - 1)
+        positions = positions[(run[positions] == lines)
+                              & (positions >= self.position)]
+        positions = positions[self.resident[positions]]
+        if len(positions):
+            self.resident[positions] = False
+            self.pending -= len(positions)
 
     def promote(self, line: int) -> None:
-        if line < self._first or line > self._last:
-            return
         position = self._position_of(line)
         if position is not None and position > self.position \
                 and not self.resident[position]:
@@ -274,29 +290,28 @@ class _RunContext:
 class LruEngine:
     """Exact LRU over columnar line streams (see module docstring).
 
-    Parameters mirror :class:`~repro.core.metadata_cache.MetadataCache`:
-    ``capacity_lines`` resident 64-byte lines, optionally organized into
-    ``ways``-associative sets, with ``parent_of`` giving the integrity-
-    tree parent of a line address (``None`` for MAC lines and the top
-    stored level).
+    Takes the same arguments as
+    :class:`~repro.core.lru_native.NativeLruEngine`.  They mirror
+    :class:`~repro.core.metadata_cache.MetadataCache`: ``capacity_lines``
+    resident lines of ``line_bytes``, optionally organized into
+    ``ways``-associative sets.  ``geometry``, a
+    :class:`~repro.core.engine_backend.TreeGeometry` with the same line
+    size, gives the integrity-tree parent of a line address (none for
+    MAC lines and the top stored level; ``None`` means no line has one).
     """
 
     backend_name = "python"
 
     #: Ring slack beyond capacity before a compaction pass.
     _RING_SLACK = 8192
-    #: Runs at most this long take the scalar walk — the bulk paths'
-    #: fixed setup costs more than a few exact per-line events.
+    #: Runs, tree-walk waves and dirty-victim streaks at most this long
+    #: are priced event by event — the bulk paths' fixed setup costs
+    #: more than a few exact per-line events.
     _SCALAR_RUN = 24
-    #: Entries the ``parent_of`` memo holds before it starts over, so a
-    #: streamed trace's distinct lines cannot grow it without bound.
-    _PARENT_MEMO_MAX = 4096
 
     def __init__(self, capacity_lines: int, line_bytes: int = CACHE_BLOCK,
                  ways: int | None = None,
-                 parent_of: Callable[[int], int | None] | None = None,
-                 parent_of_vec: "Callable[[np.ndarray], np.ndarray] | None" = None,
-                 ) -> None:
+                 geometry: TreeGeometry | None = None) -> None:
         if capacity_lines <= 0:
             raise ConfigError(f"capacity must be positive, got {capacity_lines}")
         if ways is not None and (ways <= 0 or capacity_lines % ways != 0):
@@ -306,12 +321,9 @@ class LruEngine:
         self.ways = ways
         self.n_sets = 1 if ways is None else capacity_lines // ways
         self.set_capacity = capacity_lines if ways is None else ways
-        self.parent_of = parent_of
-        #: Optional vectorized ``parent_of`` over a line column, with -1
-        #: for "no parent"; used to resolve a whole victim window's tree
-        #: parents in one call.
-        self.parent_of_vec = parent_of_vec
-        self._parent_memo: dict[int, int | None] = {}
+        self.geometry = engine_geometry(geometry, line_bytes)
+        #: Parent of one line (``None``: no stored parent).
+        self._parent = self.geometry.parent_of
         self._last_victim: int | None = None
         self._last_evicted: int | None = None
         size = self.set_capacity + self._RING_SLACK
@@ -395,36 +407,16 @@ class LruEngine:
             return 0
         return (line // self.line_bytes) % self.n_sets
 
-    def _parent(self, line: int) -> int | None:
-        if self.parent_of is None:
-            return None
-        memo = self._parent_memo
-        parent = memo.get(line, -1)
-        if parent == -1:
-            if len(memo) >= self._PARENT_MEMO_MAX:
-                memo.clear()
-            parent = self.parent_of(line)
-            memo[line] = parent
-        return parent
-
-    def _parents_of(self, lines: np.ndarray, flags: np.ndarray) -> list:
+    def _parents_of(self, lines: np.ndarray, flags: np.ndarray) -> np.ndarray:
         """Tree parents (-1 for none) of a victim window's dirty entries.
 
         Only dirty victims ever need their parent (clean evictions do
         not chain), so clean positions stay at -1.
         """
-        n = len(lines)
-        if self.parent_of is None or not flags.any():
-            return [-1] * n
-        parents = np.full(n, -1, dtype=np.int64)
-        index = np.nonzero(flags)[0]
-        if self.parent_of_vec is not None:
-            parents[index] = self.parent_of_vec(lines[index])
-        else:
-            dirty_lines = lines[index].tolist()
-            resolved = [self._parent(line) for line in dirty_lines]
-            parents[index] = [-1 if p is None else p for p in resolved]
-        return parents.tolist()
+        parents = np.full(len(lines), -1, dtype=np.int64)
+        if flags.any():
+            parents[flags] = self.geometry.parents(lines[flags])
+        return parents
 
     def _compact(self, index: int) -> None:
         """Squeeze tombstones out of a set's ring (O(capacity))."""
@@ -571,7 +563,7 @@ class LruEngine:
         if resident.all():
             self._bulk_touch_resident(lines, line_list, dirty, sink)
             return
-        context = _RunContext(lines, resident)
+        context = _RunContext(lines, line_list, resident)
         while context.position < n:
             position = context.position
             if resident[position]:
@@ -607,9 +599,12 @@ class LruEngine:
         valid = self._valid[0]
         window: np.ndarray = _EMPTY
         window_lines: np.ndarray = _EMPTY
-        window_dirty: list = []
         window_parent: list = []
+        #: Window indices of the dirty and the clean victims, and where
+        #: the parent changes (ends with the window length).
         dirty_idx: list = []
+        clean_idx: list = []
+        parent_breaks: list = []
         cursor = 0
         dpos = 0
         epoch = self._epoch
@@ -635,15 +630,18 @@ class LruEngine:
                 window = np.nonzero(valid[head:tail])[0][:count - free] + head
                 window_lines = self._lines[0][window]
                 flags = self._dirty[0][window]
-                window_dirty = flags.tolist()
-                dirty_idx = np.nonzero(flags)[0].tolist()
-                window_parent = self._parents_of(window_lines, flags)
+                dirty_idx = np.flatnonzero(flags).tolist()
+                clean_idx = np.flatnonzero(~flags).tolist()
+                parents = self._parents_of(window_lines, flags)
+                window_parent = parents.tolist()
+                parent_breaks = (np.flatnonzero(parents[1:] != parents[:-1])
+                                 + 1).tolist()
+                parent_breaks.append(len(window))
                 cursor = 0
                 dpos = 0
             # The next still-valid dirty blocker at or after the cursor.
-            while dpos < len(dirty_idx) and (
-                dirty_idx[dpos] < cursor or not valid[window[dirty_idx[dpos]]]
-            ):
+            dpos = bisect_left(dirty_idx, cursor, dpos)
+            while dpos < len(dirty_idx) and not valid[window[dirty_idx[dpos]]]:
                 dpos += 1
             blocker = dirty_idx[dpos] if dpos < len(dirty_idx) else len(window)
             # Clean conveyor prefix: everything up to the blocker that
@@ -685,38 +683,43 @@ class LruEngine:
             # group-wise (the tree is ``arity``-ary and victims pop in
             # line order); when every group's parent is already resident
             # each write-back just re-touches it — no chain events — so
-            # the whole streak prices in bulk, event-order exact.
-            limit = min(len(window), cursor + count)
-            streak_end = cursor
-            while (streak_end < limit and window_dirty[streak_end]
-                   and valid[window[streak_end]]):
-                streak_end += 1
-            # Split the streak into same-parent groups and validate that
-            # each parent is resident *outside* the streak (a parent
-            # inside it would be rescued mid-stream); truncate at the
-            # first group that needs the event-by-event machinery.
+            # the whole streak prices in bulk, event-order exact.  The
+            # streak runs to the first clean or stale victim: the
+            # window's dirty run from the cursor bounds it, and one
+            # vectorized validity check ends it.
+            run = bisect_left(clean_idx, cursor)
+            bound = min(clean_idx[run] if run < len(clean_idx) else len(window),
+                        cursor + count)
             groups: list = []
-            seen: set = set()
-            last_slot = int(window[streak_end - 1])
-            index = cursor
-            while index < streak_end:
-                parent = window_parent[index]
-                group_end = index + 1
-                while (group_end < streak_end
-                       and window_parent[group_end] == parent):
-                    group_end += 1
-                if parent != -1:
-                    parent_slot = slot.get(parent)
-                    if (parent_slot is None or parent in seen
-                            or parent_slot <= last_slot):
-                        streak_end = index
-                        break
-                    seen.add(parent)
-                groups.append((index, group_end, parent))
-                index = group_end
+            if bound - cursor > self._SCALAR_RUN:
+                alive = valid[window[cursor:bound]]
+                streak_end = (bound if alive.all()
+                              else cursor + int(alive.argmin()))
+                # Split the streak into same-parent groups and validate
+                # that each parent is resident *outside* the streak (a
+                # parent inside it would be rescued mid-stream); truncate
+                # at the first group that needs the event-by-event
+                # machinery.
+                seen: set = set()
+                last_slot = int(window[streak_end - 1])
+                index = cursor
+                while index < streak_end:
+                    parent = window_parent[index]
+                    group_end = min(
+                        parent_breaks[bisect_right(parent_breaks, index)],
+                        streak_end)
+                    if parent != -1:
+                        parent_slot = slot.get(parent)
+                        if (parent_slot is None or parent in seen
+                                or parent_slot <= last_slot):
+                            streak_end = index
+                            break
+                        seen.add(parent)
+                    groups.append((index, group_end, parent))
+                    index = group_end
             if not groups:
-                # First group already needs the slow path: one eviction
-                # event-by-event, chain and all.
+                # A short streak, or a first group that needs the slow
+                # path: one eviction event-by-event, chain and all.
                 self.access(line_list[start], dirty, sink, miss_sink,
                             context)
                 context.position = start + 1
@@ -753,47 +756,38 @@ class LruEngine:
         writes, and every parent re-touch is a guaranteed hit — exactly
         ``group size`` hits per parented group, no chain events.
         """
-        parents = [(group_end - cursor, parent)
-                   for _, group_end, parent in groups if parent != -1]
-        total = size + len(parents)
+        parented = [(group_start, group_end, parent)
+                    for group_start, group_end, parent in groups
+                    if parent != -1]
+        total = size + len(parented)
         self._room(0, total)
         slot = self._slot[0]
         tail = self._tail[0]
         chunk = lines[start:start + size]
+        members = line_list[start:start + size]
         lines_buf = self._lines[0][tail:tail + total]
         dirty_buf = self._dirty[0][tail:tail + total]
-        if parents:
+        hits = 0
+        if parented:
             mask = np.ones(total, dtype=bool)
-            spliced = []
-            for order, (end_offset, parent) in enumerate(parents):
-                position = end_offset + order
+            valid = self._valid[0]
+            for order, (group_start, group_end, parent) in enumerate(parented):
+                position = group_end - cursor + order
                 mask[position] = False
-                spliced.append((position, parent))
-            lines_buf[mask] = chunk
-            dirty_buf[mask] = dirty
-            for position, parent in spliced:
-                old = slot[parent]
-                self._valid[0][old] = False
+                valid[slot[parent]] = False
                 lines_buf[position] = parent
                 dirty_buf[position] = True
                 slot[parent] = tail + position
+                hits += group_end - group_start
+            lines_buf[mask] = chunk
+            dirty_buf[mask] = dirty
+            slot.update(zip(members, (np.flatnonzero(mask) + tail).tolist()))
         else:
             lines_buf[:] = chunk
             dirty_buf[:] = dirty
+            slot.update(zip(members, range(tail, tail + size)))
         self._valid[0][tail:tail + total] = True
         self._tail[0] = tail + total
-        hits = 0
-        position = tail
-        offset = start
-        for group_start, group_end, parent in groups:
-            members = group_end - group_start
-            slot.update(zip(line_list[offset:offset + members],
-                            range(position, position + members)))
-            offset += members
-            position += members
-            if parent != -1:
-                position += 1
-                hits += members
         sink.miss_count += size
         sink.misses.append(chunk)
         if miss_sink is not None:
@@ -854,16 +848,8 @@ class LruEngine:
         deduplication of the ascending input equals global dedup — one
         wave is exactly one level's unique touched parents.
         """
-        if self.parent_of_vec is not None:
-            parents = self.parent_of_vec(lines)
-        elif self.parent_of is None:
-            return _EMPTY
-        else:
-            resolved = [self._parent(line) for line in lines.tolist()]
-            parents = np.array([-1 if p is None else p for p in resolved],
-                               dtype=np.int64)
-        parents = parents[parents != -1]
-        return dedup_ascending(parents)
+        parents = self.geometry.parents(lines)
+        return dedup_ascending(parents[parents != -1])
 
     def walk_tree(self, seed_lines: np.ndarray, sink: EventSink,
                   flood: bool = False) -> None:
@@ -882,6 +868,10 @@ class LruEngine:
         tail below the tree region): no level probe can hit, chain, or
         stop early, so the waves are pure parent arithmetic and the
         whole walk is one bulk :meth:`flood_clean` replace.
+
+        Waves longer than ``_SCALAR_RUN`` go through :meth:`probe_lines`;
+        waves only shrink, so once one is that short the rest of the
+        walk runs line by line (:meth:`_walk_lines`).
         """
         wave = self._parent_wave(seed_lines)
         if flood:
@@ -892,12 +882,33 @@ class LruEngine:
             if chunks:
                 self.flood_clean(np.concatenate(chunks), sink)
             return
-        while len(wave):
+        while len(wave) > self._SCALAR_RUN:
             level_misses: list = []
             self.probe_lines(wave, False, sink, level_misses)
             if not level_misses:
                 return
             wave = self._parent_wave(drain_chunks(level_misses))
+        self._walk_lines(wave.tolist(), sink)
+
+    def _walk_lines(self, wave: list, sink: EventSink) -> None:
+        """Finish a walk line by line, as the C engine's ``walk_tick``.
+
+        Each node is touched clean through :meth:`access`, chains
+        included; a miss appends its parent unless it equals the last
+        one appended (misses ascend and the parent map is monotone
+        within a level, so that is the next wave's dedup).
+        """
+        access = self.access
+        parent_of = self._parent
+        while wave:
+            parents: list = []
+            for line in wave:
+                if not access(line, False, sink):
+                    parent = parent_of(line)
+                    if parent is not None and (not parents
+                                               or parents[-1] != parent):
+                        parents.append(parent)
+            wave = parents
 
     def probe_run_batch(self, mac_first: np.ndarray, mac_count: np.ndarray,
                         vn_first: np.ndarray, vn_count: np.ndarray,

@@ -29,7 +29,11 @@ import numpy as np
 
 from repro.common.errors import ConfigError
 from repro.common.units import CACHE_BLOCK
-from repro.core.engine_backend import TreeGeometry, native_library
+from repro.core.engine_backend import (
+    TreeGeometry,
+    engine_geometry,
+    native_library,
+)
 from repro.core.lru_engine import FLOOD_VN, EventSink
 
 _NIL = -1
@@ -59,13 +63,13 @@ class NativeLruEngine:
             raise ConfigError(f"capacity must be positive, got {capacity_lines}")
         if ways is not None and (ways <= 0 or capacity_lines % ways != 0):
             raise ConfigError(f"ways ({ways}) must divide {capacity_lines}")
+        self.geometry = engine_geometry(geometry, line_bytes)
         self._lib = native_library()
         self.capacity_lines = capacity_lines
         self.line_bytes = line_bytes
         self.ways = ways
         self.n_sets = 1 if ways is None else capacity_lines // ways
         self.set_capacity = capacity_lines if ways is None else ways
-        self.geometry = geometry
         slack = self._RING_SLACK if self.n_sets == 1 else max(
             64, self._RING_SLACK // self.n_sets
         )
@@ -85,10 +89,7 @@ class NativeLruEngine:
         self._ring_valid = np.zeros(self.n_sets * ring, dtype=np.uint8)
         self._keys = np.full(self.n_sets * table, _NIL, dtype=np.int64)
         self._vals = np.zeros(self.n_sets * table, dtype=np.int64)
-        geom = geometry.encode() if geometry is not None else np.zeros(
-            1, dtype=np.int64
-        )
-        self._geom = np.ascontiguousarray(geom, dtype=np.int64)
+        self._geom = self.geometry.encode()
         self._state_args = tuple(
             int(a.ctypes.data)
             for a in (self._hdr, self._heads, self._tails, self._counts,

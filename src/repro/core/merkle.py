@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 from repro.common.errors import ConfigError, IntegrityError
 from repro.common.units import CACHE_BLOCK, ceil_div
 
@@ -76,21 +74,6 @@ class TreeLayout:
         if not 0 <= index < self.level_sizes[level - 1]:
             raise ConfigError(f"index {index} out of range at level {level}")
         return self._level_bases[level - 1] + index * self.node_bytes
-
-    def node_addresses(self, level: int, indices: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`node_address` over an index column.
-
-        Bounds are validated once per column — the batched tree walks of
-        the reuse-distance engine resolve a whole level's node addresses
-        with one call instead of one range check per node.
-        """
-        if not 1 <= level <= self.stored_levels:
-            raise ConfigError(f"level {level} out of range 1..{self.stored_levels}")
-        if len(indices) and (
-            int(indices[0]) < 0 or int(indices[-1]) >= self.level_sizes[level - 1]
-        ):
-            raise ConfigError(f"index out of range at level {level}")
-        return self._level_bases[level - 1] + indices * self.node_bytes
 
     def level_base(self, level: int) -> int:
         """Base address of stored ``level`` (1-based from the leaves)."""

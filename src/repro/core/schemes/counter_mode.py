@@ -386,8 +386,6 @@ class CounterModeProtection(ProtectionScheme):
                 line_bytes=self._cache.line_bytes,
                 ways=self._cache.ways,
                 geometry=self._tree_geometry(),
-                parent_of=self._parent_of,
-                parent_of_vec=self._parent_of_vec,
             )
         return self._engine
 
@@ -401,11 +399,14 @@ class CounterModeProtection(ProtectionScheme):
     def _tree_geometry(self) -> TreeGeometry:
         """The metadata layout's parent function as a flat region table.
 
-        Encodes exactly :meth:`_parent_of`: the VN region maps to
-        level-1 tree nodes, each stored level below the top to the next,
-        and MAC lines / the top stored level (whose parent is the
-        on-chip root) fall in no region.  Memoized per scheme instance,
-        so repeated ``pricing_session()`` opens stop rebuilding it.
+        Encodes exactly :meth:`_parent_of` (pinned equal by
+        ``tests/test_engine_backend.py``): the VN region maps to level-1
+        tree nodes, each stored level below the top to the next, and MAC
+        lines / the top stored level (whose parent is the on-chip root)
+        fall in no region.  It is the only parent description the
+        pricing engine gets, on either backend.  Memoized per scheme
+        instance, so repeated ``pricing_session()`` opens stop
+        rebuilding it.
         """
         if self._geometry_memo is not None:
             return self._geometry_memo
@@ -422,50 +423,6 @@ class CounterModeProtection(ProtectionScheme):
         memo = TreeGeometry(tuple(regions), CACHE_BLOCK)
         self._geometry_memo = memo
         return memo
-
-    def _parent_of_vec(self, lines: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`_parent_of` over a line-address column.
-
-        Returns -1 where a line has no stored parent (MAC lines, the top
-        stored level, or any tree-less configuration).  The level of a
-        tree node resolves with one ``searchsorted`` against the
-        level-base table instead of a per-line level scan.
-        """
-        out = np.full(len(lines), -1, dtype=np.int64)
-        tree = self._tree
-        if tree is None or tree.stored_levels < 1:
-            return out
-        vn = (lines >= self._vn_base) & (lines < self._tree_base)
-        if vn.any():
-            leaf = (lines[vn] - self._vn_base) // CACHE_BLOCK
-            out[vn] = tree.node_addresses(1, leaf // tree.arity)
-        in_tree = lines >= self._tree_base
-        if in_tree.any():
-            tree_lines = lines[in_tree]
-            bases = self._tree_level_bases()
-            level = np.searchsorted(bases[1:], tree_lines, side="right") + 1
-            parents = np.full(len(tree_lines), -1, dtype=np.int64)
-            for stored in np.unique(level).tolist():
-                if stored >= tree.stored_levels:
-                    continue  # parent is the on-chip root
-                mask = level == stored
-                index = (tree_lines[mask] - tree.level_base(stored)) // CACHE_BLOCK
-                parents[mask] = tree.node_addresses(stored + 1,
-                                                    index // tree.arity)
-            out[in_tree] = parents
-        return out
-
-    def _tree_level_bases(self) -> np.ndarray:
-        bases = getattr(self, "_level_bases_array", None)
-        if bases is None:
-            assert self._tree is not None
-            bases = np.array(
-                [self._tree.level_base(level)
-                 for level in range(1, self._tree.stored_levels + 1)],
-                dtype=np.int64,
-            )
-            self._level_bases_array = bases
-        return bases
 
     def _price_batch_engine(self, batch: AccessBatch,
                             phase_offsets: np.ndarray, engine: LruEngine,

@@ -3,15 +3,18 @@
 ``REPRO_ENGINE`` picks which LRU-engine implementation prices the
 cached/tree schemes; every backend must be byte-identical, so the tests
 here pin (a) the selection rules themselves, (b) the
-:class:`TreeGeometry` region tables counter-mode schemes hand the native
-backend, (c) whole-suite pricing equality between forced backends, and
+:class:`TreeGeometry` region tables counter-mode schemes hand both
+backends — their validation, and the column gather against the per-line
+parent — (c) whole-suite pricing equality between forced backends, and
 (d) the closed-form flood-adjacent walk against the probed walk it
 replaces.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.core.engine_backend as engine_backend
 from repro.common.errors import ConfigError
@@ -25,7 +28,7 @@ from repro.core.engine_backend import (
     requested_backend,
     resolve_backend,
 )
-from repro.core.lru_engine import LruEngine
+from repro.core.lru_engine import EventSink, LruEngine
 from repro.core.schemes import scheme_suite
 from repro.core.schemes.base import one_phase
 from repro.core.schemes.counter_mode import (
@@ -88,18 +91,93 @@ class TestSelection:
         assert isinstance(engine, NativeLruEngine)
         assert engine.backend_name == "native"
 
-    @needs_native
-    def test_callable_parent_without_geometry_pins_python(self):
-        # The C engine cannot call back into Python for parents.
-        engine = create_engine(8, backend="native",
-                               parent_of=lambda address: None)
-        assert isinstance(engine, LruEngine)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_geometry_line_size_must_match_engine(self, backend):
+        """A table built for 32-byte lines on a 64-byte engine would
+        price different parents on each backend: both reject it."""
+        geometry = TreeGeometry(((0, 4096, 4096, 8),), 32)
+        with pytest.raises(ConfigError, match="line_bytes"):
+            create_engine(2, line_bytes=64, geometry=geometry,
+                          backend=backend)
+        engine = create_engine(2, line_bytes=32, geometry=geometry,
+                               backend=backend)
+        sink = EventSink()
+        engine.probe_range(0, 12, True, sink)
+        assert sink.drain_parent_misses().tolist() == [4096, 4128]
 
 
 class TestTreeGeometry:
     def test_encode_layout(self):
         table = TreeGeometry(((0, 640, 640, 8), (640, 720, 720, 4)), 64)
         assert table.encode().tolist() == [2, 0, 640, 640, 8, 640, 720, 720, 4]
+
+    @pytest.mark.parametrize("regions, line_bytes", [
+        (((0, 640, 640, 0),), 64),
+        (((0, 640, 640, -8),), 64),
+        (((640, 640, 1280, 8),), 64),
+        (((1280, 640, 2000, 8),), 64),
+        (((0, 1280, 2000, 8), (640, 1280, 4000, 8)), 64),
+        (((640, 1280, 2000, 8), (0, 640, 4000, 8)), 64),
+        ((), 0),
+        (((0, 640, 640, 8),), -64),
+    ], ids=["zero-arity", "negative-arity", "empty-region", "inverted-region",
+            "overlapping", "descending", "zero-line", "negative-line"])
+    def test_invalid_tables_rejected(self, regions, line_bytes):
+        """Tables a sorted gather (or the C loop) cannot evaluate — a
+        zero divisor, an empty or inverted range, regions out of order
+        or overlapping — are configuration errors, not crashes."""
+        with pytest.raises(ConfigError):
+            TreeGeometry(regions, line_bytes)
+
+    def test_adjacent_regions_accepted(self):
+        table = TreeGeometry(((0, 640, 2000, 8), (640, 1280, 4000, 1)), 64)
+        assert table.parent_of(576) == 2064
+        assert table.parent_of(640) == 4000
+        assert table.parent_of(704) == 4064
+
+    @given(data=st.data(), line_bytes=st.sampled_from([32, 64]),
+           n_regions=st.integers(min_value=1, max_value=4))
+    @settings(max_examples=150, deadline=None)
+    def test_parents_gather_matches_parent_of(self, data, line_bytes,
+                                              n_regions):
+        """``parents`` over a column ≡ ``parent_of`` per address, -1 for
+        ``None``, on random valid tables at every region boundary ±1
+        line and at random addresses in and between the regions."""
+        regions = []
+        cursor = data.draw(st.integers(min_value=0, max_value=8))
+        for _ in range(n_regions):
+            cursor += data.draw(st.integers(min_value=0, max_value=6))
+            size = data.draw(st.integers(min_value=1, max_value=40))
+            parent_line = data.draw(st.integers(min_value=0, max_value=500))
+            arity = data.draw(st.integers(min_value=1, max_value=8))
+            regions.append((cursor * line_bytes,
+                            (cursor + size) * line_bytes,
+                            parent_line * line_bytes, arity))
+            cursor += size
+        table = TreeGeometry(tuple(regions), line_bytes)
+        edges = {edge + delta * line_bytes
+                 for base, end, _, _ in regions for edge in (base, end)
+                 for delta in (-1, 0, 1)}
+        extra = data.draw(st.lists(
+            st.integers(min_value=0, max_value=(cursor + 8) * line_bytes),
+            max_size=30))
+        addresses = sorted(a for a in edges | set(extra) if a >= 0)
+        expected = [table.parent_of(a) for a in addresses]
+        # ``parent_of`` itself ≡ the C backend's first-match region scan.
+        assert expected == [
+            next((parent + (a - base) // line_bytes // arity * line_bytes
+                  for base, end, parent, arity in regions if base <= a < end),
+                 None)
+            for a in addresses]
+        gathered = table.parents(np.array(addresses, dtype=np.int64))
+        assert gathered.tolist() == [-1 if p is None else p
+                                     for p in expected]
+
+    def test_empty_table_gathers_no_parents(self):
+        table = TreeGeometry((), 64)
+        assert table.parents(np.array([0, 64], dtype=np.int64)).tolist() \
+            == [-1, -1]
+        assert table.parent_of(0) is None
 
     def test_parent_of_outside_regions_is_none(self):
         table = TreeGeometry(((128, 256, 512, 4),), 64)

@@ -14,9 +14,9 @@ hit/miss/writeback counters after every probe.
 Every model test runs once per available *backend* (``python`` always;
 ``native`` whenever the compiled engine builds), so the pure-Python
 reference and the C implementation are pinned to the same ground truth
-— and, transitively, to each other.  The tree-parent geometry reaches
-the native backend as a :class:`TreeGeometry` region table, which is
-itself pinned against the callable geometries the Python engine uses.
+— and, transitively, to each other.  Both backends take the tree-parent
+geometry as the same :class:`TreeGeometry` region table; the reference
+drivers use plain parent callables, pinned equal to the tables.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 from repro.common.errors import ConfigError
 from repro.core.engine_backend import (
     TreeGeometry,
+    create_engine,
     native_available,
     native_error,
 )
@@ -36,6 +37,7 @@ from repro.core.lru_engine import (
     FLOOD_VN,
     EventSink,
     LruEngine,
+    _RunContext,
     drain_chunks,
 )
 from repro.core.metadata_cache import MetadataCache
@@ -59,11 +61,12 @@ def _parent_three_level(address):
     return None
 
 
+#: The reference drivers' parent oracles.
 GEOMETRIES = {"none": None, "two": _parent_two_level, "three": _parent_three_level}
 
-#: The same geometries as flat region tables — the form the native
-#: backend consumes.  ``test_geometry_tables_match_callables`` pins the
-#: two representations to each other.
+#: The same geometries as flat region tables — the form both engine
+#: backends take.  ``test_geometry_tables_match_callables`` pins the two
+#: representations to each other.
 GEOMETRY_TABLES = {
     "none": TreeGeometry((), LINE),
     "two": TreeGeometry(((0, 64 * LINE, 64 * LINE, 8),), LINE),
@@ -85,13 +88,8 @@ needs_native = pytest.mark.skipif(
 
 def make_engine(backend, capacity, geometry="none", ways=None):
     """One engine on the requested backend over a named test geometry."""
-    if backend == "native":
-        from repro.core.lru_native import NativeLruEngine
-
-        return NativeLruEngine(capacity, line_bytes=LINE, ways=ways,
-                               geometry=GEOMETRY_TABLES[geometry])
-    return LruEngine(capacity, line_bytes=LINE, ways=ways,
-                     parent_of=GEOMETRIES[geometry])
+    return create_engine(capacity, line_bytes=LINE, ways=ways,
+                         geometry=GEOMETRY_TABLES[geometry], backend=backend)
 
 
 def test_geometry_tables_match_callables():
@@ -651,12 +649,21 @@ class TestClosedFormHooks:
         assert reference.export_state() == flooded.export_state()
 
 
-class TestBulkMachineryStress:
-    """Force the bulk paths onto tiny runs the scalar cutoff would take."""
+#: Scalar cutoffs the stress tests force onto the python engine: at 0
+#: every run, walk wave and dirty streak goes bulk; at 2 walks start bulk
+#: and hand off to the line-by-line finish mid-walk.
+STRESS_CUTOFFS = (0, 2)
 
-    @pytest.fixture(autouse=True)
-    def force_bulk(self, monkeypatch):
-        monkeypatch.setattr(LruEngine, "_SCALAR_RUN", 0)
+
+def _stress_engine(capacity, geometry, cutoff):
+    engine = make_engine("python", capacity, geometry)
+    engine._SCALAR_RUN = cutoff
+    return engine
+
+
+class TestBulkMachineryStress:
+    """Force the bulk paths onto tiny runs, walk waves and streaks the
+    scalar cutoff would take, at every cutoff in ``STRESS_CUTOFFS``."""
 
     @given(
         segments=st.lists(
@@ -671,15 +678,56 @@ class TestBulkMachineryStress:
     @settings(max_examples=100, deadline=None)
     def test_bulk_paths_match_walk(self, segments, capacity, geometry):
         parent_of = GEOMETRIES[geometry]
-        cache = MetadataCache(capacity * LINE)
-        engine = LruEngine(capacity, parent_of=parent_of)
-        for start, n_lines, dirty in segments:
-            expected = _drive_reference(cache, start, n_lines, dirty, parent_of)
+        for cutoff in STRESS_CUTOFFS:
+            cache = MetadataCache(capacity * LINE)
+            engine = _stress_engine(capacity, geometry, cutoff)
+            for start, n_lines, dirty in segments:
+                expected = _drive_reference(cache, start, n_lines, dirty,
+                                            parent_of)
+                sink = EventSink()
+                engine.probe_range(start * LINE, n_lines, dirty, sink)
+                assert sink.drain_misses().tolist() == expected[0]
+                assert sink.drain_writebacks().tolist() == expected[1]
+                assert sink.drain_parent_misses().tolist() == expected[2]
+                _assert_state_equal(engine, cache)
+
+    @given(
+        rows=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=8),
+                      st.integers(min_value=0, max_value=6),
+                      st.integers(min_value=16, max_value=40),
+                      st.integers(min_value=1, max_value=24),
+                      st.booleans(),
+                      st.booleans(),
+                      _FLOOD_FLAGS),
+            min_size=1, max_size=20,
+        ),
+        capacity=st.sampled_from([2, 4, 8, 16]),
+        geometry=st.sampled_from(["two", "three"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bulk_walks_match_access_walk(self, rows, capacity, geometry):
+        """Run batches whose tree walks probe waves in bulk (and hand
+        off mid-walk) ≡ the per-line walk with flushes."""
+        parent_of = GEOMETRIES[geometry]
+        byte_rows = [(mac_start * LINE, mac_n, vn_start * LINE, vn_n,
+                      dirty, walk, flood)
+                     for mac_start, mac_n, vn_start, vn_n, dirty, walk, flood
+                     in rows]
+        for cutoff in STRESS_CUTOFFS:
+            cache = MetadataCache(capacity * LINE)
+            engine = _stress_engine(capacity, geometry, cutoff)
             sink = EventSink()
-            engine.probe_range(start * LINE, n_lines, dirty, sink)
+            ends = engine.probe_run_batch(*_run_batch_columns(byte_rows),
+                                          sink)
+            expected = _drive_reference_runs(cache, byte_rows, parent_of)
             assert sink.drain_misses().tolist() == expected[0]
             assert sink.drain_writebacks().tolist() == expected[1]
             assert sink.drain_parent_misses().tolist() == expected[2]
+            assert ends.tolist() == expected[3]
+            assert (sink.hits, sink.miss_count, sink.writeback_count) == \
+                (cache.stats.get("hits"), cache.stats.get("misses"),
+                 cache.stats.get("writebacks"))
             _assert_state_equal(engine, cache)
 
 
@@ -703,6 +751,36 @@ class TestStateAndSink:
         engine.probe_range(2 * LINE, 1, False, sink)
         assert engine.flush().tolist() == [0, LINE]
         assert len(engine) == 0
+
+
+class TestRunContext:
+    @given(
+        run=st.lists(st.integers(min_value=0, max_value=60), min_size=1,
+                     max_size=20, unique=True),
+        flags=st.lists(st.booleans(), min_size=20, max_size=20),
+        position=st.integers(min_value=0, max_value=20),
+        evicted=st.lists(st.integers(min_value=0, max_value=70),
+                         max_size=25, unique=True),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_demote_array_matches_per_line_demote(self, run, flags,
+                                                  position, evicted):
+        """The column demotion (one ``searchsorted``) ≡ demoting each
+        evicted line in turn: only upcoming predicted hits flip."""
+        lines = np.array(sorted(run), dtype=np.int64) * LINE
+        resident = np.array(flags[:len(lines)])
+        position = min(position, len(lines))
+        bulk = _RunContext(lines, lines.tolist(), resident.copy())
+        single = _RunContext(lines, lines.tolist(), resident.copy())
+        bulk.position = single.position = position
+        evicted_lines = np.array(evicted, dtype=np.int64) * LINE
+        bulk.demote_array(evicted_lines)
+        for line in evicted_lines.tolist():
+            single.demote(line)
+        assert bulk.resident.tolist() == single.resident.tolist()
+        assert bulk.pending == single.pending
+        assert bulk.resident[:position].tolist() == \
+            resident[:position].tolist()
 
 
 class TestSinkMachinery:
@@ -736,27 +814,11 @@ class TestSinkMachinery:
         with pytest.raises(ConfigError):
             engine.load_state([{}, {}])  # one set expected
 
-    def test_parent_memo_stays_bounded(self, monkeypatch):
-        """The ``parent_of`` memo starts over at its bound instead of
-        growing with every distinct line a long stream evicts dirty."""
-        monkeypatch.setattr(LruEngine, "_PARENT_MEMO_MAX", 4)
-        cache = MetadataCache(4 * LINE)
-        engine = LruEngine(4, parent_of=_parent_three_level)
-        sink = EventSink()
-        for start in range(0, 60, 3):
-            expected = _drive_reference(cache, start, 5, True,
-                                        _parent_three_level)
-            engine.probe_range(start * LINE, 5, True, sink)
-            assert sink.drain_writebacks().tolist() == expected[1]
-            assert sink.drain_parent_misses().tolist() == expected[2]
-            assert len(engine._parent_memo) <= 4
-        _assert_state_equal(engine, cache)
-
     def test_ring_compaction_preserves_state(self):
         """Touch far more lines than the ring slack to force compaction."""
         capacity = 4
         cache = MetadataCache(capacity * LINE)
-        engine = LruEngine(capacity, parent_of=_parent_two_level)
+        engine = make_engine("python", capacity, "two")
         sink = EventSink()
         for round_index in range(3000):
             start = (round_index * 3) % 60
