@@ -52,10 +52,6 @@ _SOURCE = Path(__file__).with_name("_lru_native.c")
 _lib: object | None = None
 _load_error: str | None = None
 
-#: A gap entry's stride in :meth:`TreeGeometry.parents`: larger than
-#: any address, so every address's quotient is 0.
-_GAP_STRIDE = 1 << 62
-
 
 @dataclass(frozen=True)
 class TreeGeometry:
@@ -64,55 +60,42 @@ class TreeGeometry:
     Each region ``(base, end, parent_base, arity)`` maps addresses in
     ``[base, end)`` to ``parent_base + (addr - base) // (arity *
     line_bytes) * line_bytes``; addresses in no region (MAC lines, the
-    top stored tree level) have no parent.  Regions are ascending and
-    disjoint (adjacent is fine), so an address lies in at most one and
-    the table is searchable by base.  This is exactly the shape of
-    ``CounterModeProtection._parent_of``; the C backend's ``parent_of``
-    and the Python engine (:meth:`parent_of` per line, :meth:`parents`
-    per column) evaluate it identically.  An engine only accepts a
-    geometry whose ``line_bytes`` is its own.
+    top stored tree level) have no parent.  Regions are non-empty,
+    ascending and disjoint (adjacent is fine), so an address lies in at
+    most one.  This is exactly the shape of
+    ``CounterModeProtection._parent_of``, evaluated identically by the C
+    backend's ``parent_of`` and here, per line or per column.
     """
 
     regions: tuple[tuple[int, int, int, int], ...] = ()
     line_bytes: int = CACHE_BLOCK
 
     def __post_init__(self) -> None:
-        if self.line_bytes <= 0:
+        bounds = [edge for region in self.regions for edge in region[:2]]
+        if (self.line_bytes <= 0 or bounds != sorted(bounds)
+                or any(base >= end or arity < 1
+                       for base, end, _, arity in self.regions)):
             raise ConfigError(
-                f"geometry line_bytes must be positive, got {self.line_bytes}"
+                f"invalid tree geometry {self.regions} with line_bytes "
+                f"{self.line_bytes}: regions must be non-empty, ascending "
+                "and disjoint, with arity >= 1 and line_bytes > 0"
             )
-        previous_end = None
-        for base, end, parent_base, arity in self.regions:
-            if base >= end or arity < 1:
-                raise ConfigError(
-                    f"geometry region {(base, end, parent_base, arity)} needs "
-                    "base < end and arity >= 1"
-                )
-            if previous_end is not None and base < previous_end:
-                raise ConfigError(
-                    f"geometry regions must be ascending and disjoint: "
-                    f"{base:#x} starts below the previous end {previous_end:#x}"
-                )
-            previous_end = end
-        # The gather's table: region bases and ends split the address
-        # space into entries, each a region or a gap (below, between or
-        # above them).  A gap is base 0, parent -1 and a stride no
-        # address reaches, so its quotient is 0 and its parent -1.
-        breaks: list[int] = []
-        entries = [(0, -1, _GAP_STRIDE)]
-        for base, end, parent_base, arity in self.regions:
-            breaks += [base, end]
-            entries += [(base, parent_base, arity * self.line_bytes),
-                        (0, -1, _GAP_STRIDE)]
-        columns = np.array(entries, dtype=np.int64).T.copy()
+        # The gather's table: the region bounds split the address space
+        # into regions and gaps; a gap (base 0, parent -1, a stride past
+        # any address) yields parent -1 with no mask.
+        gap = (0, -1, 1 << 62)
+        entries = [gap]
+        for base, _, parent_base, arity in self.regions:
+            entries += [(base, parent_base, arity * self.line_bytes), gap]
         # Not dataclass fields: equality and hashing stay on the table.
-        object.__setattr__(self, "_base_list", [r[0] for r in self.regions])
-        object.__setattr__(self, "_breaks", np.array(breaks, dtype=np.int64))
-        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_bases", bounds[::2])
+        object.__setattr__(self, "_bounds", np.array(bounds, dtype=np.int64))
+        object.__setattr__(self, "_entries",
+                           np.array(entries, dtype=np.int64).T.copy())
 
     def parent_of(self, address: int) -> int | None:
         """The parent line of ``address`` (``None``: no stored parent)."""
-        index = bisect_right(self._base_list, address) - 1
+        index = bisect_right(self._bases, address) - 1
         if index < 0:
             return None
         base, end, parent_base, arity = self.regions[index]
@@ -122,15 +105,10 @@ class TreeGeometry:
         return parent_base + (address - base) // (arity * line_bytes) * line_bytes
 
     def parents(self, lines: np.ndarray) -> np.ndarray:
-        """:meth:`parent_of` over a column of (non-negative) addresses,
-        -1 for no parent.
-
-        One region gather: a ``searchsorted`` over the region bounds
-        picks each line's entry, whose base, parent base and stride
-        give the parent in three more column operations.
-        """
-        entry = np.searchsorted(self._breaks, lines, side="right")
-        bases, parent_bases, strides = self._columns
+        """:meth:`parent_of` over a column of addresses, -1 for none:
+        one ``searchsorted`` over the region bounds, then a gather."""
+        entry = np.searchsorted(self._bounds, lines, side="right")
+        bases, parent_bases, strides = self._entries
         return (parent_bases.take(entry)
                 + (lines - bases.take(entry)) // strides.take(entry)
                 * self.line_bytes)
@@ -145,12 +123,9 @@ class TreeGeometry:
 
 def engine_geometry(geometry: TreeGeometry | None,
                     line_bytes: int) -> TreeGeometry:
-    """The geometry an engine with ``line_bytes`` lines prices with.
-
-    ``None`` is the empty table (no line has a parent).  A table built
-    for another line size is a :class:`ConfigError`: the backends would
-    disagree on its parent arithmetic.
-    """
+    """An engine's geometry: ``None`` is the empty table, and a table
+    for another line size is a :class:`ConfigError` (the backends would
+    disagree on its parent arithmetic)."""
     if geometry is None:
         return TreeGeometry((), line_bytes)
     if geometry.line_bytes != line_bytes:

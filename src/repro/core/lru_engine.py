@@ -41,14 +41,12 @@ Set-associative configurations route every line to its set and take the
 event-by-event path (the protection schemes only build fully-associative
 caches; sets exist for the model-validation tests).
 
-The engine takes the C engine's arguments, the integrity tree's parent
-function included: a :class:`~repro.core.engine_backend.TreeGeometry`
-region table.  A victim window's or a walk wave's parents resolve in one
-region gather (:meth:`TreeGeometry.parents`), a chain's one parent at a
-time (:meth:`TreeGeometry.parent_of`).  Short work stays scalar: a run,
-a tree-walk wave or a dirty-victim streak of at most ``_SCALAR_RUN``
-lines is priced event by event, and a walk finishes line by line once
-its wave is that short, as the C engine's ``walk_tick`` does.
+Tree parents come from the C engine's own
+:class:`~repro.core.engine_backend.TreeGeometry`: one region gather per
+victim window or walk wave, one lookup per chain step.  Runs, walk waves
+and dirty streaks of at most ``_SCALAR_RUN`` lines go event by event; a
+walk finishes line by line once its wave is that short, as C's
+``walk_tick`` does.
 """
 
 from __future__ import annotations
@@ -213,9 +211,6 @@ class EventSink:
         self.miss_count = 0
         self.writeback_count = 0
 
-    #: Kept for the walk-level plain chunk lists (``run_misses``).
-    _drain = staticmethod(drain_chunks)
-
     def drain_misses(self) -> np.ndarray:
         return self.misses.drain()
 
@@ -252,11 +247,10 @@ class _RunContext:
         self.promoted = False
 
     def _position_of(self, line: int) -> int | None:
-        line_list = self.line_list
-        if line < line_list[0] or line > line_list[-1]:
-            return None
-        position = bisect_left(line_list, line)
-        return position if line_list[position] == line else None
+        position = bisect_left(self.line_list, line)
+        if position < len(self.line_list) and self.line_list[position] == line:
+            return position
+        return None
 
     def demote(self, line: int) -> None:
         position = self._position_of(line)
@@ -290,14 +284,10 @@ class _RunContext:
 class LruEngine:
     """Exact LRU over columnar line streams (see module docstring).
 
-    Takes the same arguments as
-    :class:`~repro.core.lru_native.NativeLruEngine`.  They mirror
-    :class:`~repro.core.metadata_cache.MetadataCache`: ``capacity_lines``
-    resident lines of ``line_bytes``, optionally organized into
-    ``ways``-associative sets.  ``geometry``, a
-    :class:`~repro.core.engine_backend.TreeGeometry` with the same line
-    size, gives the integrity-tree parent of a line address (none for
-    MAC lines and the top stored level; ``None`` means no line has one).
+    Arguments are :class:`~repro.core.lru_native.NativeLruEngine`'s:
+    ``capacity_lines`` resident lines of ``line_bytes``, optionally in
+    ``ways``-associative sets, with ``geometry`` (same line size; ``None``
+    for none) giving each line's integrity-tree parent.
     """
 
     backend_name = "python"
@@ -432,9 +422,7 @@ class LruEngine:
         self._valid[index][:n] = True
         self._head[index] = 0
         self._tail[index] = n
-        slot = self._slot[index]
-        for position, line in enumerate(lines.tolist()):
-            slot[line] = position
+        self._slot[index].update(zip(lines.tolist(), range(n)))
 
     def _room(self, index: int, needed: int) -> None:
         if self._tail[index] + needed > len(self._lines[index]):
@@ -449,44 +437,34 @@ class LruEngine:
         caller to chain on (``None`` otherwise).
         """
         slot = self._slot[index]
+        lines_buf = self._lines[index]
+        dirty_buf = self._dirty[index]
+        valid = self._valid[index]
         position = slot.get(line)
+        victim = evicted = None
         if position is not None:
-            was_dirty = bool(self._dirty[index][position])
-            self._valid[index][position] = False
-            self._room(index, 1)
-            tail = self._tail[index]
-            self._lines[index][tail] = line
-            self._dirty[index][tail] = dirty or was_dirty
-            self._valid[index][tail] = True
-            slot[line] = tail
-            self._tail[index] = tail + 1
-            self._last_victim = None
-            self._last_evicted = None
-            return True
-        victim = None
-        evicted = None
-        if len(slot) >= self.set_capacity:
+            dirty = dirty or bool(dirty_buf[position])
+            valid[position] = False
+        elif len(slot) >= self.set_capacity:
             head = self._head[index]
-            valid = self._valid[index]
             while not valid[head]:
                 head += 1
-            victim_line = int(self._lines[index][head])
-            evicted = victim_line
-            if self._dirty[index][head]:
-                victim = victim_line
+            evicted = int(lines_buf[head])
+            if dirty_buf[head]:
+                victim = evicted
             valid[head] = False
             self._head[index] = head + 1
-            del slot[victim_line]
+            del slot[evicted]
         self._room(index, 1)
         tail = self._tail[index]
-        self._lines[index][tail] = line
-        self._dirty[index][tail] = dirty
-        self._valid[index][tail] = True
+        lines_buf[tail] = line
+        dirty_buf[tail] = dirty
+        valid[tail] = True
         slot[line] = tail
         self._tail[index] = tail + 1
         self._last_victim = victim
         self._last_evicted = evicted
-        return False
+        return position is not None
 
     def access(self, line: int, dirty: bool, sink: EventSink,
                miss_sink: list | None = None,
@@ -559,7 +537,10 @@ class LruEngine:
             return
         slot = self._slot[0]
         line_list = lines.tolist()
-        resident = np.fromiter(map(slot.__contains__, line_list), bool, n)
+        if slot.keys().isdisjoint(line_list):
+            resident = np.zeros(n, dtype=bool)
+        else:
+            resident = np.fromiter(map(slot.__contains__, line_list), bool, n)
         if resident.all():
             self._bulk_touch_resident(lines, line_list, dirty, sink)
             return
@@ -598,12 +579,12 @@ class LruEngine:
         slot = self._slot[0]
         valid = self._valid[0]
         window: np.ndarray = _EMPTY
-        window_lines: np.ndarray = _EMPTY
-        window_parent: list = []
-        #: Window indices of the dirty and the clean victims, and where
-        #: the parent changes (ends with the window length).
+        flags: np.ndarray = _EMPTY
         dirty_idx: list = []
-        clean_idx: list = []
+        # Built at a window's first dirty streak: the clean victims'
+        # window indices, the victims' parents and where they change.
+        clean_idx: list | None = None
+        window_parent: list = []
         parent_breaks: list = []
         cursor = 0
         dpos = 0
@@ -625,18 +606,12 @@ class LruEngine:
                 return
             if cursor >= len(window):
                 # (Re)scan the upcoming victims in ring order, with
-                # their dirty bits and tree parents resolved in bulk.
+                # their dirty bits resolved in bulk.
                 head, tail = self._head[0], self._tail[0]
                 window = np.nonzero(valid[head:tail])[0][:count - free] + head
-                window_lines = self._lines[0][window]
                 flags = self._dirty[0][window]
-                dirty_idx = np.flatnonzero(flags).tolist()
-                clean_idx = np.flatnonzero(~flags).tolist()
-                parents = self._parents_of(window_lines, flags)
-                window_parent = parents.tolist()
-                parent_breaks = (np.flatnonzero(parents[1:] != parents[:-1])
-                                 + 1).tolist()
-                parent_breaks.append(len(window))
+                dirty_idx = flags.nonzero()[0].tolist()
+                clean_idx = None
                 cursor = 0
                 dpos = 0
             # The next still-valid dirty blocker at or after the cursor.
@@ -687,6 +662,13 @@ class LruEngine:
             # streak runs to the first clean or stale victim: the
             # window's dirty run from the cursor bounds it, and one
             # vectorized validity check ends it.
+            if clean_idx is None:
+                clean_idx = (~flags).nonzero()[0].tolist()
+                parents = self._parents_of(self._lines[0][window], flags)
+                window_parent = parents.tolist()
+                parent_breaks = ((parents[1:] != parents[:-1]).nonzero()[0]
+                                 + 1).tolist()
+                parent_breaks.append(len(window))
             run = bisect_left(clean_idx, cursor)
             bound = min(clean_idx[run] if run < len(clean_idx) else len(window),
                         cursor + count)
@@ -756,37 +738,30 @@ class LruEngine:
         writes, and every parent re-touch is a guaranteed hit — exactly
         ``group size`` hits per parented group, no chain events.
         """
-        parented = [(group_start, group_end, parent)
-                    for group_start, group_end, parent in groups
-                    if parent != -1]
+        parented = [group for group in groups if group[2] != -1]
         total = size + len(parented)
         self._room(0, total)
         slot = self._slot[0]
+        valid = self._valid[0]
         tail = self._tail[0]
         chunk = lines[start:start + size]
-        members = line_list[start:start + size]
         lines_buf = self._lines[0][tail:tail + total]
         dirty_buf = self._dirty[0][tail:tail + total]
+        mask = np.ones(total, dtype=bool)
         hits = 0
-        if parented:
-            mask = np.ones(total, dtype=bool)
-            valid = self._valid[0]
-            for order, (group_start, group_end, parent) in enumerate(parented):
-                position = group_end - cursor + order
-                mask[position] = False
-                valid[slot[parent]] = False
-                lines_buf[position] = parent
-                dirty_buf[position] = True
-                slot[parent] = tail + position
-                hits += group_end - group_start
-            lines_buf[mask] = chunk
-            dirty_buf[mask] = dirty
-            slot.update(zip(members, (np.flatnonzero(mask) + tail).tolist()))
-        else:
-            lines_buf[:] = chunk
-            dirty_buf[:] = dirty
-            slot.update(zip(members, range(tail, tail + size)))
-        self._valid[0][tail:tail + total] = True
+        for order, (group_start, group_end, parent) in enumerate(parented):
+            position = group_end - cursor + order
+            mask[position] = False
+            valid[slot[parent]] = False
+            lines_buf[position] = parent
+            dirty_buf[position] = True
+            slot[parent] = tail + position
+            hits += group_end - group_start
+        lines_buf[mask] = chunk
+        dirty_buf[mask] = dirty
+        slot.update(zip(line_list[start:start + size],
+                        (np.flatnonzero(mask) + tail).tolist()))
+        valid[tail:tail + total] = True
         self._tail[0] = tail + total
         sink.miss_count += size
         sink.misses.append(chunk)
@@ -871,7 +846,7 @@ class LruEngine:
 
         Waves longer than ``_SCALAR_RUN`` go through :meth:`probe_lines`;
         waves only shrink, so once one is that short the rest of the
-        walk runs line by line (:meth:`_walk_lines`).
+        walk runs line by line.
         """
         wave = self._parent_wave(seed_lines)
         if flood:
@@ -888,23 +863,16 @@ class LruEngine:
             if not level_misses:
                 return
             wave = self._parent_wave(drain_chunks(level_misses))
-        self._walk_lines(wave.tolist(), sink)
-
-    def _walk_lines(self, wave: list, sink: EventSink) -> None:
-        """Finish a walk line by line, as the C engine's ``walk_tick``.
-
-        Each node is touched clean through :meth:`access`, chains
-        included; a miss appends its parent unless it equals the last
-        one appended (misses ascend and the parent map is monotone
-        within a level, so that is the next wave's dedup).
-        """
-        access = self.access
-        parent_of = self._parent
+        # Short waves, line by line as C's ``walk_tick``: each node is
+        # touched clean, chains included, and a miss appends its parent
+        # unless it repeats the last one appended (misses ascend and the
+        # parent map is monotone within a level: that is the dedup).
+        wave = wave.tolist()
         while wave:
             parents: list = []
             for line in wave:
-                if not access(line, False, sink):
-                    parent = parent_of(line)
+                if not self.access(line, False, sink):
+                    parent = self._parent(line)
                     if parent is not None and (not parents
                                                or parents[-1] != parent):
                         parents.append(parent)
