@@ -97,7 +97,7 @@ def test_engine_walk_runs(benchmark, backend):
 
 
 #: The suite trace ``test_engine_suite_trace`` prices.
-SUITE_TRACE = ("ResNet", "Cloud")
+SUITE_TRACE = ("GoogleNet", "Cloud")
 
 
 @functools.lru_cache(maxsize=1)

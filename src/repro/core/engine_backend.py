@@ -23,7 +23,7 @@ Tree-aware consumers describe their metadata layout's integrity-tree
 parent function as a :class:`TreeGeometry` — a flat table of ``(base,
 end, parent_base, arity)`` regions.  Both backends take the same table:
 the C code scans it per line, the Python engine gathers a whole column's
-parents with one ``searchsorted`` over the region bases.
+parents with one ``searchsorted`` over the region bounds.
 """
 
 from __future__ import annotations

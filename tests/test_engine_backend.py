@@ -142,7 +142,8 @@ class TestTreeGeometry:
                                               n_regions):
         """``parents`` over a column ≡ ``parent_of`` per address, -1 for
         ``None``, on random valid tables at every region boundary ±1
-        line and at random addresses in and between the regions."""
+        line and at random addresses in and between the regions, in any
+        order (victim windows are in recency order, not address order)."""
         regions = []
         cursor = data.draw(st.integers(min_value=0, max_value=8))
         for _ in range(n_regions):
@@ -161,7 +162,8 @@ class TestTreeGeometry:
         extra = data.draw(st.lists(
             st.integers(min_value=0, max_value=(cursor + 8) * line_bytes),
             max_size=30))
-        addresses = sorted(a for a in edges | set(extra) if a >= 0)
+        addresses = data.draw(st.permutations(
+            sorted(a for a in edges | set(extra) if a >= 0)))
         expected = [table.parent_of(a) for a in addresses]
         # ``parent_of`` itself ≡ the C backend's first-match region scan.
         assert expected == [
