@@ -88,26 +88,25 @@ class TreeGeometry:
         for base, _, parent_base, arity in self.regions:
             entries += [(base, parent_base, arity * self.line_bytes), gap]
         # Not dataclass fields: equality and hashing stay on the table.
-        object.__setattr__(self, "_bases", bounds[::2])
-        object.__setattr__(self, "_bounds", np.array(bounds, dtype=np.int64))
+        object.__setattr__(self, "_bounds", bounds)
+        object.__setattr__(self, "_bounds_array",
+                           np.array(bounds, dtype=np.int64))
         object.__setattr__(self, "_entries",
                            np.array(entries, dtype=np.int64).T.copy())
 
     def parent_of(self, address: int) -> int | None:
         """The parent line of ``address`` (``None``: no stored parent)."""
-        index = bisect_right(self._bases, address) - 1
-        if index < 0:
-            return None
-        base, end, parent_base, arity = self.regions[index]
-        if address >= end:
-            return None
+        entry = bisect_right(self._bounds, address)
+        if entry % 2 == 0:
+            return None  # below, between or above the regions
+        base, _, parent_base, arity = self.regions[entry // 2]
         line_bytes = self.line_bytes
         return parent_base + (address - base) // (arity * line_bytes) * line_bytes
 
     def parents(self, lines: np.ndarray) -> np.ndarray:
         """:meth:`parent_of` over a column of addresses, -1 for none:
         one ``searchsorted`` over the region bounds, then a gather."""
-        entry = np.searchsorted(self._bounds, lines, side="right")
+        entry = np.searchsorted(self._bounds_array, lines, side="right")
         bases, parent_bases, strides = self._entries
         return (parent_bases.take(entry)
                 + (lines - bases.take(entry)) // strides.take(entry)
