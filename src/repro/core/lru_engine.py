@@ -43,10 +43,10 @@ caches; sets exist for the model-validation tests).
 
 Tree parents come from the C engine's own
 :class:`~repro.core.engine_backend.TreeGeometry`: one region gather per
-victim window or walk wave, one lookup per chain step.  Runs, walk waves
-and dirty streaks of at most ``_SCALAR_RUN`` lines go event by event; a
-walk finishes line by line once its wave is that short, as C's
-``walk_tick`` does.
+victim window or walk wave, one lookup per chain step.  Runs and walk
+waves of at most ``_SCALAR_RUN`` lines go event by event; a walk
+finishes line by line once its wave is that short, as C's ``walk_tick``
+does.
 """
 
 from __future__ import annotations
@@ -294,9 +294,9 @@ class LruEngine:
 
     #: Ring slack beyond capacity before a compaction pass.
     _RING_SLACK = 8192
-    #: Runs, tree-walk waves and dirty-victim streaks at most this long
-    #: are priced event by event — the bulk paths' fixed setup costs
-    #: more than a few exact per-line events.
+    #: Runs and tree-walk waves at most this long are priced event by
+    #: event — the bulk paths' fixed setup costs more than a few exact
+    #: per-line events.
     _SCALAR_RUN = 24
 
     def __init__(self, capacity_lines: int, line_bytes: int = CACHE_BLOCK,
@@ -537,10 +537,7 @@ class LruEngine:
             return
         slot = self._slot[0]
         line_list = lines.tolist()
-        if slot.keys().isdisjoint(line_list):
-            resident = np.zeros(n, dtype=bool)
-        else:
-            resident = np.fromiter(map(slot.__contains__, line_list), bool, n)
+        resident = np.fromiter(map(slot.__contains__, line_list), bool, n)
         if resident.all():
             self._bulk_touch_resident(lines, line_list, dirty, sink)
             return
@@ -672,36 +669,33 @@ class LruEngine:
             run = bisect_left(clean_idx, cursor)
             bound = min(clean_idx[run] if run < len(clean_idx) else len(window),
                         cursor + count)
+            alive = valid[window[cursor:bound]]
+            streak_end = bound if alive.all() else cursor + int(alive.argmin())
+            # Split the streak into same-parent groups and validate that
+            # each parent is resident *outside* the streak (a parent
+            # inside it would be rescued mid-stream); truncate at the
+            # first group that needs the event-by-event machinery.
             groups: list = []
-            if bound - cursor > self._SCALAR_RUN:
-                alive = valid[window[cursor:bound]]
-                streak_end = (bound if alive.all()
-                              else cursor + int(alive.argmin()))
-                # Split the streak into same-parent groups and validate
-                # that each parent is resident *outside* the streak (a
-                # parent inside it would be rescued mid-stream); truncate
-                # at the first group that needs the event-by-event
-                # machinery.
-                seen: set = set()
-                last_slot = int(window[streak_end - 1])
-                index = cursor
-                while index < streak_end:
-                    parent = window_parent[index]
-                    group_end = min(
-                        parent_breaks[bisect_right(parent_breaks, index)],
-                        streak_end)
-                    if parent != -1:
-                        parent_slot = slot.get(parent)
-                        if (parent_slot is None or parent in seen
-                                or parent_slot <= last_slot):
-                            streak_end = index
-                            break
-                        seen.add(parent)
-                    groups.append((index, group_end, parent))
-                    index = group_end
+            seen: set = set()
+            last_slot = int(window[streak_end - 1])
+            index = cursor
+            while index < streak_end:
+                parent = window_parent[index]
+                group_end = min(
+                    parent_breaks[bisect_right(parent_breaks, index)],
+                    streak_end)
+                if parent != -1:
+                    parent_slot = slot.get(parent)
+                    if (parent_slot is None or parent in seen
+                            or parent_slot <= last_slot):
+                        streak_end = index
+                        break
+                    seen.add(parent)
+                groups.append((index, group_end, parent))
+                index = group_end
             if not groups:
-                # A short streak, or a first group that needs the slow
-                # path: one eviction event-by-event, chain and all.
+                # First group already needs the slow path: one eviction
+                # event-by-event, chain and all.
                 self.access(line_list[start], dirty, sink, miss_sink,
                             context)
                 context.position = start + 1

@@ -650,8 +650,8 @@ class TestClosedFormHooks:
 
 
 #: Scalar cutoffs the stress tests force onto the python engine: at 0
-#: every run, walk wave and dirty streak goes bulk; at 2 walks start bulk
-#: and hand off to the line-by-line finish mid-walk.
+#: every run and walk wave goes bulk; at 2 walks start bulk and hand off
+#: to the line-by-line finish mid-walk.
 STRESS_CUTOFFS = (0, 2)
 
 
@@ -662,7 +662,7 @@ def _stress_engine(capacity, geometry, cutoff):
 
 
 class TestBulkMachineryStress:
-    """Force the bulk paths onto tiny runs, walk waves and streaks the
+    """Force the bulk paths onto the tiny runs and walk waves the
     scalar cutoff would take, at every cutoff in ``STRESS_CUTOFFS``."""
 
     @given(
