@@ -9,11 +9,13 @@ are not redistributable here, so we generate deterministic R-MAT
 What the protection study actually depends on — |V|, |E|, the power-law
 degree skew, and the resulting tile occupancy of the adjacency matrix —
 is preserved by R-MAT with matched average degree; the traffic *ratios*
-MGX/BP are scale-stable (asserted in ``tests/test_graph_scaling.py``).
+MGX/BP are scale-stable (asserted in
+``tests/test_graphlily.py::TestScaleStability``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,6 +39,10 @@ GRAPH_BENCHMARKS = tuple(BENCHMARK_SIZES)
 #: R-MAT partition probabilities (a, b, c); d = 1 − a − b − c.  The
 #: classic skewed setting produces power-law degrees like social graphs.
 _RMAT_ABC = (0.57, 0.19, 0.19)
+
+#: Raw PCG64 words ``rmat_edges`` draws and decodes at a time: a block
+#: and its comparison masks stay in cache.
+_RAW_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -71,6 +77,12 @@ def benchmark_spec(name: str, scale_divisor: int = 64, seed: int = 2022) -> Grap
     )
 
 
+def _raw_threshold(t: float) -> np.uint64:
+    """Smallest raw PCG64 word ``w`` whose ``Generator.random()`` draw,
+    ``(w >> 11) · 2⁻⁵³``, is ``>= t`` (for ``0 <= t < 1``)."""
+    return np.uint64(math.ceil(math.ldexp(t, 53)) << 11)
+
+
 def rmat_edges(n_vertices: int, n_edges: int, seed: int,
                abc: tuple[float, float, float] = _RMAT_ABC) -> np.ndarray:
     """Generate an (m, 2) R-MAT edge list over ``n_vertices`` vertices.
@@ -81,39 +93,31 @@ def rmat_edges(n_vertices: int, n_edges: int, seed: int,
     if n_vertices < 2 or n_edges < 1:
         raise ConfigError("need at least 2 vertices and 1 edge")
     a, b, c = abc
-    if min(a, b, c) < 0 or a + b + c >= 1:
+    if not all(map(math.isfinite, abc)) or min(a, b, c) < 0 or a + b + c >= 1:
         raise ConfigError(f"invalid R-MAT probabilities {abc}")
     levels = int(np.ceil(np.log2(n_vertices)))
-    rng = np.random.default_rng(seed)
-    # One draw for every level: a (levels, n_edges) C-order fill consumes
-    # the bit stream exactly like `levels` separate draws of n_edges, so
-    # the generated graphs are bit-identical to the per-level version.
-    # One (levels, n_edges) draw consumes the bit stream exactly like
-    # `levels` separate per-level draws (C-order fill), so graphs stay
-    # bit-identical either way; fall back to per-level draws when the
-    # single block would be large (full-scale graphs: levels × edges
-    # doubles would dwarf the edge list itself).
-    block = rng.random((levels, n_edges)) if levels * n_edges <= (1 << 26) \
-        else None
-    # Quadrant decode: q = [r >= a] + [r >= a+b] + [r >= a+b+c] lands in
-    # {0=A, 1=B, 2=C, 3=D}, whose high bit is the source bit and low bit
-    # the destination bit.  Bits accumulate in int32 (the recursion depth
-    # never exceeds 31 levels) to halve the memory traffic of the loop.
+    raw = np.random.default_rng(seed).bit_generator.random_raw
+    # Quadrant q = [r >= a] + [r >= a+b] + [r >= a+b+c] in {0=A, .., 3=D}:
+    # its high bit (the source bit) is the middle comparison, its low bit
+    # (the destination bit) the parity of all three.  Integer thresholds
+    # on raw words decide each r exactly as ``Generator.random()`` does,
+    # and drawing level by level, edges in order, keeps the stream order
+    # of a (levels, n_edges) ``random()`` fill: graphs stay bit-identical.
+    # Bits accumulate in int32 below 31 levels to halve memory traffic.
+    t_a, t_ab, t_abc = (_raw_threshold(t) for t in (a, a + b, a + b + c))
     accumulator = np.int32 if levels < 31 else np.int64
     src = np.zeros(n_edges, dtype=accumulator)
     dst = np.zeros(n_edges, dtype=accumulator)
-    quadrant = np.empty(n_edges, dtype=np.uint8)
-    for level in range(levels):
-        row = block[level] if block is not None else rng.random(n_edges)
-        np.add((row >= a).view(np.uint8), (row >= a + b).view(np.uint8),
-               out=quadrant)
-        quadrant += row >= a + b + c
-        np.left_shift(src, 1, out=src)
-        np.left_shift(dst, 1, out=dst)
-        src |= quadrant >> 1
-        dst |= quadrant & 1
-    src = src.astype(np.int64)
-    dst = dst.astype(np.int64)
+    for _ in range(levels):
+        for lo in range(0, n_edges, _RAW_BLOCK):
+            words = raw(min(_RAW_BLOCK, n_edges - lo))
+            src_bit = words >= t_ab
+            dst_bit = (words >= t_a) ^ src_bit ^ (words >= t_abc)
+            s, d = src[lo:lo + len(words)], dst[lo:lo + len(words)]
+            s <<= 1
+            s |= src_bit
+            d <<= 1
+            d |= dst_bit
     src %= n_vertices
     dst %= n_vertices
     # Drop self-loops, keep multiplicity (they model weighted repeats).

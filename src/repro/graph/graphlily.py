@@ -26,6 +26,7 @@ match the full-size runs.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -79,6 +80,25 @@ class GraphAcceleratorConfig:
         return max(64, self.vector_buffer_bytes // self.value_bytes)
 
 
+@lru_cache(maxsize=8)
+def tile_edge_counts(graph: CsrMatrix, block: int) -> np.ndarray:
+    """edges[i, j]: edge count of tile (dest block i, source block j).
+
+    A pure function of the (immutable) matrix and the block size, so it
+    is memoized like :func:`~repro.graph.generators.build_benchmark_graph`:
+    every trace over the same graph and buffer shares one read-only
+    histogram.
+    """
+    n_blocks = ceil_div(graph.n, block)
+    counts = np.zeros((n_blocks, n_blocks), dtype=np.int64)
+    bounds = graph.indptr[np.minimum(np.arange(n_blocks + 1) * block, graph.n)]
+    for i in range(n_blocks):
+        counts[i] = np.bincount(graph.indices[bounds[i]:bounds[i + 1]] // block,
+                                minlength=n_blocks)
+    counts.flags.writeable = False
+    return counts
+
+
 @dataclass
 class GraphTrace:
     """Phases for some iterations of an SpMV algorithm plus bookkeeping."""
@@ -106,7 +126,7 @@ class GraphTraceGenerator:
         block = self.config.vertices_per_block
         self.n_blocks = ceil_div(graph.n, block)
         self.block = block
-        self._tile_edges = self._count_tile_edges()
+        self._tile_edges = tile_edge_counts(graph, block)
         # Prefix sums over the flattened tile grid for O(1) tile offsets.
         flat = self._tile_edges.reshape(-1)
         self._tile_prefix = np.zeros(len(flat) + 1, dtype=np.int64)
@@ -127,17 +147,6 @@ class GraphTraceGenerator:
     @property
     def address_space(self) -> AddressSpace:
         return self._space
-
-    def _count_tile_edges(self) -> np.ndarray:
-        """edges[i, j]: edge count of tile (dest block i, source block j)."""
-        rows = np.repeat(
-            np.arange(self.graph.n, dtype=np.int64), np.diff(self.graph.indptr)
-        )
-        dest_block = rows // self.block
-        src_block = self.graph.indices // self.block
-        flat = np.bincount(dest_block * self.n_blocks + src_block,
-                           minlength=self.n_blocks * self.n_blocks)
-        return flat.reshape(self.n_blocks, self.n_blocks).astype(np.int64)
 
     def _tile_payload_bytes(self, edges: int, rows: int) -> int:
         """CSR payload of one tile: (index, value) pairs + row pointers."""

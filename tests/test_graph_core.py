@@ -1,5 +1,7 @@
 """Graph substrate: CSR, generators, semirings, SpMV, algorithms."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,9 @@ from repro.common.errors import ConfigError
 from repro.graph.algorithms import bfs, pagerank, sssp
 from repro.graph.csr import CsrMatrix
 from repro.graph.generators import (
+    _RAW_BLOCK,
     BENCHMARK_SIZES,
+    GRAPH_BENCHMARKS,
     benchmark_spec,
     build_benchmark_graph,
     rmat_edges,
@@ -130,6 +134,101 @@ class TestGenerators:
             rmat_edges(1, 10, seed=0)
         with pytest.raises(ConfigError):
             rmat_edges(64, 10, seed=0, abc=(0.6, 0.3, 0.2))
+
+    @pytest.mark.parametrize("abc", [
+        (float("nan"), 0.1, 0.1),
+        (0.1, float("nan"), 0.1),
+        (0.1, 0.1, float("nan")),
+        (float("inf"), 0.1, 0.1),
+        (0.1, float("-inf"), 0.1),
+    ])
+    def test_rmat_rejects_non_finite_probabilities(self, abc):
+        """A NaN compares false against every draw, so it used to slip
+        past validation and silently bend the quadrant split."""
+        with pytest.raises(ConfigError, match="invalid R-MAT probabilities"):
+            rmat_edges(64, 10, seed=0, abc=abc)
+
+
+def _rmat_float_reference(n_vertices, n_edges, seed, abc):
+    """The float decode ``rmat_edges`` used before raw-word thresholds:
+    one (levels, n_edges) ``Generator.random()`` block, and per level
+    the quadrant from three float comparisons."""
+    a, b, c = abc
+    levels = int(np.ceil(np.log2(n_vertices)))
+    block = np.random.default_rng(seed).random((levels, n_edges))
+    src = np.zeros(n_edges, dtype=np.int64)
+    dst = np.zeros(n_edges, dtype=np.int64)
+    for row in block:
+        quadrant = ((row >= a).astype(np.int64) + (row >= a + b)
+                    + (row >= a + b + c))
+        src = (src << 1) | (quadrant >> 1)
+        dst = (dst << 1) | (quadrant & 1)
+    src %= n_vertices
+    dst %= n_vertices
+    keep = src != dst
+    return np.stack([dst[keep], src[keep]], axis=1)
+
+
+#: Edge counts at and around the raw-word block boundaries.
+_BLOCK_EDGES = (_RAW_BLOCK - 1, _RAW_BLOCK, _RAW_BLOCK + 1,
+                2 * _RAW_BLOCK + 3)
+
+#: Probabilities whose thresholds t·2⁵³ land exactly on integers (dyadic
+#: values, the smallest subnormal), that coincide (b = 0, all zero), and
+#: the benchmark default.
+_EXACT_ABC = ((0.25, 0.25, 0.25), (0.5, 0.25, 0.125), (0.0, 0.0, 0.0),
+              (0.57, 0.0, 0.19), (5e-324, 0.0, 0.5), (0.57, 0.19, 0.19))
+
+
+@st.composite
+def _rmat_cases(draw):
+    n_vertices = draw(st.integers(min_value=2, max_value=1 << 33))
+    small = st.integers(min_value=1, max_value=64)
+    # Above 2**30 vertices (31+ levels, the int64 accumulator) the float
+    # reference's (levels, n_edges) block gets large: keep n_edges small.
+    n_edges = draw(small if n_vertices > 1 << 30
+                   else small | st.sampled_from(_BLOCK_EDGES))
+    third = st.floats(min_value=0.0, max_value=0.33)
+    abc = draw(st.sampled_from(_EXACT_ABC) | st.tuples(third, third, third))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return n_vertices, n_edges, seed, abc
+
+
+class TestRmatRawDecode:
+    """Integer thresholds on raw PCG64 words, drawn block by block,
+    decode exactly what ``Generator.random()`` floats decoded."""
+
+    @given(_rmat_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_float_reference(self, case):
+        n_vertices, n_edges, seed, abc = case
+        edges = rmat_edges(n_vertices, n_edges, seed, abc=abc)
+        expected = _rmat_float_reference(n_vertices, n_edges, seed, abc)
+        assert edges.dtype == np.int64
+        assert np.array_equal(edges, expected)
+
+    @pytest.mark.parametrize("beside", [False, True])
+    def test_thresholds_at_drawn_values(self, beside):
+        """Thresholds placed on drawn values r = k·2⁻⁵³ whose raw words
+        have zero low bits, so w equals the integer threshold: r >= t
+        must hold there (``>=``, not ``>``).  One ulp above r it must
+        not (``ceil``, not ``floor``)."""
+        n_edges, seed = _RAW_BLOCK, 11
+        words = np.random.default_rng(seed).bit_generator.random_raw(n_edges)
+        draws = [math.ldexp(int(w >> 11), -53)
+                 for w in np.unique(words[words % 2048 == 0])[:3]]
+        if beside:
+            draws = [float(np.nextafter(r, 1.0)) for r in draws]
+        first, second, third = draws
+        abc = (first, second - first, third - second)
+        assert np.array_equal(rmat_edges(1 << 10, n_edges, seed, abc=abc),
+                              _rmat_float_reference(1 << 10, n_edges, seed, abc))
+
+    @pytest.mark.parametrize("n_edges", _BLOCK_EDGES)
+    def test_block_boundaries(self, n_edges):
+        abc = (0.25, 0.25, 0.25)
+        assert np.array_equal(rmat_edges(1000, n_edges, 3, abc=abc),
+                              _rmat_float_reference(1000, n_edges, 3, abc))
 
 
 class TestSemiringsAndSpmv:
@@ -317,6 +416,24 @@ class TestBuilderPinning:
         carrying = CsrMatrix.from_edges(n, edges, values)
         assert (carrying.indices == reference[:, 1]).all()
         assert (carrying.values == values[order]).all()
+
+    #: (n, nnz, sha256 of indptr + indices) of the six default-scale
+    #: graphs every graph table is built from.
+    SCALE_64 = {
+        "google-plus": (1681, 212536, "5eac3ac80f767542"),
+        "pokec": (25512, 478099, "4b1549f448aa301a"),
+        "livejournal": (75743, 1077715, "ea156827c1ed08e6"),
+        "reddit": (3640, 1785089, "20dfa0dc83cb6a0f"),
+        "ogbl-ppa": (9004, 662622, "565af481574e26e3"),
+        "ogbn-products": (38266, 1932119, "131ad984004a9083"),
+    }
+
+    @pytest.mark.parametrize("name", GRAPH_BENCHMARKS)
+    def test_scale_64_csr_pinned(self, name):
+        graph = build_benchmark_graph(name)
+        n, nnz, digest = self.SCALE_64[name]
+        assert (graph.n, graph.nnz) == (n, nnz)
+        assert self._digest(graph.indptr, graph.indices) == digest
 
     def test_benchmark_graph_memoized(self):
         first = build_benchmark_graph("google-plus", scale_divisor=256)

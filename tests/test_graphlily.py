@@ -1,13 +1,20 @@
 """GraphLily-like accelerator trace generation (§V, Fig. 10)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConfigError
 from repro.common.units import KIB
 from repro.core.access import DataClass
 from repro.core.vngen import IterationVnState, UniquenessGuard
+from repro.graph.csr import CsrMatrix
 from repro.graph.generators import build_benchmark_graph, uniform_random_graph
-from repro.graph.graphlily import GraphAcceleratorConfig, GraphTraceGenerator
+from repro.graph.graphlily import (
+    GraphAcceleratorConfig,
+    GraphTraceGenerator,
+    tile_edge_counts,
+)
 
 _CFG = GraphAcceleratorConfig(vector_buffer_bytes=16 * KIB)
 
@@ -28,6 +35,57 @@ class TestTileAccounting:
     def test_adjacency_region_covers_payload(self, generator):
         region = generator.address_space.region("adjacency")
         assert region.size >= generator.graph.nnz * _CFG.edge_bytes
+
+
+def _tile_counts_by_repeat(graph, block):
+    """The per-generator construction the memoized histogram replaced:
+    expand every edge's row with ``np.repeat``, bincount flat tile ids."""
+    n_blocks = -(-graph.n // block)
+    rows = np.repeat(np.arange(graph.n, dtype=np.int64), np.diff(graph.indptr))
+    flat = np.bincount((rows // block) * n_blocks + graph.indices // block,
+                       minlength=n_blocks * n_blocks)
+    return flat.reshape(n_blocks, n_blocks)
+
+
+class TestTileEdgeCounts:
+    @given(n=st.integers(min_value=1, max_value=300),
+           block=st.integers(min_value=1, max_value=400),
+           m=st.integers(min_value=0, max_value=600),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_repeat_oracle(self, n, block, m, data):
+        """Any n (a multiple of block or not, block > n included), with
+        rows and sources drawn from a prefix so trailing rows and whole
+        tile rows and columns stay empty."""
+        row_span = data.draw(st.integers(min_value=1, max_value=n))
+        col_span = data.draw(st.integers(min_value=1, max_value=n))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        edges = np.stack([rng.integers(0, row_span, m),
+                          rng.integers(0, col_span, m)], axis=1)
+        graph = CsrMatrix.from_edges(n, edges)
+        counts = tile_edge_counts(graph, block)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, _tile_counts_by_repeat(graph, block))
+        assert counts.sum() == graph.nnz
+
+    def test_memoized_per_graph_and_block(self):
+        graph = uniform_random_graph(1000, 5000, seed=3)
+        counts = tile_edge_counts(graph, 256)
+        assert tile_edge_counts(graph, 256) is counts
+        other = tile_edge_counts(graph, 128)
+        assert other is not counts
+        assert other.shape == (8, 8) and counts.shape == (4, 4)
+
+    def test_read_only(self):
+        counts = tile_edge_counts(uniform_random_graph(500, 2000, seed=4), 64)
+        with pytest.raises(ValueError):
+            counts[0, 0] = 1
+
+    def test_generators_share_one_histogram(self):
+        graph = uniform_random_graph(4096, 20_000, seed=5)
+        first = GraphTraceGenerator(graph, _CFG)
+        second = GraphTraceGenerator(graph, _CFG)
+        assert second._tile_edges is first._tile_edges
 
 
 class TestIterationPhases:
