@@ -1,4 +1,4 @@
-"""Benchmarks: LRU-engine backends and the streaming trace path.
+"""Benchmarks: LRU-engine backends.
 
 Three engine microbenchmarks time the stream shapes the pricing core
 sees — capacity floods, dirty chain-heavy conveyors, and short
@@ -8,26 +8,20 @@ and reference implementations separately (each entry records its
 backend in ``extra_info``).  ``test_engine_suite_trace`` times one
 full-size BP pricing session over a suite trace — a DNN training step,
 whose run rows mix floods, dirty write-back streaks and tree walks — so
-the per-row cost of the no-compiler path is tracked too.  The streaming
-benchmark times a chunked trace through the session pricing path and
-asserts the headline memory property: the streamed peak stays several
-times below what materializing every batch costs.
+the per-row cost of the no-compiler path is tracked too.
 """
 
 from __future__ import annotations
 
 import functools
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.core.access import AccessBatch, AccessKind, DataClass, MemAccess, Phase
 from repro.core.engine_backend import TreeGeometry, create_engine, native_available
 from repro.core.lru_engine import FLOOD_MAC, FLOOD_VN, EventSink
-from repro.core.schemes.counter_mode import FINE_MAC_POLICY, CounterModeProtection
 from repro.core.schemes.factory import make_baseline
-from repro.sim.runner import StreamingTrace, dnn_workload
+from repro.sim.runner import dnn_workload
 
 BACKENDS = ("python",) + (("native",) if native_available() else ())
 
@@ -104,9 +98,7 @@ SUITE_TRACE = ("GoogleNet", "Cloud")
 def _suite_trace():
     """(protected bytes, whole-trace batch, phase offsets), built once."""
     workload = dnn_workload(*SUITE_TRACE, training=True, use_cache=False)
-    batches = workload.trace.batches
-    offsets = np.cumsum([0] + [len(batch) for batch in batches])
-    return workload.protected_bytes, AccessBatch.concat(batches), offsets
+    return workload.protected_bytes, workload.trace.batch, workload.trace.offsets
 
 
 def _price_suite_trace(monkeypatch, backend, rows=None):
@@ -163,59 +155,3 @@ def test_engine_suite_trace(benchmark, monkeypatch, suite_priced, backend):
     assert (flood & FLOOD_MAC).any() and (flood & FLOOD_VN).any()
     assert dirty.any() and walk.any()
     assert priced[2]["writebacks"] > 0
-
-
-def _stream_phases(n_phases: int = 96, accesses_per_phase: int = 400):
-    """Deterministic generator factory for a multi-phase synthetic trace."""
-
-    def build():
-        for i in range(n_phases):
-            base = (i % 8) * 32 * 1024 * 1024
-            accesses = [
-                MemAccess(base + j * 4096, 4096,
-                          AccessKind.WRITE if j % 4 == 0 else AccessKind.READ,
-                          DataClass.FEATURE, vn=i + 1)
-                for j in range(accesses_per_phase)
-            ]
-            yield Phase(f"phase{i}", 1000.0, accesses)
-
-    return build
-
-
-def _stream_scheme() -> CounterModeProtection:
-    return CounterModeProtection(
-        "MGX", vn_onchip=False, mac_policy=FINE_MAC_POLICY,
-        protected_bytes=256 * 1024 * 1024, cache_bytes=32 * 1024,
-    )
-
-
-def _traced_peak(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
-
-
-def test_streaming_trace_memory_bound(benchmark):
-    """A chunked trace prices in a fraction of its materialized size."""
-    trace = StreamingTrace(_stream_phases())
-    model = dnn_workload("AlexNet", "Cloud", use_cache=False).performance_model()
-
-    def materialize():
-        return [(p, AccessBatch.from_phase(p)) for p in trace.iter_phases()]
-
-    def streamed():
-        return model.run(trace.iter_phases(), _stream_scheme())
-
-    materialized_peak = _traced_peak(materialize)
-    streamed_peak = _traced_peak(streamed)
-    assert materialized_peak >= 4 * streamed_peak, (
-        f"streamed peak {streamed_peak} vs materialized {materialized_peak}"
-    )
-
-    result = benchmark.pedantic(streamed, rounds=3, iterations=1,
-                                warmup_rounds=1)
-    assert result.total_cycles > 0

@@ -15,29 +15,28 @@ import json
 
 import pytest
 
-from repro.core.access import LazyAccessList, MemAccess
-from repro.sim.runner import BatchedTrace, dnn_workload
+from repro.core.access import COLUMN_DTYPES, MemAccess, Trace
+from repro.sim.runner import dnn_workload
 from repro.sim.spillfmt import decode_trace, encode_trace
 from repro.sim.tracefile import phases_to_doc
 
 
 @pytest.fixture(scope="module")
-def suite_trace() -> BatchedTrace:
+def suite_trace() -> Trace:
     """One suite-shaped trace: the quick training workloads, concatenated."""
-    phases, batches = [], []
-    for name in ("ResNet", "GoogleNet", "SegNet", "MobileNet", "BERT"):
-        trace = dnn_workload(name, "Cloud", training=True,
-                             use_cache=False).trace
-        phases += trace.phases
-        batches += trace.batches
-    return BatchedTrace(phases, batches)
+    return Trace.from_phases(
+        phase
+        for name in ("ResNet", "GoogleNet", "SegNet", "MobileNet", "BERT")
+        for phase in dnn_workload(name, "Cloud", training=True,
+                                  use_cache=False).trace.to_phases()
+    )
 
 
 def test_spill_encode(benchmark, suite_trace):
     """Vectorized columnar encode; the payload must undercut the JSON
     interchange form of the same phases."""
     payload = benchmark(encode_trace, suite_trace)
-    assert len(payload) < len(json.dumps(phases_to_doc(suite_trace.phases)))
+    assert len(payload) < len(json.dumps(phases_to_doc(suite_trace.to_phases())))
 
 
 def _count_mem_accesses(monkeypatch) -> list:
@@ -59,13 +58,13 @@ def test_spill_decode_cold(benchmark, suite_trace, monkeypatch):
     payload = encode_trace(suite_trace)
     decoded = benchmark(decode_trace, payload)
     assert decoded.total_accesses == suite_trace.total_accesses
-    for batch in decoded.batches:
-        assert not batch.address.flags.writeable  # a view, not a copy
-        assert batch.address.base is not None
+    for name, _ in COLUMN_DTYPES:
+        column = getattr(decoded.batch, name)
+        assert not column.flags.writeable  # a view, not a copy
+        assert column.base is not None
     built = _count_mem_accesses(monkeypatch)
     decoded = decode_trace(payload)
-    assert all(isinstance(phase.accesses, LazyAccessList)
-               for phase in decoded.phases)
+    assert decoded.names == suite_trace.names
     assert built == []
 
 
@@ -80,5 +79,5 @@ def test_spill_warm_mmap_load(benchmark, disk_cache, suite_trace):
 
     loaded = benchmark(warm_load)
     assert loaded is not None
-    assert not loaded.batches[0].address.flags.writeable  # mmap view
+    assert not loaded.batch.address.flags.writeable  # mmap view
     assert loaded.total_accesses == suite_trace.total_accesses

@@ -49,10 +49,9 @@ def test_sweep_with_trace_cache(benchmark):
     def run():
         return sweep_schemes(
             workload.label,
-            workload.trace.phases,
+            workload.trace,
             workload.performance_model(),
             workload.protected_bytes,
-            batches=workload.trace.batches,
         )
 
     sweep = benchmark(run)

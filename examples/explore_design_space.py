@@ -35,7 +35,7 @@ def main() -> None:
         for model_name in models:
             generator = DnnTraceGenerator(build_model(model_name), config)
             trace = generator.training_step() if training else generator.inference()
-            roofline = analyze(trace.phases, DramModel(config.dram),
+            roofline = analyze(trace.trace, DramModel(config.dram),
                                config.array.freq_hz)
             sweep = dnn_sweep(model_name, config_name, training=training)
             print(f"{model_name:10s} {config_name:6s} "

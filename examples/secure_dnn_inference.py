@@ -32,8 +32,8 @@ def main() -> None:
         print(f"\n--- {config_name}: {config.array.rows}x{config.array.cols} PEs @ "
               f"{config.array.freq_hz / 1e6:.0f} MHz, "
               f"{config.dram.channels} DDR4 channel(s) ---")
-        print(f"trace: {len(trace.phases)} phases, "
-              f"{trace.total_bytes / (1 << 20):.1f} MiB DRAM traffic, "
+        print(f"trace: {len(trace.trace.names)} phases, "
+              f"{trace.trace.total_bytes / (1 << 20):.1f} MiB DRAM traffic, "
               f"VN state: {trace.vn_state.state_bytes} B on-chip")
         sweep = dnn_sweep(model_name, config_name, batch=batch)
         print(f"{'scheme':10s} {'exec time':>10s} {'traffic':>9s} {'overhead':>9s}")

@@ -11,7 +11,7 @@ Usage:  python examples/secure_dnn_training.py [model]
 import sys
 from collections import Counter
 
-from repro.core.access import DataClass
+from repro.core.access import DATA_CLASSES, DataClass
 from repro.dnn.accelerator import CLOUD
 from repro.dnn.models import build_model
 from repro.dnn.tracegen import DnnTraceGenerator
@@ -23,12 +23,12 @@ def main() -> None:
     model = build_model(model_name)
     trace = DnnTraceGenerator(model, CLOUD).training_step()
 
+    batch = trace.trace.batch
     by_class = Counter()
-    for phase in trace.phases:
-        for access in phase.accesses:
-            by_class[access.data_class] += access.size
+    for code, size in zip(batch.data_class.tolist(), batch.size.tolist()):
+        by_class[DATA_CLASSES[code]] += size
     total = sum(by_class.values())
-    print(f"{model.name} training step: {len(trace.phases)} phases, "
+    print(f"{model.name} training step: {len(trace.trace.names)} phases, "
           f"{total / (1 << 20):.1f} MiB traffic")
     for data_class in (DataClass.FEATURE, DataClass.WEIGHT, DataClass.GRADIENT):
         share = 100 * by_class.get(data_class, 0) / total

@@ -38,7 +38,8 @@ def main() -> None:
     generator = GraphTraceGenerator(graph, config)
     trace = generator.pagerank_trace(iterations=result.iterations)
     print(f"accelerator trace: {generator.n_blocks} destination block(s), "
-          f"{len(trace.phases)} phases, {trace.total_bytes / (1 << 20):.1f} MiB, "
+          f"{len(trace.trace.names)} phases, "
+          f"{trace.trace.total_bytes / (1 << 20):.1f} MiB, "
           f"VN state: {trace.vn_state.state_bytes} B (one Iter counter)")
 
     print("\nprotection comparison (Fig. 14):")

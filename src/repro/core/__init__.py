@@ -17,6 +17,8 @@ from repro.core.access import (
     DataClass,
     MemAccess,
     Phase,
+    Trace,
+    TraceBuilder,
     read,
     write,
 )
@@ -64,6 +66,8 @@ __all__ = [
     "DataClass",
     "MemAccess",
     "Phase",
+    "Trace",
+    "TraceBuilder",
     "read",
     "write",
     "VN_BITS",

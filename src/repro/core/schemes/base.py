@@ -9,9 +9,10 @@ model.
 
 Schemes price a stream of :class:`~repro.core.access.AccessBatch`
 through one API, :meth:`ProtectionScheme.pricing_session`; the sweep
-pipeline, streaming traces and the server all build on it.  One
-``price`` call takes a batch of several contiguous phases and returns
-their traffic per phase (:class:`PhaseTraffic`).  Implementations
+pipeline and the server both build on it.  One ``price`` call takes a
+batch of several contiguous phases — the performance model passes a
+whole :class:`~repro.core.access.Trace` in one call — and returns their
+traffic per phase (:class:`PhaseTraffic`).  Implementations
 vectorize, but the result must be *exactly* equal — byte for byte, per
 traffic category, per phase — to processing the batches' accesses in
 order with :meth:`ProtectionScheme.process`, the per-access reference
@@ -214,12 +215,11 @@ class ProtectionScheme:
     def pricing_session(self) -> "PricingSession":
         """The pricing API: a handle that prices a stream of batches in order.
 
-        ``[session.price(b, offsets) for b, offsets in chunks]``
+        ``[session.price(b, offsets) for b, offsets in calls]``
         followed by ``session.close()`` equals calling :meth:`process`
-        on every access of every batch in order, per phase; callers
-        consume chunked traces (generator phases) chunk by chunk
-        without ever holding the whole trace — stateful schemes keep
-        their engine state open across the stream instead of reloading
+        on every access of every batch in order, per phase, however the
+        accesses are cut into calls and phases — stateful schemes keep
+        their engine state open across the calls instead of reloading
         it per batch.
         """
         return PricingSession(self)
@@ -263,8 +263,7 @@ class PricingSession:
     exact for stateless schemes.  Stateful schemes return a subclass
     from :meth:`ProtectionScheme.pricing_session` that loads engine
     state once, prices every batch against it, and writes the state
-    (and stats) back on :meth:`close` — so a multi-gigabyte trace can
-    stream through in bounded memory.  ``close`` is idempotent and, used
+    (and stats) back on :meth:`close`.  ``close`` is idempotent and, used
     as a context manager, is *not* called when pricing raises: a failed
     run writes no state back.
     """

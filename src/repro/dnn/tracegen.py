@@ -1,10 +1,10 @@
 """DNN trace generation: model + machine → phases of compute and DRAM traffic.
 
 This plays the role SCALE-Sim plays in the paper's toolflow (Fig. 11a):
-walk the layer graph in schedule order, decide tiling, and emit one
-:class:`~repro.core.access.Phase` per layer holding its compute cycles
-and its block transfers.  Every access carries the data class and the
-version number the on-chip kernel would supply (from
+walk the layer graph in schedule order, decide tiling, and append one
+phase per layer — its block transfers, then its compute cycles — to a
+:class:`~repro.core.access.TraceBuilder`.  Every access carries the
+data class and the version number the on-chip kernel would supply (from
 :class:`~repro.core.vngen.DnnVnState`), so the same trace drives the
 timing schemes, the VN-correctness tests and the functional engine.
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigError
-from repro.core.access import AccessKind, DataClass, MemAccess, Phase
+from repro.core.access import AccessKind, DataClass, Trace, TraceBuilder
 from repro.core.vngen import DnnVnState
 from repro.dnn.accelerator import DnnAcceleratorConfig
 from repro.dnn.layers import (
@@ -43,17 +43,9 @@ from repro.mem.layout import AddressSpace
 class DnnTrace:
     """The generated execution trace plus its bookkeeping side-products."""
 
-    phases: list[Phase]
+    trace: Trace
     vn_state: DnnVnState
     address_space: AddressSpace
-
-    @property
-    def total_compute_cycles(self) -> float:
-        return sum(p.compute_cycles for p in self.phases)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(p.total_bytes() for p in self.phases)
 
 
 class DnnTraceGenerator:
@@ -87,63 +79,44 @@ class DnnTraceGenerator:
     def _region(self, name: str):
         return self._space.region(name)
 
-    def _feature_read(self, tensor: str, vn: int) -> MemAccess:
+    def _feature_read(self, builder: TraceBuilder, tensor: str, vn: int) -> None:
         region = self._region(f"feat:{tensor}")
-        return MemAccess(region.base, max(64, self._tensor_bytes[tensor]),
-                         AccessKind.READ, DataClass.FEATURE, vn=vn)
+        builder.access(region.base, max(64, self._tensor_bytes[tensor]),
+                       AccessKind.READ, DataClass.FEATURE, vn=vn)
 
     # ------------------------------------------------------------------
     def inference(self) -> DnnTrace:
         """Forward-pass trace for one batch."""
-        vn_state = DnnVnState()
-        phases = list(self.iter_inference(vn_state))
-        return DnnTrace(phases=phases, vn_state=vn_state, address_space=self._space)
+        builder, vn_state = TraceBuilder(), DnnVnState()
+        self._forward(builder, vn_state)
+        return DnnTrace(builder.build(), vn_state, self._space)
 
     def training_step(self) -> DnnTrace:
         """One training iteration: forward (features saved) + backward."""
-        vn_state = DnnVnState()
-        phases = list(self.iter_training_step(vn_state))
-        return DnnTrace(phases=phases, vn_state=vn_state, address_space=self._space)
-
-    def iter_inference(self, vn_state: DnnVnState | None = None):
-        """Generator form of :meth:`inference`: one phase at a time.
-
-        Yields the exact phases :meth:`inference` would list — streaming
-        consumers (``StreamingTrace``) price each phase as it is built,
-        so the trace never materializes as a whole.
-        """
-        if vn_state is None:
-            vn_state = DnnVnState()
-        vn_state.ingest_features("input")
-        for layer in self.model.layers:
-            yield self._forward_phase(layer, vn_state)
-
-    def iter_training_step(self, vn_state: DnnVnState | None = None):
-        """Generator form of :meth:`training_step` (see `iter_inference`)."""
-        if vn_state is None:
-            vn_state = DnnVnState()
-        vn_state.ingest_features("input")
-        for layer in self.model.layers:
-            yield self._forward_phase(layer, vn_state)
+        builder, vn_state = TraceBuilder(), DnnVnState()
+        self._forward(builder, vn_state)
         # Loss gradient seeds the backward pass at the last layer's output.
-        last = self.model.layers[-1]
-        vn_state.write_gradients(last.name)
+        vn_state.write_gradients(self.model.layers[-1].name)
         for layer in reversed(self.model.layers):
-            phase = self._backward_phase(layer, vn_state)
-            if phase is not None:
-                yield phase
+            self._backward_phase(builder, layer, vn_state)
+        return DnnTrace(builder.build(), vn_state, self._space)
+
+    def _forward(self, builder: TraceBuilder, vn_state: DnnVnState) -> None:
+        vn_state.ingest_features("input")
+        for layer in self.model.layers:
+            self._forward_phase(builder, layer, vn_state)
 
     # ------------------------------------------------------------------
-    def _forward_phase(self, layer: Layer, vn_state: DnnVnState) -> Phase:
-        accesses: list[MemAccess] = []
+    def _forward_phase(self, builder: TraceBuilder, layer: Layer,
+                       vn_state: DnnVnState) -> None:
         config = self.config
 
         if isinstance(layer, EmbeddingLayer):
-            return self._embedding_phase(layer, vn_state)
+            return self._embedding_phase(builder, layer, vn_state)
 
         # -- input features --------------------------------------------------
         for tensor in layer.inputs:
-            accesses.append(self._feature_read(tensor, vn_state.read_features(tensor)))
+            self._feature_read(builder, tensor, vn_state.read_features(tensor))
 
         gemms = self._batched_gemms(layer)
         decision = None
@@ -157,19 +130,16 @@ class DnnTraceGenerator:
             extra_passes = decision.ifmap_passes - 1
             for _ in range(extra_passes):
                 for tensor in layer.inputs:
-                    accesses.append(
-                        self._feature_read(tensor, vn_state.read_features(tensor))
-                    )
+                    self._feature_read(builder, tensor,
+                                       vn_state.read_features(tensor))
 
         # -- weights ---------------------------------------------------------
         if layer.weight_bytes:
             region = self._region(f"w:{layer.name}")
             weight_passes = decision.weight_passes if decision else 1
             for _ in range(weight_passes):
-                accesses.append(
-                    MemAccess(region.base, layer.weight_bytes, AccessKind.READ,
-                              DataClass.WEIGHT, vn=vn_state.read_weights())
-                )
+                builder.access(region.base, layer.weight_bytes, AccessKind.READ,
+                               DataClass.WEIGHT, vn=vn_state.read_weights())
 
         # -- output features (possibly multi-pass, Fig. 7) -------------------
         out_region = self._region(f"feat:{layer.name}")
@@ -177,102 +147,82 @@ class DnnTraceGenerator:
         ofmap_passes = decision.ofmap_passes if decision else 1
         for pass_index in range(ofmap_passes):
             if pass_index > 0:
-                accesses.append(
-                    MemAccess(out_region.base, out_bytes, AccessKind.READ,
-                              DataClass.FEATURE, vn=vn_state.read_features(layer.name))
-                )
-            accesses.append(
-                MemAccess(out_region.base, out_bytes, AccessKind.WRITE,
-                          DataClass.FEATURE, vn=vn_state.write_features(layer.name))
-            )
+                builder.access(out_region.base, out_bytes, AccessKind.READ,
+                               DataClass.FEATURE,
+                               vn=vn_state.read_features(layer.name))
+            builder.access(out_region.base, out_bytes, AccessKind.WRITE,
+                           DataClass.FEATURE,
+                           vn=vn_state.write_features(layer.name))
 
-        return Phase(
-            name=f"fwd:{layer.name}",
-            compute_cycles=self._forward_cycles(layer, gemms),
-            accesses=accesses,
-        )
+        builder.end_phase(f"fwd:{layer.name}", self._forward_cycles(layer, gemms))
 
-    def _embedding_phase(self, layer: EmbeddingLayer, vn_state: DnnVnState) -> Phase:
+    def _embedding_phase(self, builder: TraceBuilder, layer: EmbeddingLayer,
+                         vn_state: DnnVnState) -> None:
         """DLRM gather: scattered row reads + a streaming output write."""
         region = self._region(f"emb:{layer.name}")
         # The embedding layer carries its own batch (DLRM models embed it),
         # so the generator batch is not applied again here.
         gathered = layer.total_lookups * layer.row_bytes
-        accesses = [
-            MemAccess(region.base, gathered, AccessKind.READ, DataClass.EMBEDDING,
-                      sequential=False, vn=vn_state.read_weights(),
-                      burst_bytes=layer.row_bytes,
-                      spread_bytes=layer.total_table_bytes)
-        ]
+        builder.access(region.base, gathered, AccessKind.READ,
+                       DataClass.EMBEDDING, sequential=False,
+                       vn=vn_state.read_weights(), burst_bytes=layer.row_bytes,
+                       spread_bytes=layer.total_table_bytes)
         vn_state.write_features(layer.name)  # rows land in on-chip buffers
         if self._tensor_bytes[layer.name]:
             out_region = self._region(f"feat:{layer.name}")
-            accesses.append(
-                MemAccess(out_region.base, self._tensor_bytes[layer.name],
-                          AccessKind.WRITE, DataClass.FEATURE,
-                          vn=vn_state.read_features(layer.name))
-            )
-        move_cycles = self.config.array.movement_cycles(gathered)
-        return Phase(name=f"fwd:{layer.name}", compute_cycles=move_cycles,
-                     accesses=accesses)
+            builder.access(out_region.base, self._tensor_bytes[layer.name],
+                           AccessKind.WRITE, DataClass.FEATURE,
+                           vn=vn_state.read_features(layer.name))
+        builder.end_phase(f"fwd:{layer.name}",
+                          self.config.array.movement_cycles(gathered))
 
-    def _backward_phase(self, layer: Layer, vn_state: DnnVnState) -> Phase | None:
-        """Backward pass of one layer (None for layers with no backward work)."""
+    def _backward_phase(self, builder: TraceBuilder, layer: Layer,
+                        vn_state: DnnVnState) -> None:
+        """Backward pass of one layer."""
         if isinstance(layer, EmbeddingLayer):
             # Embedding backward is a scatter of sparse gradient rows.
             out_region = self._region(f"feat:{layer.name}")
             grad_bytes = max(64, self._tensor_bytes[layer.name])
-            accesses = [
-                MemAccess(out_region.base, grad_bytes, AccessKind.READ,
-                          DataClass.GRADIENT, vn=vn_state.read_gradients(layer.name)),
-            ]
-            return Phase(name=f"bwd:{layer.name}",
-                         compute_cycles=self.config.array.movement_cycles(grad_bytes),
-                         accesses=accesses)
+            builder.access(out_region.base, grad_bytes, AccessKind.READ,
+                           DataClass.GRADIENT,
+                           vn=vn_state.read_gradients(layer.name))
+            builder.end_phase(f"bwd:{layer.name}",
+                              self.config.array.movement_cycles(grad_bytes))
+            return
 
-        accesses: list[MemAccess] = []
         # Incoming gradient g_y (written when this layer's consumers ran,
         # or the loss seed for the last layer).
         out_region = self._region(f"feat:{layer.name}")
         out_bytes = max(64, self._tensor_bytes[layer.name])
-        accesses.append(
-            MemAccess(out_region.base, out_bytes, AccessKind.READ, DataClass.GRADIENT,
-                      vn=vn_state.read_gradients(layer.name))
-        )
+        builder.access(out_region.base, out_bytes, AccessKind.READ,
+                       DataClass.GRADIENT, vn=vn_state.read_gradients(layer.name))
 
         gemms = self._batched_gemms(layer)
         if gemms and layer.weight_bytes:
             # g_x needs W, g_w needs x: read both operands.
             w_region = self._region(f"w:{layer.name}")
-            accesses.append(
-                MemAccess(w_region.base, layer.weight_bytes, AccessKind.READ,
-                          DataClass.WEIGHT, vn=vn_state.read_weights())
-            )
+            builder.access(w_region.base, layer.weight_bytes, AccessKind.READ,
+                           DataClass.WEIGHT, vn=vn_state.read_weights())
         if gemms:
             for tensor in layer.inputs:
-                accesses.append(
-                    self._feature_read(tensor, vn_state.read_features(tensor))
-                )
+                self._feature_read(builder, tensor,
+                                   vn_state.read_features(tensor))
             # Gradient of the weights, streamed out once (§VI-A: the
             # optimizer's in-place update is not emulated).
             if layer.weight_bytes:
                 w_region = self._region(f"w:{layer.name}")
-                accesses.append(
-                    MemAccess(w_region.base, layer.weight_bytes, AccessKind.WRITE,
-                              DataClass.GRADIENT,
-                              vn=vn_state.write_gradients(f"{layer.name}.w"))
-                )
+                builder.access(w_region.base, layer.weight_bytes,
+                               AccessKind.WRITE, DataClass.GRADIENT,
+                               vn=vn_state.write_gradients(f"{layer.name}.w"))
 
         # Gradient flowing to each producer tensor.
         for tensor in layer.inputs:
             if tensor == "input":
                 continue  # no gradient w.r.t. external input
             region = self._region(f"feat:{tensor}")
-            accesses.append(
-                MemAccess(region.base, max(64, self._tensor_bytes[tensor]),
-                          AccessKind.WRITE, DataClass.GRADIENT,
-                          vn=vn_state.write_gradients(tensor))
-            )
+            builder.access(region.base, max(64, self._tensor_bytes[tensor]),
+                           AccessKind.WRITE, DataClass.GRADIENT,
+                           vn=vn_state.write_gradients(tensor))
 
         # Backward GEMM cycles: the batch multiplies total MAC work; the dW
         # GEMM grows along K rather than M, so we scale cycles uniformly
@@ -282,8 +232,8 @@ class DnnTraceGenerator:
             self.config.array.gemm_cycles(g) for g in backward_gemms
         )
         if not backward_gemms:
-            cycles = self.config.array.movement_cycles(sum(a.size for a in accesses))
-        return Phase(name=f"bwd:{layer.name}", compute_cycles=cycles, accesses=accesses)
+            cycles = self.config.array.movement_cycles(builder.open_bytes())
+        builder.end_phase(f"bwd:{layer.name}", cycles)
 
     # ------------------------------------------------------------------
     def _batched_gemms(self, layer: Layer):

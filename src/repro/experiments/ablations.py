@@ -75,7 +75,7 @@ def table_key_params(name: str, quick: bool) -> tuple:
 
 
 def _trace(model_name: str = "ResNet"):
-    return DnnTraceGenerator(build_model(model_name), CLOUD).inference()
+    return DnnTraceGenerator(build_model(model_name), CLOUD).inference().trace
 
 
 def _perf(dram_config: DramConfig | None = None,
@@ -98,7 +98,7 @@ def mac_granularity_sweep(quick: bool = False) -> ExperimentResult:
     )
     trace = _trace(_ablation_model(quick))
     perf = _perf()
-    baseline = perf.run(trace.phases, NoProtection())
+    baseline = perf.run(trace, NoProtection())
     for granularity in _MAC_GRANULARITIES:
         scheme = CounterModeProtection(
             name=f"MGX-{granularity}",
@@ -106,7 +106,7 @@ def mac_granularity_sweep(quick: bool = False) -> ExperimentResult:
             mac_policy=MacPolicy(default=granularity),
             protected_bytes=CLOUD.protected_bytes,
         )
-        run = perf.run(trace.phases, scheme)
+        run = perf.run(trace, scheme)
         result.add_row(
             granularity=granularity,
             traffic=run.traffic_increase_over(baseline),
@@ -132,11 +132,11 @@ def cache_size_sweep(quick: bool = False) -> ExperimentResult:
     )
     trace = _trace(_ablation_model(quick))
     perf = _perf()
-    baseline = perf.run(trace.phases, NoProtection())
+    baseline = perf.run(trace, NoProtection())
     sizes = _CACHE_SIZES_QUICK if quick else _CACHE_SIZES_FULL
     for kib in sizes:
         scheme = make_baseline(CLOUD.protected_bytes, cache_bytes=kib * 1024)
-        run = perf.run(trace.phases, scheme)
+        run = perf.run(trace, scheme)
         result.add_row(
             cache_kib=kib,
             traffic=run.traffic_increase_over(baseline),
@@ -164,9 +164,9 @@ def dram_grade_sweep(quick: bool = False) -> ExperimentResult:
     for timing in (DDR4_2400, DDR4_3200):
         dram_config = replace(CLOUD.dram, timing=timing)
         perf = _perf(dram_config)
-        baseline = perf.run(trace.phases, NoProtection())
-        bp = perf.run(trace.phases, make_baseline(CLOUD.protected_bytes))
-        mgx = perf.run(trace.phases, make_mgx(CLOUD.protected_bytes))
+        baseline = perf.run(trace, NoProtection())
+        bp = perf.run(trace, make_baseline(CLOUD.protected_bytes))
+        mgx = perf.run(trace, make_mgx(CLOUD.protected_bytes))
         result.add_row(
             grade=timing.name,
             BP_time=bp.normalized_to(baseline),
@@ -189,8 +189,8 @@ def crypto_efficiency_sweep(quick: bool = False) -> ExperimentResult:
 
     for efficiency in _CRYPTO_EFFICIENCIES:
         perf = _perf(crypto_efficiency=efficiency)
-        baseline = perf.run(trace.phases, NoProtection())
-        mgx = perf.run(trace.phases, make_mgx(CLOUD.protected_bytes))
+        baseline = perf.run(trace, NoProtection())
+        mgx = perf.run(trace, make_mgx(CLOUD.protected_bytes))
         result.add_row(
             crypto_efficiency=efficiency,
             MGX_time=mgx.normalized_to(baseline),

@@ -140,7 +140,7 @@ def dataflow_study(quick: bool = False) -> ExperimentResult:
         perf = PerformanceModel(
             DramModel(config.dram), PerfConfig(accel_freq_hz=config.array.freq_hz)
         )
-        sweep = sweep_schemes(dataflow.value, trace.phases, perf,
+        sweep = sweep_schemes(dataflow.value, trace.trace, perf,
                               config.protected_bytes)
         result.add_row(dataflow=dataflow.value,
                        BP=sweep.normalized_time("BP"),

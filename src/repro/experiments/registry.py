@@ -124,8 +124,8 @@ class RequestSpec:
 
         ``result`` requests price through
         :func:`repro.sim.scheduler._price_spec` (the artifact graph's
-        single pricing path, which streams the trace's batches through
-        the scheme's ``pricing_session()``); ``profile`` requests run
+        single pricing path, which prices the whole trace with one call
+        of the scheme's ``pricing_session()``); ``profile`` requests run
         the registered pipeline entry point.
         """
         if self.kind == "result":

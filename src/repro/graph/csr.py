@@ -34,7 +34,9 @@ class CsrMatrix:
         self.indptr = indptr
         self.indices = indices
         if values is None:
-            values = np.ones(len(indices), dtype=np.float64)
+            # Unit weights as one read-only, zero-stride scalar view: only
+            # SSSP reads them, and a full array would cost 8 bytes an edge.
+            values = np.broadcast_to(np.float64(1.0), indices.shape)
         values = np.asarray(values, dtype=np.float64)
         if values.shape != indices.shape:
             raise ConfigError("values must match indices in length")

@@ -4,7 +4,7 @@ The accelerator computes the updated attribute vector one destination
 block at a time.  For each destination block it streams the adjacency
 tiles pairing that block with every source block, gathering the source
 block's attribute slice, and finally writes the destination slice —
-exactly the schedule of Fig. 10.  Per tile we emit:
+exactly the schedule of Fig. 10.  Per tile we append to the trace:
 
 * an ADJACENCY read of the tile's CSR payload (tile-granularity MAC
   under MGX — one MAC per tile, §V-B),
@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.common.errors import ConfigError
 from repro.common.units import GIB, KIB, MHZ, ceil_div
-from repro.core.access import AccessKind, DataClass, MemAccess, Phase
+from repro.core.access import AccessKind, DataClass, Trace, TraceBuilder
 from repro.core.vngen import IterationVnState
 from repro.dram.model import DramConfig
 from repro.graph.algorithms import bfs, pagerank
@@ -101,20 +101,12 @@ def tile_edge_counts(graph: CsrMatrix, block: int) -> np.ndarray:
 
 @dataclass
 class GraphTrace:
-    """Phases for some iterations of an SpMV algorithm plus bookkeeping."""
+    """The trace of some iterations of an SpMV algorithm plus bookkeeping."""
 
-    phases: list[Phase]
+    trace: Trace
     vn_state: IterationVnState
     address_space: AddressSpace
     iterations: int
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(p.total_bytes() for p in self.phases)
-
-    @property
-    def total_compute_cycles(self) -> float:
-        return sum(p.compute_cycles for p in self.phases)
 
 
 class GraphTraceGenerator:
@@ -158,9 +150,10 @@ class GraphTraceGenerator:
         return int(self._tile_prefix[flat_index]) * self.config.edge_bytes
 
     # ------------------------------------------------------------------
-    def iteration_phases(self, vn_state: IterationVnState,
-                         sparse_vector: bool = False) -> list[Phase]:
-        """One SpMV iteration following the Fig. 10 schedule.
+    def iteration_phases(self, builder: TraceBuilder,
+                         vn_state: IterationVnState,
+                         sparse_vector: bool = False) -> None:
+        """Append one SpMV iteration following the Fig. 10 schedule.
 
         ``sparse_vector=True`` models SpMSpV: attribute reads become
         scattered gathers, which forces fine-grained MACs on that vector
@@ -171,10 +164,8 @@ class GraphTraceGenerator:
         # alternate every iteration.
         read_vec = self._vec[(vn_state.iteration - 1) % 2]
         write_vec = self._vec[vn_state.iteration % 2]
-        phases = []
         value_bytes = config.value_bytes
         for i in range(self.n_blocks):
-            accesses: list[MemAccess] = []
             rows_in_block = min(self.block, self.graph.n - i * self.block)
             edges_total = 0
             for j in range(self.n_blocks):
@@ -182,58 +173,46 @@ class GraphTraceGenerator:
                 if edges == 0:
                     continue
                 edges_total += edges
-                tile_bytes = self._tile_payload_bytes(edges, rows_in_block)
-                accesses.append(
-                    MemAccess(
-                        self._adj.base + self._adjacency_offset(i, j),
-                        tile_bytes,
-                        AccessKind.READ,
-                        DataClass.ADJACENCY,
-                        vn=vn_state.adjacency_vn(),
-                    )
+                builder.access(
+                    self._adj.base + self._adjacency_offset(i, j),
+                    self._tile_payload_bytes(edges, rows_in_block),
+                    AccessKind.READ,
+                    DataClass.ADJACENCY,
+                    vn=vn_state.adjacency_vn(),
                 )
                 src_vertices = min(self.block, self.graph.n - j * self.block)
                 slice_bytes = max(64, src_vertices * value_bytes)
                 if sparse_vector:
-                    accesses.append(
-                        MemAccess(
-                            read_vec.base + j * self.block * value_bytes,
-                            slice_bytes,
-                            AccessKind.READ,
-                            DataClass.VECTOR,
-                            sequential=False,
-                            vn=vn_state.read_vector_vn(),
-                            burst_bytes=64,
-                            spread_bytes=max(64, self.graph.n * value_bytes),
-                        )
+                    builder.access(
+                        read_vec.base + j * self.block * value_bytes,
+                        slice_bytes,
+                        AccessKind.READ,
+                        DataClass.VECTOR,
+                        sequential=False,
+                        vn=vn_state.read_vector_vn(),
+                        burst_bytes=64,
+                        spread_bytes=max(64, self.graph.n * value_bytes),
                     )
                 else:
-                    accesses.append(
-                        MemAccess(
-                            read_vec.base + j * self.block * value_bytes,
-                            slice_bytes,
-                            AccessKind.READ,
-                            DataClass.VECTOR,
-                            vn=vn_state.read_vector_vn(),
-                        )
+                    builder.access(
+                        read_vec.base + j * self.block * value_bytes,
+                        slice_bytes,
+                        AccessKind.READ,
+                        DataClass.VECTOR,
+                        vn=vn_state.read_vector_vn(),
                     )
-            accesses.append(
-                MemAccess(
-                    write_vec.base + i * self.block * value_bytes,
-                    max(64, rows_in_block * value_bytes),
-                    AccessKind.WRITE,
-                    DataClass.VECTOR,
-                    vn=vn_state.write_vector_vn(),
-                )
+            builder.access(
+                write_vec.base + i * self.block * value_bytes,
+                max(64, rows_in_block * value_bytes),
+                AccessKind.WRITE,
+                DataClass.VECTOR,
+                vn=vn_state.write_vector_vn(),
             )
             # Edges stream through the lanes; the per-vertex apply/write
             # stage is 4-wide SIMD and overlaps the edge pipeline.
             compute = edges_total / config.lanes + rows_in_block / 4
-            phases.append(
-                Phase(name=f"spmv:block{i}:iter{vn_state.iteration}",
-                      compute_cycles=compute, accesses=accesses)
-            )
-        return phases
+            builder.end_phase(f"spmv:block{i}:iter{vn_state.iteration}",
+                              compute)
 
     # ------------------------------------------------------------------
     def pagerank_trace(self, iterations: int | None = None,
@@ -272,44 +251,12 @@ class GraphTraceGenerator:
             iterations = max(1, result.iterations)
         return self._run(iterations, sparse_vector=False)
 
-    def default_iterations(self, algorithm: str, source: int = 0) -> int:
-        """The functional iteration count each trace method defaults to.
-
-        Mirrors the defaults of :meth:`pagerank_trace` (20-iteration
-        cap), :meth:`bfs_trace`, :meth:`sssp_trace` (16) and
-        :meth:`spmspv_trace` (4); streaming consumers resolve the count
-        once up front so the phase factory itself stays pure.
-        """
-        if algorithm == "PR":
-            return min(20, pagerank(self.graph, max_iterations=20).iterations)
-        if algorithm == "BFS":
-            return max(1, bfs(self.graph, source).iterations)
-        if algorithm == "SSSP":
-            from repro.graph.algorithms import sssp
-
-            return max(1, sssp(self.graph, source,
-                               max_iterations=16).iterations)
-        if algorithm == "SpMSpV":
-            return 4
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-
     def _run(self, iterations: int, sparse_vector: bool) -> GraphTrace:
-        vn_state = IterationVnState()
-        phases = list(self.iter_run(iterations, sparse_vector, vn_state))
-        return GraphTrace(phases=phases, vn_state=vn_state,
-                          address_space=self._space, iterations=iterations)
-
-    def iter_run(self, iterations: int, sparse_vector: bool = False,
-                 vn_state: IterationVnState | None = None):
-        """Generator form of :meth:`_run`: iteration phases on demand.
-
-        Yields exactly the phases the batch form lists; streaming
-        consumers price each iteration's phases as they are built.
-        """
         if iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {iterations}")
-        if vn_state is None:
-            vn_state = IterationVnState()
+        builder, vn_state = TraceBuilder(), IterationVnState()
         for _ in range(iterations):
-            yield from self.iteration_phases(vn_state, sparse_vector)
+            self.iteration_phases(builder, vn_state, sparse_vector)
             vn_state.advance_iteration()
+        return GraphTrace(trace=builder.build(), vn_state=vn_state,
+                          address_space=self._space, iterations=iterations)

@@ -350,9 +350,7 @@ class ProtectionServer:
                 workload = workload_box[0]
                 scheme = scheme_suite(workload.protected_bytes)[rs.scheme]
                 model = workload.performance_model()
-                return model.run(
-                    workload.trace.phases, scheme, batches=workload.trace.batches
-                )
+                return model.run(workload.trace, scheme)
 
             out[key] = self._fetch_sync(key, price)
         return out

@@ -5,7 +5,6 @@ from repro.sim.roofline import PhaseRoofline, RooflineReport, analyze
 from repro.sim.runner import (
     SCHEMES,
     TRACE_CACHE,
-    BatchedTrace,
     SchemeSweep,
     TraceCache,
     Workload,
@@ -27,7 +26,6 @@ __all__ = [
     "analyze",
     "SCHEMES",
     "TRACE_CACHE",
-    "BatchedTrace",
     "SchemeSweep",
     "TraceCache",
     "Workload",

@@ -1,4 +1,4 @@
-"""Performance model: phases × protection scheme × DRAM → execution time.
+"""Performance model: trace × protection scheme × DRAM → execution time.
 
 Mirrors the paper's performance evaluator (Fig. 11): for each phase the
 accelerator either computes or waits for memory, with double buffering
@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
 
 import numpy as np
 
 from repro.common.errors import ConfigError
-from repro.core.access import AccessBatch, Phase
+from repro.core.access import Trace
 from repro.core.schemes import NoProtection, ProtectionScheme, ProtectionTraffic
 from repro.core.schemes.base import PhaseTraffic
 from repro.dram.model import DramModel
@@ -93,16 +92,8 @@ class SimResult:
         return self.total_traffic_bytes / baseline.total_traffic_bytes
 
 
-#: Access budget of one pricing chunk: :meth:`PerformanceModel.run`
-#: groups contiguous phases into chunks of at most this many accesses (a
-#: longer phase is a chunk of its own) and prices each chunk with one
-#: ``PricingSession.price`` call.  Every suite trace fits in one chunk,
-#: while a generator trace still streams in bounded memory.
-CHUNK_ACCESSES = 1024
-
-
 class PerformanceModel:
-    """Evaluates a phase list under one scheme on one memory system."""
+    """Evaluates a trace under one scheme on one memory system."""
 
     def __init__(self, dram: DramModel, perf: PerfConfig) -> None:
         self.dram = dram
@@ -124,27 +115,16 @@ class PerformanceModel:
             cycles = np.maximum(cycles, crypto_cycles)
         return cycles
 
-    def run(self, phases: Iterable[Phase], scheme: ProtectionScheme,
-            keep_phase_results: bool = False,
-            batches: Iterable[AccessBatch] | None = None) -> SimResult:
+    def run(self, trace: Trace, scheme: ProtectionScheme,
+            keep_phase_results: bool = False) -> SimResult:
         """Execute the trace under ``scheme``; returns timing and traffic.
 
-        ``batches`` optionally supplies precomputed structure-of-arrays
-        views of the phases (one per phase, same order), letting a sweep
-        convert the trace once and share the columns across schemes.
-
-        ``phases`` (and ``batches``) may be any iterables, including
-        generators.  The whole trace is priced through one
-        :meth:`~repro.core.schemes.base.ProtectionScheme.pricing_session`,
-        one ``price`` call per chunk of contiguous phases
-        (:data:`CHUNK_ACCESSES`): stateful cached schemes hand each
-        chunk's runs to their reuse-distance engine in one call, without
-        reloading LRU state, and every chunk's phases get their memory
-        cycles in one vectorized step.  A chunk is dropped once priced,
-        so a chunk-iterable trace far larger than memory runs in bounded
-        space — byte-identical to the list form.  Phases and batches
-        must pair up exactly; a surplus on either side is a
-        :class:`ConfigError`.
+        The whole trace is priced with one ``price`` call of one
+        :meth:`~repro.core.schemes.base.ProtectionScheme.pricing_session`:
+        stateful cached schemes hand all of its runs to their
+        reuse-distance engine at once, and every phase gets its memory
+        cycles in one vectorized step.  A trace without phases prices
+        only the scheme's ``finish()`` tail.
         """
         scheme.reset()
         protected = not isinstance(scheme, NoProtection)
@@ -152,21 +132,22 @@ class PerformanceModel:
         total_cycles = 0.0
         phase_results: list[PhaseResult] = []
         with scheme.pricing_session() as session:
-            for chunk, batch, offsets in _chunks(phases, batches):
-                traffic = session.price(batch, offsets)
+            if trace.names:
+                traffic = session.price(trace.batch, trace.offsets)
                 memory = self._memory_cycles(traffic, protected)
-                compute = np.array([p.compute_cycles for p in chunk],
-                                   dtype=np.float64)
+                compute = np.array(trace.compute_cycles, dtype=np.float64)
                 # Summed in phase order, as floats: pairwise summation
                 # (``np.sum``) would change the low bits.
                 for cycles in np.maximum(compute, memory).tolist():
                     total_cycles += cycles
                 total.merge(traffic.total())
                 if keep_phase_results:
-                    phase_results.extend(
-                        PhaseResult(phase.name, phase.compute_cycles, cycles)
-                        for phase, cycles in zip(chunk, memory.tolist())
-                    )
+                    phase_results = [
+                        PhaseResult(name, compute_cycles, cycles)
+                        for name, compute_cycles, cycles in zip(
+                            trace.names, trace.compute_cycles,
+                            memory.tolist())
+                    ]
         tail = scheme.finish()
         total.merge(tail)
         total_cycles += self._memory_cycles(PhaseTraffic.of(tail),
@@ -177,44 +158,3 @@ class PerformanceModel:
             traffic=total,
             phase_results=phase_results,
         )
-
-
-def _chunks(phases: Iterable[Phase], batches: Iterable[AccessBatch] | None,
-            ) -> Iterator[tuple[list[Phase], AccessBatch, np.ndarray]]:
-    """Contiguous phases grouped up to :data:`CHUNK_ACCESSES` accesses,
-    each chunk as (phases, concatenated batch, phase offsets)."""
-    if batches is None:
-        pairs = ((phase, AccessBatch.from_phase(phase)) for phase in phases)
-    else:
-        pairs = _strict_pairs(phases, batches)
-    chunk: list[Phase] = []
-    chunk_batches: list[AccessBatch] = []
-    offsets = [0]
-    for phase, batch in pairs:
-        if chunk and offsets[-1] + len(batch) > CHUNK_ACCESSES:
-            yield chunk, AccessBatch.concat(chunk_batches), np.array(offsets)
-            chunk, chunk_batches, offsets = [], [], [0]
-        chunk.append(phase)
-        chunk_batches.append(batch)
-        offsets.append(offsets[-1] + len(batch))
-    if chunk:
-        yield chunk, AccessBatch.concat(chunk_batches), np.array(offsets)
-
-
-def _strict_pairs(phases: Iterable[Phase], batches: Iterable[AccessBatch],
-                  ) -> Iterator[tuple[Phase, AccessBatch]]:
-    """``zip(phases, batches)`` that raises unless both run out together."""
-    phase_iter, batch_iter = iter(phases), iter(batches)
-    paired = 0
-    for phase in phase_iter:
-        batch = next(batch_iter, None)
-        if batch is None:
-            n_phases = paired + 1 + sum(1 for _ in phase_iter)
-            raise ConfigError(
-                f"{paired} batches supplied for {n_phases} phases")
-        paired += 1
-        yield phase, batch
-    surplus = sum(1 for _ in batch_iter)
-    if surplus:
-        raise ConfigError(
-            f"{paired + surplus} batches supplied for {paired} phases")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigError
-from repro.core.access import Phase
+from repro.core.access import Trace
 from repro.core.schemes import NoProtection
 from repro.dram.model import DramModel
 from repro.sim.perf import PerfConfig, PerformanceModel
@@ -78,18 +78,18 @@ class RooflineReport:
         return stretched / total if total else 1.0
 
 
-def analyze(phases: list[Phase], dram: DramModel, accel_freq_hz: float) -> RooflineReport:
+def analyze(trace: Trace, dram: DramModel, accel_freq_hz: float) -> RooflineReport:
     """Classify every phase of a trace (unprotected baseline)."""
     model = PerformanceModel(dram, PerfConfig(accel_freq_hz=accel_freq_hz,
                                               crypto_efficiency=1.0))
-    result = model.run(phases, NoProtection(), keep_phase_results=True)
+    result = model.run(trace, NoProtection(), keep_phase_results=True)
     report_phases = [
         PhaseRoofline(
             name=pr.name,
             compute_cycles=pr.compute_cycles,
             memory_cycles=pr.memory_cycles,
-            bytes_moved=phase.total_bytes(),
+            bytes_moved=nbytes,
         )
-        for pr, phase in zip(result.phase_results, phases)
+        for pr, nbytes in zip(result.phase_results, trace.phase_bytes())
     ]
     return RooflineReport(phases=report_phases)

@@ -1,4 +1,4 @@
-"""Workload runner: batched traces and trace/sweep reuse.
+"""Workload runner: columnar traces and trace/sweep reuse.
 
 The experiments all follow the same pattern — generate a trace, run
 {NP, BP, MGX, MGX_VN, MGX_MAC} over it, normalize to NP — and the figure
@@ -6,10 +6,10 @@ drivers repeat the *same* workloads (fig03, fig12, fig13 and the
 headline table all sweep the same DNN configurations).  This module
 packages that loop as a pipeline with two levers:
 
-* **Batching** — every workload is converted once into per-phase
-  :class:`~repro.core.access.AccessBatch` columns
-  (:class:`BatchedTrace`), shared across all schemes of a sweep, so
-  stateless schemes price whole columns instead of walking objects.
+* **Columns** — every workload's builder emits one
+  :class:`~repro.core.access.Trace` (one column batch plus a phase
+  table), shared unchanged across all schemes of a sweep: each scheme
+  prices the whole trace in one ``price`` call.
 * **Reuse** — a process-wide :class:`TraceCache` keyed by workload
   configuration caches both the generated traces and the finished
   :class:`SchemeSweep` results, so a five-scheme suite prices one
@@ -39,9 +39,9 @@ import os
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Hashable, Iterator
+from typing import Callable, Hashable
 
-from repro.core.access import AccessBatch, Phase
+from repro.core.access import Trace
 from repro.core.schemes import ProtectionScheme, scheme_suite
 from repro.dnn.accelerator import CONFIGS, DnnAcceleratorConfig
 from repro.dnn.models import build_model
@@ -70,46 +70,6 @@ def dnn_label(model_name: str, config_name: str, training: bool) -> str:
 def graph_label(benchmark: str, algorithm: str) -> str:
     """One graph workload's display label (see :func:`dnn_label`)."""
     return f"{algorithm}-{benchmark}"
-
-
-@dataclass
-class BatchedTrace:
-    """A phase list plus its once-converted structure-of-arrays columns."""
-
-    phases: list[Phase]
-    batches: list[AccessBatch]
-
-    @classmethod
-    def from_phases(cls, phases: list[Phase]) -> "BatchedTrace":
-        return cls(phases, [AccessBatch.from_phase(p) for p in phases])
-
-    @property
-    def total_accesses(self) -> int:
-        return sum(len(batch) for batch in self.batches)
-
-    def iter_phases(self) -> Iterator[Phase]:
-        return iter(self.phases)
-
-
-@dataclass
-class StreamingTrace:
-    """A chunk-iterable trace: phases built on demand, never held whole.
-
-    ``build_phases`` is a *factory* returning a fresh phase iterator —
-    every scheme of a sweep re-iterates the trace from scratch, and the
-    generators are deterministic, so each iteration yields identical
-    phases.  Streaming traces bypass the :class:`TraceCache` (there is
-    nothing bounded to hold) and price through
-    :meth:`~repro.sim.perf.PerformanceModel.run`'s session path, which
-    converts, prices and drops one bounded chunk of phases at a time — a
-    trace much larger than memory runs in bounded space, byte-identical
-    to the batched form.
-    """
-
-    build_phases: Callable[[], Iterator[Phase]]
-
-    def iter_phases(self) -> Iterator[Phase]:
-        return self.build_phases()
 
 
 #: The disk-format version pinned into the key→filename digest.  Keys
@@ -274,8 +234,8 @@ class TraceCache:
     process restores them instead of regenerating — a warm rerun of the
     whole figure suite prices zero traces.  Traces spill in the columnar
     binary layout of :mod:`repro.sim.spillfmt` and load **zero-copy**:
-    the file is mmapped and the phases are rebuilt as read-only column
-    views, so cooperating ``--jobs`` queue workers loading the same
+    the file is mmapped and the trace's columns are read-only views
+    over it, so cooperating ``--jobs`` queue workers loading the same
     spill share one copy in the OS page cache.  Other kinds spill as
     single-line JSON.  Writes are atomic (tmp + rename), making the
     directory safe to share between the queue workers and the parent.
@@ -543,7 +503,7 @@ class Workload:
     """A priced-workload bundle: trace columns + the machine to run on."""
 
     label: str
-    trace: BatchedTrace | StreamingTrace
+    trace: Trace
     protected_bytes: int
     accel_freq_hz: float
     dram_model: DramModel
@@ -577,50 +537,19 @@ class SchemeSweep:
 
 def sweep_schemes(
     workload: str,
-    phases: list[Phase],
-    model: PerformanceModel,
-    protected_bytes: int,
-    schemes: dict[str, ProtectionScheme] | None = None,
-    batches: list[AccessBatch] | None = None,
-) -> SchemeSweep:
-    """Run every scheme over ``phases`` and collect normalized results.
-
-    ``batches`` shares precomputed per-phase columns across the schemes;
-    results are collected in presentation order.
-    """
-    suite = schemes if schemes is not None else scheme_suite(protected_bytes)
-    names = [name for name in SCHEMES if name in suite]
-    names += [name for name in suite if name not in SCHEMES]
-    if batches is None:
-        # Convert once here rather than per scheme in run().
-        batches = [AccessBatch.from_phase(phase) for phase in phases]
-    sweep = SchemeSweep(workload=workload)
-    for name in names:
-        sweep.results[name] = model.run(phases, suite[name], batches=batches)
-    return sweep
-
-
-def sweep_schemes_streaming(
-    workload: str,
-    trace: StreamingTrace,
+    trace: Trace,
     model: PerformanceModel,
     protected_bytes: int,
     schemes: dict[str, ProtectionScheme] | None = None,
 ) -> SchemeSweep:
-    """Run every scheme over a chunk-iterable trace, never holding it.
-
-    Each scheme re-iterates the trace from the factory (the generators
-    are deterministic, so all schemes see identical phases) and prices
-    it through :meth:`~repro.sim.perf.PerformanceModel.run`'s session
-    path one bounded chunk of phases at a time.  Results are bit-identical to
-    :func:`sweep_schemes` over the materialized phase list.
-    """
+    """Run every scheme over ``trace`` and collect normalized results,
+    in presentation order."""
     suite = schemes if schemes is not None else scheme_suite(protected_bytes)
     names = [name for name in SCHEMES if name in suite]
     names += [name for name in suite if name not in SCHEMES]
     sweep = SchemeSweep(workload=workload)
     for name in names:
-        sweep.results[name] = model.run(trace.iter_phases(), suite[name])
+        sweep.results[name] = model.run(trace, suite[name])
     return sweep
 
 
@@ -628,45 +557,17 @@ def sweep_schemes_streaming(
 # Workload constructors
 # ---------------------------------------------------------------------------
 
-def dnn_workload_streaming(model_name: str, config_name: str = "Cloud",
-                           training: bool = False,
-                           batch: int = 1) -> Workload:
-    """One DNN workload as a chunk-iterable trace (cache bypassed).
-
-    A fresh :class:`~repro.dnn.tracegen.DnnTraceGenerator` per iteration
-    makes the phase stream re-iterable and deterministic, so pricing it
-    matches :func:`dnn_workload`'s batched trace byte for byte while a
-    multi-GB trace never materializes.
-    """
-    config: DnnAcceleratorConfig = CONFIGS[config_name]
-
-    def build_phases() -> Iterator[Phase]:
-        generator = DnnTraceGenerator(build_model(model_name), config,
-                                      batch=batch)
-        if training:
-            return generator.iter_training_step()
-        return generator.iter_inference()
-
-    return Workload(
-        label=dnn_label(model_name, config_name, training),
-        trace=StreamingTrace(build_phases),
-        protected_bytes=config.protected_bytes,
-        accel_freq_hz=config.array.freq_hz,
-        dram_model=DramModel(config.dram),
-    )
-
-
 def dnn_workload(model_name: str, config_name: str = "Cloud",
                  training: bool = False, batch: int = 1,
                  use_cache: bool = True) -> Workload:
-    """Build (or fetch from the cache) one DNN workload's batched trace."""
+    """Build (or fetch from the cache) one DNN workload's trace."""
     config: DnnAcceleratorConfig = CONFIGS[config_name]
     label = dnn_label(model_name, config_name, training)
 
-    def build() -> BatchedTrace:
+    def build() -> Trace:
         generator = DnnTraceGenerator(build_model(model_name), config, batch=batch)
         trace = generator.training_step() if training else generator.inference()
-        return BatchedTrace.from_phases(trace.phases)
+        return trace.trace
 
     key = ("dnn-trace", model_name, config_name, training, batch)
     trace = (
@@ -681,49 +582,14 @@ def dnn_workload(model_name: str, config_name: str = "Cloud",
     )
 
 
-def graph_workload_streaming(benchmark: str, algorithm: str = "PR",
-                             iterations: int | None = None,
-                             scale_divisor: int = 64,
-                             config: GraphAcceleratorConfig | None = None,
-                             ) -> Workload:
-    """One graph workload as a chunk-iterable trace (cache bypassed).
-
-    The CSR graph and the iteration count (functional run when not
-    given) resolve once up front; the phase factory then replays
-    deterministic per-iteration phases, matching :func:`graph_workload`
-    byte for byte without holding the trace.
-    """
-    config = config or GraphAcceleratorConfig()
-    graph = build_benchmark_graph(benchmark, scale_divisor=scale_divisor)
-    resolved = (
-        iterations if iterations is not None
-        else GraphTraceGenerator(graph, config).default_iterations(algorithm)
-    )
-    if algorithm not in ("PR", "BFS", "SSSP", "SpMSpV"):
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    sparse_vector = algorithm == "SpMSpV"
-
-    def build_phases() -> Iterator[Phase]:
-        generator = GraphTraceGenerator(graph, config)
-        return generator.iter_run(resolved, sparse_vector)
-
-    return Workload(
-        label=graph_label(benchmark, algorithm),
-        trace=StreamingTrace(build_phases),
-        protected_bytes=config.protected_bytes,
-        accel_freq_hz=config.freq_hz,
-        dram_model=DramModel(config.dram),
-    )
-
-
 def graph_workload(benchmark: str, algorithm: str = "PR",
                    iterations: int | None = None, scale_divisor: int = 64,
                    config: GraphAcceleratorConfig | None = None,
                    use_cache: bool = True) -> Workload:
-    """Build (or fetch from the cache) one graph workload's batched trace."""
+    """Build (or fetch from the cache) one graph workload's trace."""
     config = config or GraphAcceleratorConfig()
 
-    def build() -> BatchedTrace:
+    def build() -> Trace:
         # The CSR graph is shared by every algorithm over this benchmark
         # (PR and BFS sweep the same six graphs), so it gets its own
         # memory-tier cache entry under the trace that uses it.
@@ -744,7 +610,7 @@ def graph_workload(benchmark: str, algorithm: str = "PR",
             trace = generator.spmspv_trace(iterations=iterations or 4)
         else:
             raise ValueError(f"unknown algorithm {algorithm!r}")
-        return BatchedTrace.from_phases(trace.phases)
+        return trace.trace
 
     key = ("graph-trace", benchmark, algorithm, iterations, scale_divisor,
            config.cache_key())
@@ -773,10 +639,9 @@ def _sweep_workload(build_workload: Callable[[], Workload],
         workload = build_workload()
         return sweep_schemes(
             workload.label,
-            workload.trace.phases,
+            workload.trace,
             workload.performance_model(),
             workload.protected_bytes,
-            batches=workload.trace.batches,
         )
 
     if use_cache and sweep_key is not None:

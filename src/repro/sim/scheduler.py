@@ -447,4 +447,4 @@ def _price_spec(spec: SweepSpec, scheme_name: str) -> "SimResult":
     workload = spec.build_workload()
     scheme = scheme_suite(workload.protected_bytes)[scheme_name]
     model = workload.performance_model()
-    return model.run(workload.trace.phases, scheme, batches=workload.trace.batches)
+    return model.run(workload.trace, scheme)

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 from repro.common.errors import ConfigError
 from repro.common.units import MHZ, MIB
-from repro.core.access import AccessBatch, AccessKind, DataClass, MemAccess, Phase
+from repro.core.access import AccessKind, DataClass, MemAccess, Phase, Trace
 from repro.dram.model import DramConfig, DramModel
 from repro.sim.perf import PerfConfig, PerformanceModel
 from repro.sim.runner import SCHEMES, SchemeSweep, sweep_schemes
@@ -142,12 +142,8 @@ def phases_from_doc(doc: list[dict]) -> list[Phase]:
 
 
 def phases_to_doc(phases: list[Phase]) -> list[dict]:
-    """Encode phases as JSON-serializable dictionaries.
-
-    The schema is the ``"phases"`` section of the trace-file format, and
-    also what the trace cache's disk tier spills, so externally-supplied
-    and internally-generated traces share one codec.
-    """
+    """Encode phases as JSON-serializable dictionaries: the ``"phases"``
+    section of the trace-file format."""
     return [
         {
             "name": phase.name,
@@ -210,17 +206,16 @@ def dumps(trace: TraceFile) -> str:
 def evaluate(trace: TraceFile) -> SchemeSweep:
     """Run all protection schemes over a parsed trace.
 
-    External traces go through the same batched pipeline as the built-in
-    workloads: the phases are converted to structure-of-arrays columns
-    once and shared across all schemes.
+    External traces go through the same pipeline as the built-in
+    workloads: the phases become one columnar
+    :class:`~repro.core.access.Trace`, shared across all schemes.
     """
     perf = PerformanceModel(
         DramModel(DramConfig(channels=trace.dram_channels)),
         PerfConfig(accel_freq_hz=trace.accel_freq_hz),
     )
-    batches = [AccessBatch.from_phase(phase) for phase in trace.phases]
-    return sweep_schemes(trace.name, trace.phases, perf, trace.protected_bytes,
-                         batches=batches)
+    return sweep_schemes(trace.name, Trace.from_phases(trace.phases), perf,
+                         trace.protected_bytes)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -11,7 +11,7 @@ access is ``CTR_IN ‖ display_number`` — regenerated, never stored — via
 * P frame reading its anchor  → VN = CTR_IN ‖ (F − k) for the anchor's number
 * B frame reading both anchors → VNs for F−j and F+k
 
-Produces both a *trace* (phases for the timing schemes, and the Fig. 19
+Produces both a *trace* (for the timing schemes, and the Fig. 19
 access-pattern record) and, optionally, *functional* decode over the MGX
 engine — real bytes, real encryption — used by the tests to prove the VN
 scheme decrypts correctly under out-of-order decode and buffer reuse.
@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.common.errors import ConfigError
 from repro.common.units import GIB, MHZ
-from repro.core.access import AccessKind, DataClass, MemAccess, Phase
+from repro.core.access import AccessKind, DataClass, Trace, TraceBuilder
 from repro.core.functional import MgxFunctionalEngine
 from repro.core.vngen import FrameVnState
 from repro.mem.layout import AddressSpace
@@ -81,9 +81,9 @@ class AccessRecord:
 
 @dataclass
 class DecodeTrace:
-    """Phases + the Fig. 19 access pattern + buffer bookkeeping."""
+    """The trace + the Fig. 19 access pattern + buffer bookkeeping."""
 
-    phases: list[Phase]
+    trace: Trace
     records: list[AccessRecord]
     vn_state: FrameVnState
     address_space: AddressSpace
@@ -125,7 +125,7 @@ class H264Decoder:
         config = self.config
         vn_state = FrameVnState()
         records: list[AccessRecord] = []
-        phases: list[Phase] = []
+        builder = TraceBuilder()
         buffer_of: dict[int, int] = {}
         #: display numbers currently resident, in allocation order
         resident: list[int] = []
@@ -137,18 +137,15 @@ class H264Decoder:
             still_needed = {
                 ref for later in decode_list[step + 1 :] for ref in later.references
             } | set(frame.references)
-            accesses: list[MemAccess] = []
             # 1. Bitstream chunk for this frame (already CTR-encrypted by
             #    the sender; VN here is the stream offset counter).
-            accesses.append(
-                MemAccess(
-                    self._bitstream.base
-                    + frame.display_number * config.bitstream_bytes_per_frame,
-                    max(64, config.bitstream_bytes_per_frame),
-                    AccessKind.READ,
-                    DataClass.BITSTREAM,
-                    vn=vn_state.frame_vn(frame.display_number),
-                )
+            builder.access(
+                self._bitstream.base
+                + frame.display_number * config.bitstream_bytes_per_frame,
+                max(64, config.bitstream_bytes_per_frame),
+                AccessKind.READ,
+                DataClass.BITSTREAM,
+                vn=vn_state.frame_vn(frame.display_number),
             )
             # 2. Reference frame reads, VN regenerated from the reference's
             #    display number (CTR_IN ‖ F±k).
@@ -160,10 +157,8 @@ class H264Decoder:
                     )
                 region = self._buffers[buffer_of[ref]]
                 vn = vn_state.frame_vn(ref)
-                accesses.append(
-                    MemAccess(region.base, config.frame_bytes, AccessKind.READ,
-                              DataClass.FRAME, vn=vn)
-                )
+                builder.access(region.base, config.frame_bytes, AccessKind.READ,
+                               DataClass.FRAME, vn=vn)
                 records.append(
                     AccessRecord(step, ref, self.gop.frame(ref).frame_type.value,
                                  buffer_of[ref], "read", vn)
@@ -173,21 +168,17 @@ class H264Decoder:
                                                  buffer_of, resident)
             region = self._buffers[buffer_index]
             vn = vn_state.frame_vn(frame.display_number)
-            accesses.append(
-                MemAccess(region.base, config.frame_bytes, AccessKind.WRITE,
-                          DataClass.FRAME, vn=vn)
-            )
+            builder.access(region.base, config.frame_bytes, AccessKind.WRITE,
+                           DataClass.FRAME, vn=vn)
             records.append(
                 AccessRecord(step, frame.display_number, frame.frame_type.value,
                              buffer_index, "write", vn)
             )
             # Decode compute: ~2 cycles/pixel for a hardware decoder.
             compute = 2.0 * config.width * config.height
-            phases.append(
-                Phase(name=f"decode:{frame.frame_type.value}{frame.display_number}",
-                      compute_cycles=compute, accesses=accesses)
-            )
-        return DecodeTrace(phases=phases, records=records, vn_state=vn_state,
+            builder.end_phase(
+                f"decode:{frame.frame_type.value}{frame.display_number}", compute)
+        return DecodeTrace(trace=builder.build(), records=records, vn_state=vn_state,
                            address_space=self._space, buffer_of_frame=buffer_of)
 
     def _allocate_buffer(self, display_number: int, still_needed: set[int],

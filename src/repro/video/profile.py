@@ -13,7 +13,6 @@ cache restores the figure without re-running the decoder or the crypto.
 from __future__ import annotations
 
 from repro.common.units import KIB
-from repro.core.access import AccessKind
 from repro.core.functional import MgxFunctionalEngine
 from repro.crypto.keys import SessionKeys
 from repro.mem.backing import BackingStore
@@ -78,13 +77,9 @@ def decode_profile(
         GopStructure(pattern, functional_frames), config
     ).functional_decode(engine)
 
-    read_bytes = write_bytes = 0
-    for phase in trace.phases:
-        for access in phase.accesses:
-            if access.kind is AccessKind.READ:
-                read_bytes += access.size
-            else:
-                write_bytes += access.size
+    batch = trace.trace.batch
+    write_bytes = int(batch.size[batch.is_write].sum())
+    read_bytes = int(batch.size[~batch.is_write].sum())
 
     return {
         "pattern": pattern,

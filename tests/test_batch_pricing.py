@@ -20,7 +20,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.units import MIB
-from repro.core.access import AccessBatch, AccessKind, DataClass, MemAccess, Phase
+from repro.core.access import (
+    AccessBatch,
+    AccessKind,
+    DataClass,
+    MemAccess,
+    Phase,
+    Trace,
+)
 from repro.core.lru_engine import LruEngine
 from repro.core.schemes import ProtectionTraffic, scheme_suite
 from repro.core.schemes.base import one_phase
@@ -28,7 +35,6 @@ from repro.core.schemes.counter_mode import FINE_MAC_POLICY, CounterModeProtecti
 from repro.sim.runner import (
     SCHEMES,
     TRACE_CACHE,
-    BatchedTrace,
     TraceCache,
     dnn_sweep,
     dnn_workload,
@@ -180,13 +186,7 @@ class TestAccessBatchRoundTrip:
     def test_reconstruction_is_lossless(self):
         accesses = _random_accesses(seed=7)
         batch = AccessBatch.from_accesses(accesses)
-        assert batch.to_accesses(reconstruct=True) == accesses
-
-    def test_source_objects_returned_without_reconstruction(self):
-        accesses = _random_accesses(seed=8, n=10)
-        batch = AccessBatch.from_accesses(accesses)
-        assert batch.to_accesses() is not accesses  # defensive copy of the list
-        assert all(a is b for a, b in zip(batch.to_accesses(), accesses))
+        assert batch.to_accesses() == accesses
 
     def test_from_phase(self):
         accesses = _random_accesses(seed=9, n=5)
@@ -198,14 +198,14 @@ class TestAccessBatchRoundTrip:
         batch = AccessBatch.from_accesses([])
         assert len(batch) == 0
         assert batch.total_data_bytes == 0
-        assert batch.to_accesses(reconstruct=True) == []
+        assert batch.to_accesses() == []
 
     def test_tagged_64bit_vns_survive(self):
         """Graph/video VNs use all 64 bits (class tag in the top bits)."""
         access = MemAccess(0, 64, AccessKind.WRITE, DataClass.VECTOR,
                            vn=(3 << 62) | 12345)
         batch = AccessBatch.from_accesses([access])
-        assert batch.to_accesses(reconstruct=True)[0].vn == (3 << 62) | 12345
+        assert batch.to_accesses()[0].vn == (3 << 62) | 12345
 
 
 class TestBatchPricingEquivalence:
@@ -235,7 +235,7 @@ class TestBatchPricingEquivalence:
                     == batched_suite[name].stats.as_dict()), name
 
     def _assert_equivalent_on(self, workload):
-        accesses = [a for phase in workload.trace.phases for a in phase.accesses]
+        accesses = workload.trace.batch.to_accesses()
         reference_suite = scheme_suite(workload.protected_bytes)
         batched_suite = scheme_suite(workload.protected_bytes)
         whole = AccessBatch.from_accesses(accesses)
@@ -325,8 +325,7 @@ class TestBatchPricingEquivalence:
 
             monkeypatch.setattr(scheme, "pricing_session", counting_session)
             monkeypatch.setattr(type(scheme), "process", boom)
-            result = model.run(workload.trace.phases, scheme,
-                               batches=workload.trace.batches)
+            result = model.run(workload.trace, scheme)
             assert len(opened) == 1, name
             assert calls.get("price") == 1, name
             assert calls.get("probe_run_batch", 0) <= 1, name
@@ -398,7 +397,7 @@ class TestBatchPricingEquivalence:
     def test_cached_schemes_on_dnn_trace(self, name):
         """Per-acceptance: BP and MGX_MAC pinned on a real DNN trace."""
         workload = dnn_workload("AlexNet", "Cloud", training=True)
-        accesses = [a for p in workload.trace.phases for a in p.accesses]
+        accesses = workload.trace.batch.to_accesses()
         expected = _price_per_access(
             scheme_suite(workload.protected_bytes)[name], accesses
         )
@@ -413,7 +412,7 @@ class TestBatchPricingEquivalence:
         """Per-acceptance: BP and MGX_MAC pinned on a real graph trace."""
         workload = graph_workload("ogbl-ppa", "BFS", iterations=2,
                                   scale_divisor=256)
-        accesses = [a for p in workload.trace.phases for a in p.accesses]
+        accesses = workload.trace.batch.to_accesses()
         expected = _price_per_access(
             scheme_suite(workload.protected_bytes)[name], accesses
         )
@@ -429,7 +428,8 @@ class TestBatchPricingEquivalence:
         phase — traffic, scheme stats, cache stats and final LRU state
         alike."""
         workload = dnn_workload("AlexNet", "Cloud", training=True)
-        batches = list(workload.trace.batches)
+        batches = [AccessBatch.from_phase(phase)
+                   for phase in workload.trace.to_phases()]
         per_batch_scheme = scheme_suite(workload.protected_bytes)[name]
         trace_scheme = scheme_suite(workload.protected_bytes)[name]
         per_batch = [per_batch_scheme.price_batch(batch) for batch in batches]
@@ -517,10 +517,11 @@ class TestTraceCache:
 
     def test_batched_trace_total_accesses(self):
         workload = dnn_workload("AlexNet", "Cloud")
+        phases = workload.trace.to_phases()
         assert workload.trace.total_accesses == sum(
-            len(p.accesses) for p in workload.trace.phases
+            len(p.accesses) for p in phases
         )
-        rebuilt = BatchedTrace.from_phases(workload.trace.phases)
+        rebuilt = Trace.from_phases(phases)
         assert rebuilt.total_accesses == workload.trace.total_accesses
 
     def test_global_cache_is_enabled_by_default(self):

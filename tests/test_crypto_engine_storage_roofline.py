@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.core.access import DataClass, Phase, read
+from repro.core.access import DataClass, Phase, Trace, read
 from repro.core.crypto_engine import CryptoEngineConfig, engine_for_dnn_cloud
 from repro.dnn.accelerator import CLOUD, EDGE
 from repro.dnn.models import build_model
@@ -78,7 +78,7 @@ class TestStorageOverhead:
 class TestRoofline:
     def _report(self, model_name, config):
         trace = DnnTraceGenerator(build_model(model_name), config).inference()
-        return analyze(trace.phases, DramModel(config.dram),
+        return analyze(trace.trace, DramModel(config.dram),
                        config.array.freq_hz)
 
     def test_synthetic_classification(self):
@@ -89,7 +89,7 @@ class TestRoofline:
             Phase("cpu", compute_cycles=10**9,
                   accesses=[read(0, 64, DataClass.FEATURE)]),
         ]
-        report = analyze(phases, dram, accel_freq_hz=800e6)
+        report = analyze(Trace.from_phases(phases), dram, accel_freq_hz=800e6)
         assert report.phases[0].memory_bound
         assert not report.phases[1].memory_bound
         assert report.memory_bound_phase_count == 1
@@ -123,6 +123,6 @@ class TestRoofline:
             Phase("a", compute_cycles=100, accesses=[read(0, 4096)]),
             Phase("b", compute_cycles=10_000, accesses=[read(0, 4096)]),
         ]
-        report = analyze(phases, dram, accel_freq_hz=800e6)
+        report = analyze(Trace.from_phases(phases), dram, accel_freq_hz=800e6)
         assert (report.phases[1].intensity_cycles_per_byte
                 > report.phases[0].intensity_cycles_per_byte)

@@ -109,9 +109,9 @@ class TestSegNet:
 
     def test_trace_generates_and_vns_hold(self):
         trace = DnnTraceGenerator(segnet_toy(), EDGE).inference()
-        assert len(trace.phases) == len(segnet_toy().layers)
+        assert len(trace.trace.to_phases()) == len(segnet_toy().layers)
         write_vns = [
-            a.vn for p in trace.phases for a in p.accesses if a.is_write
+            a.vn for p in trace.trace.to_phases() for a in p.accesses if a.is_write
         ]
         assert all(x < y for x, y in zip(write_vns, write_vns[1:]))
 

@@ -23,18 +23,18 @@ class TestInferenceTraceStructure:
     def test_one_phase_per_layer(self):
         model = alexnet()
         trace = _trace(model)
-        assert len(trace.phases) == len(model.layers)
+        assert len(trace.trace.to_phases()) == len(model.layers)
 
     def test_every_access_has_vn(self):
         trace = _trace(alexnet())
-        for phase in trace.phases:
+        for phase in trace.trace.to_phases():
             for access in phase.accesses:
                 assert access.vn is not None
 
     def test_weights_read_once_per_layer(self):
         model = alexnet()
         trace = _trace(model)
-        for phase, layer in zip(trace.phases, model.layers):
+        for phase, layer in zip(trace.trace.to_phases(), model.layers):
             weight_reads = [
                 a for a in phase.accesses
                 if a.data_class is DataClass.WEIGHT and not a.is_write
@@ -49,7 +49,7 @@ class TestInferenceTraceStructure:
         trace = _trace(resnet50())
         weight_vns = {
             a.vn
-            for p in trace.phases
+            for p in trace.trace.to_phases()
             for a in p.accesses
             if a.data_class is DataClass.WEIGHT
         }
@@ -59,7 +59,7 @@ class TestInferenceTraceStructure:
         trace = _trace(resnet50())
         write_vns = [
             a.vn
-            for p in trace.phases
+            for p in trace.trace.to_phases()
             for a in p.accesses
             if a.data_class is DataClass.FEATURE and a.is_write
         ]
@@ -75,7 +75,7 @@ class TestInferenceTraceStructure:
         last_write: dict[int, int] = {
             input_region.base: trace.vn_state.read_features("input")
         }
-        for phase in trace.phases:
+        for phase in trace.trace.to_phases():
             for access in phase.accesses:
                 if access.data_class is not DataClass.FEATURE:
                     continue
@@ -88,15 +88,16 @@ class TestInferenceTraceStructure:
         """Feed every write into the UniquenessGuard: must never raise."""
         trace = _trace(build_model("GoogleNet"))
         guard = UniquenessGuard()
-        for phase in trace.phases:
+        for phase in trace.trace.to_phases():
             for access in phase.accesses:
                 if access.is_write:
                     guard.register_write(access.address, access.vn)
 
     def test_total_bytes_positive_and_consistent(self):
         trace = _trace(alexnet())
-        assert trace.total_bytes == sum(p.total_bytes() for p in trace.phases)
-        assert trace.total_bytes > alexnet().total_weight_bytes
+        assert trace.trace.total_bytes == sum(
+            p.total_bytes() for p in trace.trace.to_phases())
+        assert trace.trace.total_bytes > alexnet().total_weight_bytes
 
 
 class TestTiledMultiPass:
@@ -104,7 +105,7 @@ class TestTiledMultiPass:
         """Where tiling spills partial sums, the trace must read the
         previous pass with the pre-increment VN (Fig. 7 Algorithm)."""
         trace = _trace(bert_base(layers=1), config=EDGE)
-        for phase in trace.phases:
+        for phase in trace.trace.to_phases():
             feature_ops = [
                 a for a in phase.accesses if a.data_class is DataClass.FEATURE
             ]
@@ -124,9 +125,9 @@ class TestTiledMultiPass:
     def test_batch_scales_feature_traffic(self):
         t1 = _trace(alexnet(), batch=1)
         t4 = _trace(alexnet(), batch=4)
-        f1 = sum(a.size for p in t1.phases for a in p.accesses
+        f1 = sum(a.size for p in t1.trace.to_phases() for a in p.accesses
                  if a.data_class is DataClass.FEATURE)
-        f4 = sum(a.size for p in t4.phases for a in p.accesses
+        f4 = sum(a.size for p in t4.trace.to_phases() for a in p.accesses
                  if a.data_class is DataClass.FEATURE)
         assert f4 == pytest.approx(4 * f1, rel=0.01)
 
@@ -136,11 +137,11 @@ class TestTrainingTrace:
         model = alexnet()
         inf = _trace(model)
         train = _trace(alexnet(), training=True)
-        assert len(train.phases) > len(inf.phases)
+        assert len(train.trace.to_phases()) > len(inf.trace.to_phases())
 
     def test_gradient_accesses_present(self):
         train = _trace(alexnet(), training=True)
-        kinds = {a.data_class for p in train.phases for a in p.accesses}
+        kinds = {a.data_class for p in train.trace.to_phases() for a in p.accesses}
         assert DataClass.GRADIENT in kinds
 
     def test_gradient_reads_match_writes(self):
@@ -151,7 +152,7 @@ class TestTrainingTrace:
         """
         train = _trace(resnet50(), training=True)
         last_write: dict[tuple[str, int], int] = {}
-        for phase in train.phases:
+        for phase in train.trace.to_phases():
             for access in phase.accesses:
                 if access.data_class is not DataClass.GRADIENT:
                     continue
@@ -166,7 +167,7 @@ class TestTrainingTrace:
         so no WEIGHT-class writes appear."""
         train = _trace(alexnet(), training=True)
         weight_writes = [
-            a for p in train.phases for a in p.accesses
+            a for p in train.trace.to_phases() for a in p.accesses
             if a.data_class is DataClass.WEIGHT and a.is_write
         ]
         assert not weight_writes
@@ -174,7 +175,7 @@ class TestTrainingTrace:
     def test_training_reads_saved_features(self):
         """Backward phases re-read forward activations."""
         train = _trace(alexnet(), training=True)
-        backward = [p for p in train.phases if p.name.startswith("bwd:")]
+        backward = [p for p in train.trace.to_phases() if p.name.startswith("bwd:")]
         feature_reads = [
             a for p in backward for a in p.accesses
             if a.data_class is DataClass.FEATURE and not a.is_write
@@ -186,7 +187,7 @@ class TestDlrmTrace:
     def test_embedding_gather_is_scattered(self):
         trace = _trace(dlrm())
         gathers = [
-            a for p in trace.phases for a in p.accesses
+            a for p in trace.trace.to_phases() for a in p.accesses
             if a.data_class is DataClass.EMBEDDING
         ]
         assert len(gathers) == 1
@@ -197,7 +198,7 @@ class TestDlrmTrace:
 
     def test_embedding_rows_not_spilled(self):
         trace = _trace(dlrm())
-        emb_phase = next(p for p in trace.phases if p.name == "fwd:emb")
+        emb_phase = next(p for p in trace.trace.to_phases() if p.name == "fwd:emb")
         writes = [a for a in emb_phase.accesses if a.is_write]
         assert not writes
 

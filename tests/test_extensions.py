@@ -34,7 +34,7 @@ class TestMobileNet:
 
     def test_trace_and_sweep(self):
         trace = DnnTraceGenerator(mobilenet_v1(), EDGE).inference()
-        assert trace.total_bytes > 0
+        assert trace.trace.total_bytes > 0
         sweep = dnn_sweep("MobileNet", "Edge")
         assert sweep.normalized_time("MGX") < sweep.normalized_time("BP")
 
@@ -45,7 +45,7 @@ class TestSsspTrace:
         gen = GraphTraceGenerator(graph, GraphAcceleratorConfig())
         trace = gen.sssp_trace(source=0, max_iterations=6)
         assert 1 <= trace.iterations <= 6
-        assert trace.total_bytes > 0
+        assert trace.trace.total_bytes > 0
 
     def test_sssp_sweep_matches_pr_shape(self):
         pr = graph_sweep("google-plus", "PR", iterations=3, scale_divisor=256)

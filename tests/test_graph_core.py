@@ -68,6 +68,22 @@ class TestCsr:
         # rows 0..3: 4 edges * 8 B + 5 pointers * 4 B
         assert g.row_slice_bytes(0, 3) == 4 * 8 + 5 * 4
 
+    def test_default_weights_are_a_read_only_unit_view(self):
+        """Unit weights cost no memory per edge: one read-only,
+        zero-stride view that SSSP reads exactly like explicit ones."""
+        edges = np.random.default_rng(4).integers(0, 300, size=(2000, 2))
+        g = CsrMatrix.from_edges(300, edges)
+        assert g.values.shape == g.indices.shape
+        assert g.values.strides == (0,)
+        with pytest.raises(ValueError):
+            g.values[0] = 2.0
+        explicit = CsrMatrix(g.n, g.indptr, g.indices, np.ones(g.nnz))
+        assert np.array_equal(sssp(g, 0).distances,
+                              sssp(explicit, 0).distances)
+        assert np.array_equal(g.transpose().values,
+                              explicit.transpose().values)
+        assert np.array_equal(g.row_values(5), explicit.row_values(5))
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             CsrMatrix(2, np.array([0, 1]), np.array([0]))  # bad indptr shape

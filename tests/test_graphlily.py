@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConfigError
 from repro.common.units import KIB
-from repro.core.access import DataClass
+from repro.core.access import DataClass, TraceBuilder
 from repro.core.vngen import IterationVnState, UniquenessGuard
 from repro.graph.csr import CsrMatrix
 from repro.graph.generators import build_benchmark_graph, uniform_random_graph
@@ -88,13 +88,20 @@ class TestTileEdgeCounts:
         assert second._tile_edges is first._tile_edges
 
 
+def _iteration(generator, vn_state, sparse_vector=False):
+    """One iteration's phases, as objects."""
+    builder = TraceBuilder()
+    generator.iteration_phases(builder, vn_state, sparse_vector)
+    return builder.build().to_phases()
+
+
 class TestIterationPhases:
     def test_one_phase_per_destination_block(self, generator):
-        phases = generator.iteration_phases(IterationVnState())
+        phases = _iteration(generator, IterationVnState())
         assert len(phases) == generator.n_blocks
 
     def test_adjacency_read_once_per_iteration(self, generator):
-        phases = generator.iteration_phases(IterationVnState())
+        phases = _iteration(generator, IterationVnState())
         adjacency_bytes = sum(
             a.size for p in phases for a in p.accesses
             if a.data_class is DataClass.ADJACENCY
@@ -108,7 +115,7 @@ class TestIterationPhases:
         vn_state = IterationVnState()
         vns = set()
         for _ in range(3):
-            for p in generator.iteration_phases(vn_state):
+            for p in _iteration(generator, vn_state):
                 vns.update(
                     a.vn for a in p.accesses if a.data_class is DataClass.ADJACENCY
                 )
@@ -118,13 +125,13 @@ class TestIterationPhases:
     def test_vector_read_vn_is_previous_write_vn(self, generator):
         """§V-B: Iter−1 reads what Iter−1's writes produced."""
         vn_state = IterationVnState()
-        first = generator.iteration_phases(vn_state)
+        first = _iteration(generator, vn_state)
         write_vns = {
             a.vn for p in first for a in p.accesses
             if a.data_class is DataClass.VECTOR and a.is_write
         }
         vn_state.advance_iteration()
-        second = generator.iteration_phases(vn_state)
+        second = _iteration(generator, vn_state)
         read_vns = {
             a.vn for p in second for a in p.accesses
             if a.data_class is DataClass.VECTOR and not a.is_write
@@ -133,9 +140,9 @@ class TestIterationPhases:
 
     def test_vector_regions_alternate(self, generator):
         vn_state = IterationVnState()
-        first = generator.iteration_phases(vn_state)
+        first = _iteration(generator, vn_state)
         vn_state.advance_iteration()
-        second = generator.iteration_phases(vn_state)
+        second = _iteration(generator, vn_state)
 
         def write_targets(phases):
             return {
@@ -149,14 +156,14 @@ class TestIterationPhases:
         guard = UniquenessGuard()
         vn_state = IterationVnState()
         for _ in range(4):
-            for p in generator.iteration_phases(vn_state):
+            for p in _iteration(generator, vn_state):
                 for a in p.accesses:
                     if a.is_write:
                         guard.register_write(a.address, a.vn)
             vn_state.advance_iteration()
 
     def test_spmspv_vector_reads_scattered(self, generator):
-        phases = generator.iteration_phases(IterationVnState(), sparse_vector=True)
+        phases = _iteration(generator, IterationVnState(), sparse_vector=True)
         vec_reads = [
             a for p in phases for a in p.accesses
             if a.data_class is DataClass.VECTOR and not a.is_write
@@ -170,7 +177,7 @@ class TestTraces:
     def test_pagerank_trace_iterations(self, generator):
         trace = generator.pagerank_trace(iterations=3)
         assert trace.iterations == 3
-        assert len(trace.phases) == 3 * generator.n_blocks
+        assert len(trace.trace.names) == 3 * generator.n_blocks
 
     def test_bfs_trace_uses_functional_levels(self):
         graph = uniform_random_graph(4096, 65_536, seed=10)
@@ -179,8 +186,8 @@ class TestTraces:
         assert trace.iterations >= 1
 
     def test_traffic_scales_with_iterations(self, generator):
-        one = generator.pagerank_trace(iterations=1).total_bytes
-        three = generator.pagerank_trace(iterations=3).total_bytes
+        one = generator.pagerank_trace(iterations=1).trace.total_bytes
+        three = generator.pagerank_trace(iterations=3).trace.total_bytes
         assert three == pytest.approx(3 * one, rel=0.01)
 
     def test_invalid_iterations(self, generator):
@@ -207,9 +214,8 @@ class TestScaleStability:
             totals = {}
             for name, scheme in scheme_suite(cfg.protected_bytes).items():
                 t = ProtectionTraffic()
-                for p in trace.phases:
-                    for a in p.accesses:
-                        t.merge(scheme.process(a))
+                for a in trace.trace.batch.to_accesses():
+                    t.merge(scheme.process(a))
                 t.merge(scheme.finish())
                 totals[name] = t.total_bytes
             ratios[divisor] = totals["BP"] / totals["NP"]

@@ -49,7 +49,7 @@ class TestDnnTraceDrivesFunctionalEngine:
         trace = DnnTraceGenerator(alexnet(), CLOUD).inference()
         rng = np.random.default_rng(0)
         contents: dict[tuple[int, int], bytes] = {}
-        for phase in trace.phases:
+        for phase in trace.trace.to_phases():
             for access in phase.accesses:
                 if access.data_class is not DataClass.FEATURE:
                     continue
@@ -68,7 +68,7 @@ class TestDnnTraceDrivesFunctionalEngine:
         engine, _ = _engine()
         trace = DnnTraceGenerator(alexnet(), CLOUD).inference()
         first_write = next(
-            a for p in trace.phases for a in p.accesses
+            a for p in trace.trace.to_phases() for a in p.accesses
             if a.is_write and a.data_class is DataClass.FEATURE
         )
         addr, size = _scaled(first_write.address, first_write.size, engine.data_bytes)

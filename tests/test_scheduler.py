@@ -128,15 +128,12 @@ class TestDiskTier:
         restored = dnn_workload("AlexNet", "Cloud")
         assert disk_cache.stats()["disk_hits"] == 1
         assert restored.trace is not workload.trace
-        original = [a for p in workload.trace.phases for a in p.accesses]
-        roundtrip = [a for p in restored.trace.phases for a in p.accesses]
-        assert roundtrip == original
-        assert [p.name for p in restored.trace.phases] == [
-            p.name for p in workload.trace.phases
-        ]
-        assert [p.compute_cycles for p in restored.trace.phases] == [
-            p.compute_cycles for p in workload.trace.phases
-        ]
+        assert restored.trace.batch.to_accesses() \
+            == workload.trace.batch.to_accesses()
+        assert restored.trace.names == workload.trace.names
+        assert restored.trace.compute_cycles == workload.trace.compute_cycles
+        assert restored.trace.offsets.tolist() \
+            == workload.trace.offsets.tolist()
 
     def test_restored_sweep_renders_identical_tables(self, disk_cache):
         """A disk-restored sweep must produce the same figure numbers."""

@@ -4,7 +4,16 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.common.units import MHZ, MIB
-from repro.core.access import DataClass, Phase, read, write
+from repro.core.access import (
+    AccessBatch,
+    AccessKind,
+    DataClass,
+    Phase,
+    Trace,
+    TraceBuilder,
+    read,
+    write,
+)
 from repro.core.schemes import NoProtection, make_baseline, make_mgx
 from repro.dram.model import DramConfig, DramModel
 from repro.sim.perf import PerfConfig, PerformanceModel, SimResult
@@ -23,16 +32,16 @@ class TestPerformanceModel:
         model = _model()
         phases = [Phase("p", compute_cycles=10**9,
                         accesses=[read(0, 1 * MIB)])]
-        np_result = model.run(phases, NoProtection())
-        bp_result = model.run(phases, make_baseline(256 * MIB))
+        np_result = model.run(Trace.from_phases(phases), NoProtection())
+        bp_result = model.run(Trace.from_phases(phases), make_baseline(256 * MIB))
         assert bp_result.total_cycles == np_result.total_cycles == 10**9
 
     def test_memory_bound_phase_exposes_overhead(self):
         model = _model()
         phases = [Phase("p", compute_cycles=0,
                         accesses=[read(0, 16 * MIB, DataClass.FEATURE)])]
-        np_result = model.run(phases, NoProtection())
-        bp_result = model.run(phases, make_baseline(256 * MIB))
+        np_result = model.run(Trace.from_phases(phases), NoProtection())
+        bp_result = model.run(Trace.from_phases(phases), make_baseline(256 * MIB))
         assert bp_result.total_cycles > 1.2 * np_result.total_cycles
 
     def test_crypto_engine_floor(self):
@@ -42,8 +51,8 @@ class TestPerformanceModel:
         model = _model(crypto=0.97)
         phases = [Phase("p", compute_cycles=0,
                         accesses=[read(0, 16 * MIB, DataClass.FEATURE)])]
-        np_result = model.run(phases, NoProtection())
-        mgx_result = model.run(phases, make_mgx(256 * MIB))
+        np_result = model.run(Trace.from_phases(phases), NoProtection())
+        mgx_result = model.run(Trace.from_phases(phases), make_mgx(256 * MIB))
         ratio = mgx_result.total_cycles / np_result.total_cycles
         assert 1.02 < ratio < 1.05
 
@@ -51,8 +60,8 @@ class TestPerformanceModel:
         model = _model(crypto=1.0)
         phases = [Phase("p", compute_cycles=0,
                         accesses=[read(0, 16 * MIB, DataClass.FEATURE)])]
-        np_result = model.run(phases, NoProtection())
-        mgx_result = model.run(phases, make_mgx(256 * MIB))
+        np_result = model.run(Trace.from_phases(phases), NoProtection())
+        mgx_result = model.run(Trace.from_phases(phases), make_mgx(256 * MIB))
         assert mgx_result.total_cycles / np_result.total_cycles < 1.02
 
     def test_phase_results_recorded(self):
@@ -61,7 +70,8 @@ class TestPerformanceModel:
             Phase("a", compute_cycles=10**7, accesses=[read(0, 64)]),
             Phase("b", compute_cycles=0, accesses=[read(0, 1 * MIB)]),
         ]
-        result = model.run(phases, NoProtection(), keep_phase_results=True)
+        result = model.run(Trace.from_phases(phases),
+                           NoProtection(), keep_phase_results=True)
         assert len(result.phase_results) == 2
         assert not result.phase_results[0].memory_bound
         assert result.phase_results[1].memory_bound
@@ -87,24 +97,44 @@ class TestPerformanceModel:
         with pytest.raises(ConfigError):
             PerfConfig(accel_freq_hz=freq)
 
-    def test_mismatched_phase_and_batch_iterators_rejected(self):
-        """Phases and batches pair strictly, iterators included: a
-        surplus on either side is an error, never a silently dropped
-        phase."""
-        from repro.core.access import AccessBatch
+    def test_phase_table_mismatch_rejected(self):
+        """Names, compute cycles and offsets must describe the same
+        phases, and the offsets must rise from 0 to the access count."""
+        import numpy as np
 
-        model = _model()
-        phases = [Phase(f"p{i}", 100.0, [read(i * 4096, 4096)])
-                  for i in range(3)]
-        batches = [AccessBatch.from_phase(p) for p in phases]
-        with pytest.raises(ConfigError, match="2 batches supplied for 3 phases"):
-            model.run(iter(phases), NoProtection(), batches=iter(batches[:2]))
-        with pytest.raises(ConfigError, match="3 batches supplied for 2 phases"):
-            model.run(iter(phases[:2]), NoProtection(), batches=iter(batches))
-        with pytest.raises(ConfigError):
-            model.run(phases, NoProtection(), batches=batches[:2])
-        paired = model.run(iter(phases), NoProtection(), batches=iter(batches))
-        assert paired.traffic.total_bytes == 3 * 4096
+        batch = AccessBatch.from_accesses([read(i * 4096, 4096)
+                                           for i in range(3)])
+        offsets = np.array([0, 1, 2, 3])
+        with pytest.raises(ConfigError, match="phase table mismatch"):
+            Trace(["p0", "p1"], [1.0, 1.0, 1.0], offsets, batch)
+        with pytest.raises(ConfigError, match="phase table mismatch"):
+            Trace(["p0", "p1", "p2"], [1.0] * 3, offsets[:3], batch)
+        for bad in ([1, 2, 2, 3], [0, 1, 2, 2], [0, 2, 1, 3]):
+            with pytest.raises(ConfigError, match="must rise from 0"):
+                Trace(["p0", "p1", "p2"], [1.0] * 3, np.array(bad), batch)
+        trace = Trace(["p0", "p1", "p2"], [100.0] * 3, offsets, batch)
+        assert _model().run(trace, NoProtection()).traffic.total_bytes \
+            == 3 * 4096
+
+    @pytest.mark.parametrize("cycles", [float("nan"), float("inf"), -1e9, -1])
+    def test_bad_compute_cycles_rejected(self, cycles):
+        """Compute cycles must be finite and non-negative wherever a
+        trace is built: before, a NaN phase priced to NaN total cycles
+        and a negative one was accepted silently."""
+        with pytest.raises(ConfigError, match="compute cycles"):
+            Trace.from_phases([Phase("p", cycles, [read(0, 64)])])
+        builder = TraceBuilder()
+        builder.access(0, 64, AccessKind.READ)
+        builder.end_phase("p", cycles)
+        with pytest.raises(ConfigError, match="compute cycles"):
+            builder.build()
+
+    def test_zero_phase_trace_prices_only_the_tail(self):
+        trace = Trace.from_phases([])
+        assert trace.total_accesses == 0 and trace.offsets.tolist() == [0]
+        result = _model().run(trace, make_baseline(256 * MIB),
+                              keep_phase_results=True)
+        assert result.total_cycles == 0.0 and result.phase_results == []
 
     def test_total_cycles_summed_in_phase_order(self):
         """``total_cycles`` is the float sum of the phases' cycles in
@@ -121,12 +151,13 @@ class TestPerformanceModel:
             for i in range(10_000)
         ]
         model = _model()
-        result = model.run(phases, make_mgx(256 * MIB), keep_phase_results=True)
+        result = model.run(Trace.from_phases(phases),
+                           make_mgx(256 * MIB), keep_phase_results=True)
         cycles = [p.cycles for p in result.phase_results]
         expected = 0.0
         for value in cycles:
             expected += value
-        tail = model.run([], make_mgx(256 * MIB)).total_cycles
+        tail = model.run(Trace.from_phases([]), make_mgx(256 * MIB)).total_cycles
         assert tail == 0.0
         assert result.total_cycles == expected
         assert float(np.sum(cycles)) != expected  # the trace discriminates
@@ -137,8 +168,8 @@ class TestPerformanceModel:
         model = _model()
         scheme = make_baseline(256 * MIB)
         phases = [Phase("p", 0.0, [write(0, 1 * MIB, DataClass.FEATURE)])]
-        first = model.run(phases, scheme)
-        second = model.run(phases, scheme)
+        first = model.run(Trace.from_phases(phases), scheme)
+        second = model.run(Trace.from_phases(phases), scheme)
         assert second.total_cycles == pytest.approx(first.total_cycles)
 
 

@@ -10,17 +10,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.access import (
-    AccessBatch,
     AccessKind,
     DataClass,
-    LazyAccessList,
     MemAccess,
     Phase,
+    Trace,
 )
 from repro.sim import gc as cache_gc
 from repro.sim import spillfmt
 from repro.sim.runner import (
-    BatchedTrace,
     TraceCache,
     dnn_workload,
     payload_digest,
@@ -33,7 +31,7 @@ from repro.sim.tracefile import phases_to_doc
 KEY = ("dnn-trace", "AlexNet", "Cloud", False, 1)
 
 
-def _trace() -> BatchedTrace:
+def _trace() -> Trace:
     return dnn_workload("AlexNet", "Cloud", use_cache=False).trace
 
 
@@ -42,11 +40,11 @@ def _framed(payload: bytes) -> bytes:
     return payload + b"\n#sha256:" + payload_digest(payload).encode() + b"\n"
 
 
-def _write_legacy_json(cache_dir, trace: BatchedTrace):
+def _write_legacy_json(cache_dir, trace: Trace):
     """A retired-layout (JSON) trace spill for ``KEY``, validly framed,
     under the ``.bin`` name's stem."""
     legacy = cache_dir / spill_filename(KEY).replace(".bin", ".json")
-    doc = {"version": 2, "phases": phases_to_doc(trace.phases)}
+    doc = {"version": 2, "phases": phases_to_doc(trace.to_phases())}
     legacy.write_bytes(_framed(json.dumps(doc).encode()))
     return legacy
 
@@ -87,18 +85,18 @@ class TestRoundTripProperty:
     @settings(max_examples=40, deadline=None)
     @given(phases=st.lists(_phase, max_size=4))
     def test_columns_round_trip_preserves_phases(self, phases):
-        cols = spillfmt.phases_to_columns(phases)
-        rebuilt, batches = spillfmt.columns_to_phases(cols)
-        _phase_lists_equal(phases, rebuilt)
-        assert [len(b) for b in batches] == [len(p.accesses) for p in phases]
+        trace = Trace.from_phases(phases)
+        _phase_lists_equal(phases, trace.to_phases())
+        assert np.diff(trace.offsets).tolist() == [len(p.accesses)
+                                                   for p in phases]
 
     @settings(max_examples=40, deadline=None)
     @given(phases=st.lists(_phase, max_size=4))
     def test_binary_encode_decode_round_trip(self, phases):
-        trace = BatchedTrace.from_phases(phases)
+        trace = Trace.from_phases(phases)
         payload = spillfmt.encode_trace(trace)
         decoded = spillfmt.decode_trace(payload)
-        _phase_lists_equal(phases, decoded.phases)
+        _phase_lists_equal(phases, decoded.to_phases())
         # The binary form is canonical: encode is deterministic, so
         # cooperating workers write byte-identical spills.
         assert spillfmt.encode_trace(decoded) == payload
@@ -109,24 +107,15 @@ class TestCodec:
         trace = _trace()
         payload = spillfmt.encode_trace(trace)
         decoded = spillfmt.decode_trace(payload)
-        total = sum(len(b) for b in decoded.batches)
-        assert total == trace.total_accesses
+        assert decoded.total_accesses == trace.total_accesses
+        assert decoded.names == trace.names
+        assert decoded.offsets.tolist() == trace.offsets.tolist()
         # Column arrays are views over the (immutable) payload buffer,
         # not copies: read-only, and zero bytes of column data on load.
-        for batch in decoded.batches:
-            assert not batch.address.flags.writeable
-            assert batch.address.base is not None
-
-    def test_lazy_phases_materialize_on_demand(self):
-        trace = _trace()
-        decoded = spillfmt.decode_trace(spillfmt.encode_trace(trace))
-        accesses = decoded.phases[0].accesses
-        assert isinstance(accesses, LazyAccessList)
-        assert accesses._batch is not None  # len() must not materialize
-        assert len(accesses) == len(trace.phases[0].accesses)
-        assert accesses._batch is not None
-        assert list(accesses) == list(trace.phases[0].accesses)
-        assert accesses._batch is None  # iteration materialized it
+        for name, _ in spillfmt.COLUMN_DTYPES:
+            column = getattr(decoded.batch, name)
+            assert not column.flags.writeable
+            assert column.base is not None
 
     def test_structural_validation_catches_truncation(self):
         payload = spillfmt.encode_trace(_trace())
@@ -138,7 +127,7 @@ class TestCodec:
             spillfmt.decode_trace(payload[:4])
 
     def test_column_dtypes_match_access_batch(self):
-        batch = AccessBatch.from_phase(_trace().phases[0])
+        batch = _trace().batch
         for name, dtype in spillfmt.COLUMN_DTYPES:
             assert np.dtype(dtype) == getattr(batch, name).dtype
 
@@ -157,7 +146,7 @@ class TestDiskTier:
         disk_cache.clear()
         restored = disk_cache.peek(KEY)
         assert restored is not None
-        _phase_lists_equal(restored.phases, trace.phases)
+        _phase_lists_equal(restored.to_phases(), trace.to_phases())
 
     def test_corrupt_binary_falls_back_then_rebuilds(self, disk_cache):
         trace = _trace()
@@ -168,7 +157,7 @@ class TestDiskTier:
         rebuilt = disk_cache.get_or_build(KEY, _trace)
         assert disk_cache.misses == 1
         assert disk_cache.corrupt_dropped == 1  # no trailer: corrupt
-        _phase_lists_equal(rebuilt.phases, trace.phases)
+        _phase_lists_equal(rebuilt.to_phases(), trace.to_phases())
 
     def test_trailerless_json_spill_is_dropped_on_load(self, disk_cache):
         """A JSON spill without its digest trailer is corrupt, not a
@@ -189,12 +178,10 @@ class TestDiskTier:
         warm = dnn_workload("AlexNet", "Cloud")
         assert disk_cache.disk_hits == 1
         model = workload.performance_model()
-        cold_sweep = sweep_schemes(workload.label, workload.trace.phases,
-                                   model, workload.protected_bytes,
-                                   batches=workload.trace.batches)
-        warm_sweep = sweep_schemes(warm.label, warm.trace.phases, model,
-                                   warm.protected_bytes,
-                                   batches=warm.trace.batches)
+        cold_sweep = sweep_schemes(workload.label, workload.trace, model,
+                                   workload.protected_bytes)
+        warm_sweep = sweep_schemes(warm.label, warm.trace, model,
+                                   warm.protected_bytes)
         for name, result in cold_sweep.results.items():
             assert warm_sweep.results[name].total_cycles == result.total_cycles
             assert (warm_sweep.results[name].total_traffic_bytes
@@ -227,7 +214,7 @@ class TestGcAndVerifyMixedFormats:
         assert disk_cache.peek(KEY) is None
         rebuilt = disk_cache.get_or_build(KEY, _trace)
         assert disk_cache.misses == 1
-        _phase_lists_equal(rebuilt.phases, trace.phases)
+        _phase_lists_equal(rebuilt.to_phases(), trace.to_phases())
         binary = disk_cache.cache_dir / spill_filename(KEY)
         assert binary.exists() and legacy.exists()
         plan = cache_gc.plan_gc(disk_cache.cache_dir,

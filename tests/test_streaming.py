@@ -1,121 +1,68 @@
-"""Chunk-iterable traces price byte-identically to materialized ones.
+"""A trace priced in slices through one session equals one whole-trace call.
 
-``StreamingTrace`` replays deterministic phase generators; the perf
-model's session path converts and prices one bounded chunk of phases at
-a time.  These tests pin the streamed results — cycles, traffic,
-per-scheme — to the batched pipeline across DNN inference/training and
-graph workloads, and the generator trace methods to their list-building
-counterparts.
+``PerformanceModel.run`` prices a whole :class:`~repro.core.access.Trace`
+with one ``price`` call, but the pricing session stays a stream API: cut
+the same trace into one ``price`` call per phase and every scheme must
+return the same per-phase traffic, the same ``finish()`` tail and the
+same scheme and cache state.  These tests pin that on real DNN
+inference/training and graph traces; the Hypothesis differential in
+``test_batch_pricing.py`` pins it on random cuts.
 """
 
 from __future__ import annotations
 
-import pytest
+from dataclasses import astuple
 
-from repro.dnn.accelerator import CONFIGS
-from repro.dnn.models import build_model
-from repro.dnn.tracegen import DnnTraceGenerator
-from repro.sim.runner import (
-    BatchedTrace,
-    StreamingTrace,
-    TRACE_CACHE,
-    dnn_workload,
-    dnn_workload_streaming,
-    graph_workload,
-    graph_workload_streaming,
-    sweep_schemes,
-    sweep_schemes_streaming,
-)
+import numpy as np
+
+from repro.core.access import COLUMN_DTYPES, AccessBatch
+from repro.core.schemes import scheme_suite
+from repro.sim.runner import SCHEMES, dnn_workload, graph_workload
 
 
-@pytest.fixture(autouse=True)
-def isolated_cache(monkeypatch):
-    """Streamed/batched comparisons must not share cached sweeps."""
-    monkeypatch.setattr(TRACE_CACHE, "enabled", False)
+def _slice(batch: AccessBatch, start: int, stop: int) -> AccessBatch:
+    return AccessBatch(*(getattr(batch, name)[start:stop]
+                         for name, _ in COLUMN_DTYPES))
 
 
-def _assert_sweeps_equal(batched, streamed):
-    assert set(batched.results) == set(streamed.results)
-    for name in batched.results:
-        a, b = batched.results[name], streamed.results[name]
-        assert a.total_cycles == b.total_cycles, name
-        assert a.traffic == b.traffic, name
+def _priced(scheme, calls) -> tuple:
+    """Per-phase traffic, ``finish()`` and final state of one session."""
+    scheme.reset()
+    with scheme.pricing_session() as session:
+        tables = [session.price(batch, offsets).table
+                  for batch, offsets in calls]
+    tail = astuple(scheme.finish())
+    cache = getattr(scheme, "cache", None)
+    state = [scheme.stats.as_dict()]
+    if cache is not None:
+        state += [cache.stats.as_dict(), cache.contents()]
+    return np.concatenate(tables), tail, state
 
 
-def _batched_sweep(workload):
-    return sweep_schemes(
-        workload.label, workload.trace.phases, workload.performance_model(),
-        workload.protected_bytes, batches=workload.trace.batches,
-    )
-
-
-def _streamed_sweep(workload):
-    return sweep_schemes_streaming(
-        workload.label, workload.trace, workload.performance_model(),
-        workload.protected_bytes,
-    )
-
-
-class TestGeneratorPhases:
-    def test_iter_inference_matches_inference(self):
-        config = CONFIGS["Cloud"]
-        phases = list(DnnTraceGenerator(build_model("AlexNet"),
-                                        config).iter_inference())
-        reference = DnnTraceGenerator(build_model("AlexNet"),
-                                      config).inference().phases
-        assert [p.name for p in phases] == [p.name for p in reference]
-        assert [p.accesses for p in phases] == [p.accesses for p in reference]
-
-    def test_iter_training_matches_training_step(self):
-        config = CONFIGS["Cloud"]
-        phases = list(DnnTraceGenerator(build_model("AlexNet"),
-                                        config).iter_training_step())
-        reference = DnnTraceGenerator(build_model("AlexNet"),
-                                      config).training_step().phases
-        assert [p.name for p in phases] == [p.name for p in reference]
-        assert [p.accesses for p in phases] == [p.accesses for p in reference]
-
-    def test_streaming_trace_reiterates(self):
-        config = CONFIGS["Cloud"]
-        trace = StreamingTrace(
-            lambda: DnnTraceGenerator(build_model("AlexNet"),
-                                      config).iter_inference()
-        )
-        first = [p.name for p in trace.iter_phases()]
-        second = [p.name for p in trace.iter_phases()]
-        assert first == second and first
-
-    def test_batched_trace_iterates_phases(self):
-        workload = dnn_workload("AlexNet", "Cloud", use_cache=False)
-        assert isinstance(workload.trace, BatchedTrace)
-        assert list(workload.trace.iter_phases()) == workload.trace.phases
+def _assert_streamed_equals_batched(workload):
+    trace = workload.trace
+    bounds = trace.offsets.tolist()
+    per_phase = [(_slice(trace.batch, start, stop), [0, stop - start])
+                 for start, stop in zip(bounds, bounds[1:])]
+    batched = scheme_suite(workload.protected_bytes)
+    streamed = scheme_suite(workload.protected_bytes)
+    for name in SCHEMES:
+        whole = _priced(batched[name], [(trace.batch, trace.offsets)])
+        sliced = _priced(streamed[name], per_phase)
+        assert np.array_equal(whole[0], sliced[0]), name
+        assert whole[1:] == sliced[1:], name
 
 
 class TestStreamedEqualsBatched:
     def test_dnn_inference(self):
-        _assert_sweeps_equal(
-            _batched_sweep(dnn_workload("AlexNet", "Cloud", use_cache=False)),
-            _streamed_sweep(dnn_workload_streaming("AlexNet", "Cloud")),
-        )
+        _assert_streamed_equals_batched(
+            dnn_workload("AlexNet", "Cloud", use_cache=False))
 
     def test_dnn_training(self):
-        _assert_sweeps_equal(
-            _batched_sweep(dnn_workload("AlexNet", "Cloud", training=True,
-                                        use_cache=False)),
-            _streamed_sweep(dnn_workload_streaming("AlexNet", "Cloud",
-                                                   training=True)),
-        )
+        _assert_streamed_equals_batched(
+            dnn_workload("AlexNet", "Cloud", training=True, use_cache=False))
 
     def test_graph_pagerank(self):
-        _assert_sweeps_equal(
-            _batched_sweep(graph_workload("google-plus", "PR",
-                                          scale_divisor=512,
-                                          use_cache=False)),
-            _streamed_sweep(graph_workload_streaming("google-plus", "PR",
-                                                     scale_divisor=512)),
-        )
-
-    def test_unknown_graph_algorithm_rejected(self):
-        with pytest.raises(ValueError):
-            graph_workload_streaming("google-plus", "Dijkstra",
-                                     iterations=2, scale_divisor=512)
+        _assert_streamed_equals_batched(
+            graph_workload("google-plus", "PR", scale_divisor=512,
+                           use_cache=False))

@@ -102,6 +102,7 @@ class TestMalformedInput:
         (_with(access={"vn": -1}), "phase 0 access 0: 'vn'"),
         (_with(access={"vn": 2**64}), "phase 0 access 0: 'vn'"),
         (_with(access={"address": None}), "phase 0 access 0: 'address'"),
+        (_with(access={"address": 2**63}), "phase 0 access 0: address"),
         (_with(phase={"accesses": [[0, 4096]]}),
          "phase 0 access 0: an access must be a JSON object"),
         (_with(dram_channels=0), "channels must be positive"),
@@ -109,7 +110,7 @@ class TestMalformedInput:
          "phase 0: 'compute_cycles'"),
         (_with(accel_freq_mhz=float("nan")), "accelerator frequency"),
     ], ids=["sequential-string", "vn-float", "size-float", "vn-negative",
-            "vn-2**64", "address-missing", "access-not-object",
+            "vn-2**64", "address-missing", "address-2**63", "access-not-object",
             "dram-channels-0", "compute-cycles-nan", "freq-nan"])
     def test_rejected_with_config_error(self, doc, message, tmp_path, capsys):
         path = tmp_path / "trace.json"
@@ -146,12 +147,13 @@ class TestRoundTrip:
 
         dnn = DnnTraceGenerator(alexnet(), CLOUD).inference()
         tf = tracefile.TraceFile(
-            name="alexnet", phases=dnn.phases,
+            name="alexnet", phases=dnn.trace.to_phases(),
             accel_freq_hz=CLOUD.array.freq_hz, dram_channels=4,
             protected_bytes=CLOUD.protected_bytes,
         )
         parsed = tracefile.loads(tracefile.dumps(tf))
-        assert sum(p.total_bytes() for p in parsed.phases) == dnn.total_bytes
+        assert sum(p.total_bytes() for p in parsed.phases) \
+            == dnn.trace.total_bytes
 
 
 class TestEvaluate:

@@ -89,7 +89,7 @@ class TestValidateTrace:
         preloaded[(int(VnSpace.FEATURE), input_region.base)] = (
             trace.vn_state.read_features("input")
         )
-        report = validate_trace(trace.phases, preloaded=preloaded)
+        report = validate_trace(trace.trace.to_phases(), preloaded=preloaded)
         assert report.ok, report.violations[:3]
 
     def test_graph_traces_validate(self):
@@ -103,7 +103,7 @@ class TestValidateTrace:
             (int(VnSpace.OTHER), gen.address_space.region("adjacency").base):
                 trace.vn_state.adjacency_vn(),
         }
-        report = validate_trace(trace.phases, preloaded=preloaded)
+        report = validate_trace(trace.trace.to_phases(), preloaded=preloaded)
         # Vector reads of iteration 1 reference the host-written initial
         # vector; all violations (if any) must be only those seeds.
         real = [v for v in report.violations if "never written" not in v.reason]

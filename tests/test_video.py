@@ -105,7 +105,7 @@ class TestDecodeTrace:
                     assert w.buffer_index not in read_buffers
 
     def test_phases_carry_bitstream_and_frames(self, trace):
-        first = trace.phases[0]
+        first = trace.trace.to_phases()[0]
         classes = {a.data_class for a in first.accesses}
         assert DataClass.BITSTREAM in classes
         assert DataClass.FRAME in classes
