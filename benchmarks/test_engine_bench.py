@@ -2,7 +2,8 @@
 
 Three engine microbenchmarks time the stream shapes the pricing core
 sees — capacity floods, dirty chain-heavy conveyors, and short
-walk-style scalar runs — once per available backend, so the
+walk-style scalar runs — fed as ``probe_run_batch`` rows (unflooded MAC
+ranges), once per available backend, so the
 ``bench_trend.py`` gate (filter term: ``engine``) tracks the compiled
 and reference implementations separately (each entry records its
 backend in ``extra_info``).  ``test_engine_suite_trace`` times one
@@ -37,56 +38,52 @@ def _geometry() -> TreeGeometry:
                          (leaf_end, l1_end, l1_end, 8)), LINE)
 
 
+def _mac_rows(firsts, count: int, dirty: bool) -> tuple:
+    """Run columns of unflooded ``count``-line MAC ranges from each of
+    ``firsts`` (line addresses), probed dirty or clean, no walks."""
+    n = len(firsts)
+    zeros = np.zeros(n, dtype=np.int64)
+    return (np.asarray(firsts, dtype=np.int64), np.full(n, count), zeros,
+            zeros, np.full(n, dirty), np.zeros(n, dtype=bool),
+            np.zeros(n, dtype=np.uint8))
+
+
+def _price_rows(backend, rows):
+    engine = create_engine(CAPACITY, geometry=_geometry(), backend=backend)
+    sink = EventSink()
+    engine.probe_run_batch(*rows, sink)
+    return sink
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_engine_flood(benchmark, backend):
     """Clean capacity floods: the bulk-replace fast path."""
     benchmark.extra_info["engine_backend"] = backend
-    lines = np.arange(LEAF_LINES, dtype=np.int64) * LINE
-
-    def flood():
-        engine = create_engine(CAPACITY, geometry=_geometry(), backend=backend)
-        sink = EventSink()
-        for _ in range(3):
-            engine.probe_lines(lines, False, sink)
-        return sink
-
-    sink = benchmark.pedantic(flood, rounds=3, iterations=1, warmup_rounds=1)
+    rows = _mac_rows([0] * 3, LEAF_LINES, False)
+    sink = benchmark.pedantic(_price_rows, args=(backend, rows), rounds=3,
+                              iterations=1, warmup_rounds=1)
     assert sink.miss_count == 3 * LEAF_LINES  # every pass floods
+
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_engine_chain_heavy(benchmark, backend):
     """Dirty conveyor: every eviction walks a write-back parent chain."""
     benchmark.extra_info["engine_backend"] = backend
-    lines = np.arange(LEAF_LINES, dtype=np.int64) * LINE
-
-    def churn():
-        engine = create_engine(CAPACITY, geometry=_geometry(), backend=backend)
-        sink = EventSink()
-        for _ in range(2):
-            engine.probe_lines(lines, True, sink)
-        return sink
-
-    sink = benchmark.pedantic(churn, rounds=3, iterations=1, warmup_rounds=1)
+    rows = _mac_rows([0] * 2, LEAF_LINES, True)
+    sink = benchmark.pedantic(_price_rows, args=(backend, rows), rounds=3,
+                              iterations=1, warmup_rounds=1)
     assert sink.writeback_count > LEAF_LINES
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_engine_walk_runs(benchmark, backend):
-    """Short ascending runs, the shape of integrity-tree walk probes."""
+def test_engine_short_rows(benchmark, backend):
+    """2,000 eight-line rows in one batch, the shape of integrity-tree
+    walk probes: per-row batch overhead included."""
     benchmark.extra_info["engine_backend"] = backend
-    runs = []
-    for i in range(2000):
-        start = (i * 37) % (LEAF_LINES - 8)
-        runs.append((np.arange(start, start + 8, dtype=np.int64)) * LINE)
-
-    def walk():
-        engine = create_engine(CAPACITY, geometry=_geometry(), backend=backend)
-        sink = EventSink()
-        for run in runs:
-            engine.probe_lines(run, False, sink)
-        return sink
-
-    sink = benchmark.pedantic(walk, rounds=3, iterations=1, warmup_rounds=1)
+    rows = _mac_rows([(i * 37) % (LEAF_LINES - 8) * LINE
+                      for i in range(2000)], 8, False)
+    sink = benchmark.pedantic(_price_rows, args=(backend, rows), rounds=3,
+                              iterations=1, warmup_rounds=1)
     assert sink.miss_count > 0
 
 

@@ -1,14 +1,13 @@
-"""Benchmark: whole-walk call overhead on a deep, hit-heavy tree.
+"""Benchmark: integrity-tree walks as ``probe_run_batch`` rows.
 
-The whole-walk ABI exists to shrink per-level boundary crossings: a
-tree walk used to cost one engine call per level, so deep trees with
-warm (hit-heavy) upper levels were dominated by call overhead rather
-than cache work.  This microbenchmark isolates exactly that shape — a
-six-level tree, warmed once, then thousands of small-seed walks that
-mostly hit at the first level — once per available backend.  Entries
-record their backend in ``extra_info`` so ``bench_trend.py`` (filter
-term: ``walk_``) tracks each implementation separately and treats
-backend changes as record-only.
+A walk is the tail of a VN row with ``walk`` set: the row probes its VN
+lines, and the lines that miss seed a climb of the tree, level by level,
+until a level fully hits.  Two microbenchmarks time that shape on a
+six-level tree, once per available backend — thousands of one-leaf rows
+on a warm tree (each walk hits at the first level), and cold cascades
+that climb to the top.  Entries record their backend in ``extra_info``
+so ``bench_trend.py`` (filter term: ``walk_``) tracks each
+implementation separately and treats backend changes as record-only.
 """
 
 from __future__ import annotations
@@ -40,45 +39,50 @@ def _deep_geometry() -> TreeGeometry:
     return TreeGeometry(tuple(regions), LINE)
 
 
-def _make_engine(backend):
-    return create_engine(CAPACITY, geometry=_deep_geometry(), backend=backend)
+def _vn_rows(firsts, count: int) -> tuple:
+    """Run columns of clean, unflooded ``count``-line VN ranges from
+    each of ``firsts`` (line addresses), each walking the tree."""
+    n = len(firsts)
+    zeros = np.zeros(n, dtype=np.int64)
+    return (zeros, zeros, np.asarray(firsts, dtype=np.int64),
+            np.full(n, count), np.zeros(n, dtype=bool), np.ones(n, dtype=bool),
+            np.zeros(n, dtype=np.uint8))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_walk_call_overhead(benchmark, backend):
-    """Thousands of small-seed walks on a warm tree: the per-call cost."""
+def test_walk_rows_warm_tree(benchmark, backend):
+    """Thousands of one-leaf rows on a warm tree: the per-row cost."""
     benchmark.extra_info["engine_backend"] = backend
-    seeds = [np.array([(i * 19) % LEAF_LINES], dtype=np.int64) * LINE
-             for i in range(2000)]
+    # Probing the level-1 nodes as one walking row warms every stored
+    # level above the leaves, and no leaf.
+    warm_rows = _vn_rows([LEAF_LINES * LINE], LEAF_LINES // ARITY)
+    seed_rows = _vn_rows([(i * 19) % LEAF_LINES * LINE for i in range(2000)],
+                         1)
 
     def walks():
-        engine = _make_engine(backend)
-        warm = EventSink()
-        # One cold full walk per leaf stride warms every stored level.
-        engine.walk_tree(np.arange(LEAF_LINES, dtype=np.int64) * LINE, warm)
+        engine = create_engine(CAPACITY, geometry=_deep_geometry(),
+                               backend=backend)
+        engine.probe_run_batch(*warm_rows, EventSink())
         sink = EventSink()
-        for seed in seeds:
-            engine.walk_tree(seed, sink)
+        engine.probe_run_batch(*seed_rows, sink)
         return sink
 
     sink = benchmark.pedantic(walks, rounds=3, iterations=1, warmup_rounds=1)
-    # Warm tree: the overwhelming share of walk probes hit and stop at
-    # the first level — the benchmark times call overhead, not misses.
-    assert sink.hits > sink.miss_count
+    # Each row's leaf misses and its walk stops at the warm first level.
+    assert sink.miss_count == 2000 and sink.hits == 2000
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_walk_deep_miss_cascade(benchmark, backend):
+def test_walk_rows_deep_miss_cascade(benchmark, backend):
     """Cold cascades: every walk climbs all six levels to the root."""
     benchmark.extra_info["engine_backend"] = backend
-    lines = np.arange(LEAF_LINES, dtype=np.int64) * LINE
+    rows = _vn_rows([0] * 3, LEAF_LINES)
 
     def cascades():
         engine = create_engine(LEAF_LINES // 8, geometry=_deep_geometry(),
                                backend=backend)
         sink = EventSink()
-        for _ in range(3):
-            engine.walk_tree(lines, sink)
+        engine.probe_run_batch(*rows, sink)
         return sink
 
     sink = benchmark.pedantic(cascades, rounds=3, iterations=1,

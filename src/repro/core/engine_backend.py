@@ -189,26 +189,14 @@ def _declare(lib) -> None:
 
     p = ctypes.c_void_p
     i64 = ctypes.c_int64
-    state = [p] * 11  # hdr..geom, see ENG_ARGS in _lru_native.c
+    state = [p] * 7  # hdr..geom, see ENG_ARGS in _lru_native.c
     events = [p, p, p, p, i64]  # miss/wb/pm buffers, fills, capacity
-    lib.lru_probe.argtypes = state + [p, i64, i64, i64] + events
-    lib.lru_probe.restype = i64
-    lib.lru_probe_range.argtypes = state + [i64, i64, i64, i64] + events
-    lib.lru_probe_range.restype = i64
-    lib.lru_walk.argtypes = state + [p, p, p] + events
-    lib.lru_walk.restype = i64
     lib.lru_runs.argtypes = state + [p, p, p, p, p, p, p, i64, p, p, p, p] + events
     lib.lru_runs.restype = i64
-    lib.lru_reset.argtypes = state
-    lib.lru_reset.restype = None
-    lib.lru_load.argtypes = state + [p, p, p]
+    lib.lru_load.argtypes = state + [p, p, i64]
     lib.lru_load.restype = None
-    lib.lru_flush.argtypes = state + [p]
-    lib.lru_flush.restype = i64
-    lib.lru_export.argtypes = state + [p, p, p]
+    lib.lru_export.argtypes = state + [p, p]
     lib.lru_export.restype = i64
-    lib.lru_contains.argtypes = state + [i64]
-    lib.lru_contains.restype = i64
 
 
 def _load_library():
@@ -331,7 +319,6 @@ def active_backend() -> str:
 
 
 def create_engine(capacity_lines: int, line_bytes: int = CACHE_BLOCK,
-                  ways: int | None = None,
                   geometry: TreeGeometry | None = None,
                   backend: str | None = None):
     """Build an LRU engine on the selected backend.
@@ -352,7 +339,7 @@ def create_engine(capacity_lines: int, line_bytes: int = CACHE_BLOCK,
             from repro.core.lru_native import NativeLruEngine
 
             return NativeLruEngine(capacity_lines, line_bytes=line_bytes,
-                                   ways=ways, geometry=geometry)
+                                   geometry=geometry)
         except (faults.FaultInjected, RuntimeError, OSError) as exc:
             request = requested_backend() if backend is None else backend
             if request == "native":
@@ -362,5 +349,5 @@ def create_engine(capacity_lines: int, line_bytes: int = CACHE_BLOCK,
             demote_to_python(f"{type(exc).__name__}: {exc}")
     from repro.core.lru_engine import LruEngine
 
-    return LruEngine(capacity_lines, line_bytes=line_bytes, ways=ways,
+    return LruEngine(capacity_lines, line_bytes=line_bytes,
                      geometry=geometry)

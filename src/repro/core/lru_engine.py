@@ -30,16 +30,16 @@ slot is tombstoned (``_valid[slot] = False``) when the line is touched
 again, and a dict maps resident lines to their current slot.  Bulk
 appends and bulk evictions are array slices; the ring is compacted in
 O(capacity) when it fills.  The observable state is exactly that of
-:class:`~repro.core.metadata_cache.MetadataCache` (an ``OrderedDict``
-per set), imported and exported losslessly, and the per-line semantics
-— LRU, write-back, write-allocate, dirty-eviction chains — are pinned
-state- and event-identical to :meth:`MetadataCache.access` by the
-Hypothesis models in ``tests/test_lru_engine.py`` and
-``tests/test_metadata_cache.py``.
+the fully-associative :class:`~repro.core.metadata_cache.MetadataCache`
+(one ``OrderedDict``), imported and exported losslessly, and the
+per-line semantics — LRU, write-back, write-allocate, dirty-eviction
+chains — are pinned state- and event-identical to
+:meth:`MetadataCache.access` by the Hypothesis models in
+``tests/test_lru_engine.py`` and ``tests/test_metadata_cache.py``.
 
-Set-associative configurations route every line to its set and take the
-event-by-event path (the protection schemes only build fully-associative
-caches; sets exist for the model-validation tests).
+The public surface is what a pricing session calls: ``load_state``,
+``probe_run_batch`` and ``export_state``; everything else is the
+machinery behind ``probe_run_batch``.
 
 Tree parents come from the C engine's own
 :class:`~repro.core.engine_backend.TreeGeometry`: one region gather per
@@ -68,6 +68,17 @@ _SCRATCH_MIN = 64
 #: cache-sized, so the engine flushes instead of probing it.
 FLOOD_MAC = 1
 FLOOD_VN = 2
+
+
+def check_state_fits(lines: dict, capacity_lines: int) -> int:
+    """The line count of a ``load_state`` input; more lines than the
+    engine holds is a :class:`ConfigError`."""
+    n = len(lines)
+    if n > capacity_lines:
+        raise ConfigError(
+            f"{n} lines supplied for a {capacity_lines}-line engine"
+        )
+    return n
 
 
 def dedup_ascending(values: np.ndarray) -> np.ndarray:
@@ -285,9 +296,9 @@ class LruEngine:
     """Exact LRU over columnar line streams (see module docstring).
 
     Arguments are :class:`~repro.core.lru_native.NativeLruEngine`'s:
-    ``capacity_lines`` resident lines of ``line_bytes``, optionally in
-    ``ways``-associative sets, with ``geometry`` (same line size; ``None``
-    for none) giving each line's integrity-tree parent.
+    ``capacity_lines`` resident lines of ``line_bytes``, with
+    ``geometry`` (same line size; ``None`` for none) giving each line's
+    integrity-tree parent.
     """
 
     backend_name = "python"
@@ -300,103 +311,62 @@ class LruEngine:
     _SCALAR_RUN = 24
 
     def __init__(self, capacity_lines: int, line_bytes: int = CACHE_BLOCK,
-                 ways: int | None = None,
                  geometry: TreeGeometry | None = None) -> None:
         if capacity_lines <= 0:
             raise ConfigError(f"capacity must be positive, got {capacity_lines}")
-        if ways is not None and (ways <= 0 or capacity_lines % ways != 0):
-            raise ConfigError(f"ways ({ways}) must divide {capacity_lines}")
         self.capacity_lines = capacity_lines
         self.line_bytes = line_bytes
-        self.ways = ways
-        self.n_sets = 1 if ways is None else capacity_lines // ways
-        self.set_capacity = capacity_lines if ways is None else ways
         self.geometry = engine_geometry(geometry, line_bytes)
         #: Parent of one line (``None``: no stored parent).
         self._parent = self.geometry.parent_of
         self._last_victim: int | None = None
         self._last_evicted: int | None = None
-        size = self.set_capacity + self._RING_SLACK
-        #: per set: tombstone ring of resident lines, LRU..MRU order.
-        self._lines = [np.zeros(size, dtype=np.int64) for _ in range(self.n_sets)]
-        self._dirty = [np.zeros(size, dtype=bool) for _ in range(self.n_sets)]
-        self._valid = [np.zeros(size, dtype=bool) for _ in range(self.n_sets)]
-        self._head = [0] * self.n_sets
-        self._tail = [0] * self.n_sets
+        size = capacity_lines + self._RING_SLACK
+        #: Tombstone ring of resident lines, LRU..MRU order.
+        self._lines = np.zeros(size, dtype=np.int64)
+        self._dirty = np.zeros(size, dtype=bool)
+        self._valid = np.zeros(size, dtype=bool)
+        self._head = 0
+        self._tail = 0
         #: Bumped by every compaction: cached ring-slot indices (the
         #: miss-stretch victim window) are only valid within one epoch.
         self._epoch = 0
-        #: per set: resident line -> current ring slot.
-        self._slot: list[dict[int, int]] = [{} for _ in range(self.n_sets)]
+        #: Resident line -> current ring slot.
+        self._slot: dict[int, int] = {}
 
     # -- state import/export -------------------------------------------
-    def load_state(self, sets: list) -> None:
-        """Adopt a cache's per-set ``{line: dirty}`` contents, LRU first."""
-        if len(sets) != self.n_sets:
-            raise ConfigError(
-                f"{len(sets)} sets supplied for a {self.n_sets}-set engine"
-            )
-        for index, lines in enumerate(sets):
-            buf_lines = self._lines[index]
-            buf_dirty = self._dirty[index]
-            valid = self._valid[index]
-            valid[:] = False
-            slot = self._slot[index] = {}
-            position = 0
-            for line, dirty in lines.items():
-                buf_lines[position] = line
-                buf_dirty[position] = dirty
-                valid[position] = True
-                slot[line] = position
-                position += 1
-            self._head[index] = 0
-            self._tail[index] = position
+    def load_state(self, lines: dict) -> None:
+        """Adopt a cache's ``{line: dirty}`` contents, LRU first."""
+        n = check_state_fits(lines, self.capacity_lines)
+        self._valid[:] = False
+        self._lines[:n] = np.fromiter(lines.keys(), np.int64, n)
+        self._dirty[:n] = np.fromiter(lines.values(), bool, n)
+        self._valid[:n] = True
+        self._slot = dict(zip(lines, range(n)))
+        self._head = 0
+        self._tail = n
 
-    def export_state(self) -> list[list[tuple[int, bool]]]:
-        """Per-set ``(line, dirty)`` pairs in recency order (LRU first)."""
-        out: list[list[tuple[int, bool]]] = []
-        for index in range(self.n_sets):
-            window = slice(self._head[index], self._tail[index])
-            mask = self._valid[index][window]
-            lines = self._lines[index][window][mask]
-            dirty = self._dirty[index][window][mask]
-            out.append([(int(l), bool(d)) for l, d in zip(lines, dirty)])
-        return out
-
-    def flush(self) -> np.ndarray:
-        """Evict everything; returns dirty line addresses in recency order."""
-        return self._flush()
+    def export_state(self) -> list[tuple[int, bool]]:
+        """``(line, dirty)`` pairs in recency order (LRU first)."""
+        window = slice(self._head, self._tail)
+        mask = self._valid[window]
+        return list(zip(self._lines[window][mask].tolist(),
+                        self._dirty[window][mask].tolist()))
 
     def _flush_into(self, sink: EventSink) -> None:
-        """A run batch's flood: flush, the dirty lines becoming writebacks."""
-        dirty_lines = self._flush()
+        """A run batch's flood: evict everything, the dirty lines (in
+        recency order) becoming writebacks."""
+        window = slice(self._head, self._tail)
+        dirty_lines = self._lines[window][self._valid[window]
+                                          & self._dirty[window]]
+        self._valid[window] = False
+        self._head = self._tail = 0
+        self._slot.clear()
         if len(dirty_lines):
             sink.writebacks.append(dirty_lines)
             sink.writeback_count += len(dirty_lines)
 
-    def _flush(self) -> np.ndarray:
-        dirty_lines: list[np.ndarray] = []
-        for index in range(self.n_sets):
-            window = slice(self._head[index], self._tail[index])
-            mask = self._valid[index][window] & self._dirty[index][window]
-            dirty_lines.append(self._lines[index][window][mask].copy())
-            self._valid[index][window] = False
-            self._head[index] = self._tail[index] = 0
-            self._slot[index].clear()
-        return dirty_lines[0] if self.n_sets == 1 else np.concatenate(dirty_lines)
-
-    def __len__(self) -> int:
-        return sum(len(slot) for slot in self._slot)
-
-    def contains(self, line: int) -> bool:
-        return line in self._slot[self._set_of(line)]
-
     # -- internals ------------------------------------------------------
-    def _set_of(self, line: int) -> int:
-        if self.n_sets == 1:
-            return 0
-        return (line // self.line_bytes) % self.n_sets
-
     def _parents_of(self, lines: np.ndarray, flags: np.ndarray) -> np.ndarray:
         """Tree parents (-1 for none) of a victim window's dirty entries.
 
@@ -408,69 +378,69 @@ class LruEngine:
             parents[flags] = self.geometry.parents(lines[flags])
         return parents
 
-    def _compact(self, index: int) -> None:
-        """Squeeze tombstones out of a set's ring (O(capacity))."""
+    def _compact(self) -> None:
+        """Squeeze tombstones out of the ring (O(capacity))."""
         self._epoch += 1
-        window = slice(self._head[index], self._tail[index])
-        mask = self._valid[index][window]
-        lines = self._lines[index][window][mask].copy()
-        dirty = self._dirty[index][window][mask].copy()
+        window = slice(self._head, self._tail)
+        mask = self._valid[window]
+        lines = self._lines[window][mask].copy()
+        dirty = self._dirty[window][mask].copy()
         n = len(lines)
-        self._lines[index][:n] = lines
-        self._dirty[index][:n] = dirty
-        self._valid[index][:] = False
-        self._valid[index][:n] = True
-        self._head[index] = 0
-        self._tail[index] = n
-        self._slot[index].update(zip(lines.tolist(), range(n)))
+        self._lines[:n] = lines
+        self._dirty[:n] = dirty
+        self._valid[:] = False
+        self._valid[:n] = True
+        self._head = 0
+        self._tail = n
+        self._slot.update(zip(lines.tolist(), range(n)))
 
-    def _room(self, index: int, needed: int) -> None:
-        if self._tail[index] + needed > len(self._lines[index]):
-            self._compact(index)
+    def _room(self, needed: int) -> None:
+        if self._tail + needed > len(self._lines):
+            self._compact()
 
-    # -- scalar core (single accesses, chains, set-associative path) ----
-    def _touch(self, index: int, line: int, dirty: bool) -> bool:
+    # -- scalar core (single accesses, chains) --------------------------
+    def _touch(self, line: int, dirty: bool) -> bool:
         """One ``MetadataCache.access`` without chain following.
 
         Returns True on hit.  On a miss the line is allocated; if that
         evicted a dirty victim it is left in ``_last_victim`` for the
         caller to chain on (``None`` otherwise).
         """
-        slot = self._slot[index]
-        lines_buf = self._lines[index]
-        dirty_buf = self._dirty[index]
-        valid = self._valid[index]
+        slot = self._slot
+        lines_buf = self._lines
+        dirty_buf = self._dirty
+        valid = self._valid
         position = slot.get(line)
         victim = evicted = None
         if position is not None:
             dirty = dirty or bool(dirty_buf[position])
             valid[position] = False
-        elif len(slot) >= self.set_capacity:
-            head = self._head[index]
+        elif len(slot) >= self.capacity_lines:
+            head = self._head
             while not valid[head]:
                 head += 1
             evicted = int(lines_buf[head])
             if dirty_buf[head]:
                 victim = evicted
             valid[head] = False
-            self._head[index] = head + 1
+            self._head = head + 1
             del slot[evicted]
-        self._room(index, 1)
-        tail = self._tail[index]
+        self._room(1)
+        tail = self._tail
         lines_buf[tail] = line
         dirty_buf[tail] = dirty
         valid[tail] = True
         slot[line] = tail
-        self._tail[index] = tail + 1
+        self._tail = tail + 1
         self._last_victim = victim
         self._last_evicted = evicted
         return position is not None
 
-    def access(self, line: int, dirty: bool, sink: EventSink,
-               miss_sink: list | None = None,
-               context: _RunContext | None = None) -> bool:
+    def _access(self, line: int, dirty: bool, sink: EventSink,
+                miss_sink: list | None = None,
+                context: _RunContext | None = None) -> bool:
         """One access with chain following; returns True on hit."""
-        if self._touch(self._set_of(line), line, dirty):
+        if self._touch(line, dirty):
             sink.hits += 1
             return True
         sink.miss_count += 1
@@ -500,7 +470,7 @@ class LruEngine:
             parent = self._parent(victim)
             if parent is None:
                 return
-            hit = self._touch(self._set_of(parent), parent, True)
+            hit = self._touch(parent, True)
             if context is not None:
                 context.promote(parent)
             if hit:
@@ -515,8 +485,8 @@ class LruEngine:
                 return
 
     # -- bulk run processing --------------------------------------------
-    def probe_lines(self, lines: np.ndarray, dirty: bool, sink: EventSink,
-                    miss_sink: list | None = None) -> None:
+    def _probe_lines(self, lines: np.ndarray, dirty: bool, sink: EventSink,
+                     miss_sink: list | None = None) -> None:
         """Touch ``lines`` (distinct, ascending) in order, chains included.
 
         Semantically identical to one :meth:`MetadataCache.access` per
@@ -528,14 +498,14 @@ class LruEngine:
         n = len(lines)
         if n == 0:
             return
-        if self.n_sets != 1 or n <= self._SCALAR_RUN:
-            # Set-associative, or too short for the bulk machinery to
-            # pay for itself (integrity-tree walks are mostly a handful
-            # of parent nodes): exact event-by-event walk.
+        if n <= self._SCALAR_RUN:
+            # Too short for the bulk machinery to pay for itself
+            # (integrity-tree walks are mostly a handful of parent
+            # nodes): exact event-by-event walk.
             for line in lines.tolist():
-                self.access(line, dirty, sink, miss_sink)
+                self._access(line, dirty, sink, miss_sink)
             return
-        slot = self._slot[0]
+        slot = self._slot
         line_list = lines.tolist()
         resident = np.fromiter(map(slot.__contains__, line_list), bool, n)
         if resident.all():
@@ -545,8 +515,8 @@ class LruEngine:
         while context.position < n:
             position = context.position
             if resident[position]:
-                if self.access(line_list[position], dirty, sink, miss_sink,
-                               context):
+                if self._access(line_list[position], dirty, sink, miss_sink,
+                                context):
                     context.pending -= 1
                 context.position = position + 1
                 continue
@@ -573,8 +543,8 @@ class LruEngine:
         which the victim window detects by skipping stale slots, so no
         rescanning is needed until the window runs out.
         """
-        slot = self._slot[0]
-        valid = self._valid[0]
+        slot = self._slot
+        valid = self._valid
         window: np.ndarray = _EMPTY
         flags: np.ndarray = _EMPTY
         dirty_idx: list = []
@@ -588,7 +558,7 @@ class LruEngine:
         epoch = self._epoch
         while context.position < stop:
             start = context.position
-            free = self.set_capacity - len(slot)
+            free = self.capacity_lines - len(slot)
             count = stop - start
             if epoch != self._epoch:
                 # A compaction moved every resident: the cached window's
@@ -604,9 +574,9 @@ class LruEngine:
             if cursor >= len(window):
                 # (Re)scan the upcoming victims in ring order, with
                 # their dirty bits resolved in bulk.
-                head, tail = self._head[0], self._tail[0]
+                head, tail = self._head, self._tail
                 window = np.nonzero(valid[head:tail])[0][:count - free] + head
-                flags = self._dirty[0][window]
+                flags = self._dirty[window]
                 dirty_idx = flags.nonzero()[0].tolist()
                 clean_idx = None
                 cursor = 0
@@ -626,9 +596,9 @@ class LruEngine:
                 evict_count = max(0, bulk_inserts - free)
                 if evict_count:
                     evicted = candidates[:evict_count]
-                    evicted_lines = self._lines[0][evicted]
+                    evicted_lines = self._lines[evicted]
                     valid[evicted] = False
-                    self._head[0] = int(evicted[-1]) + 1
+                    self._head = int(evicted[-1]) + 1
                     for line in evicted_lines.tolist():
                         del slot[line]
                     context.demote_array(evicted_lines)
@@ -661,7 +631,7 @@ class LruEngine:
             # vectorized validity check ends it.
             if clean_idx is None:
                 clean_idx = (~flags).nonzero()[0].tolist()
-                parents = self._parents_of(self._lines[0][window], flags)
+                parents = self._parents_of(self._lines[window], flags)
                 window_parent = parents.tolist()
                 parent_breaks = ((parents[1:] != parents[:-1]).nonzero()[0]
                                  + 1).tolist()
@@ -696,8 +666,8 @@ class LruEngine:
             if not groups:
                 # First group already needs the slow path: one eviction
                 # event-by-event, chain and all.
-                self.access(line_list[start], dirty, sink, miss_sink,
-                            context)
+                self._access(line_list[start], dirty, sink, miss_sink,
+                             context)
                 context.position = start + 1
                 if context.promoted:
                     # The chain inserted a line this stretch had
@@ -707,9 +677,9 @@ class LruEngine:
                 continue
             size = streak_end - cursor
             popped = window[cursor:streak_end]
-            popped_lines = self._lines[0][popped]
+            popped_lines = self._lines[popped]
             valid[popped] = False
-            self._head[0] = int(popped[-1]) + 1
+            self._head = int(popped[-1]) + 1
             for line in popped_lines.tolist():
                 del slot[line]
             context.demote_array(popped_lines)
@@ -734,13 +704,13 @@ class LruEngine:
         """
         parented = [group for group in groups if group[2] != -1]
         total = size + len(parented)
-        self._room(0, total)
-        slot = self._slot[0]
-        valid = self._valid[0]
-        tail = self._tail[0]
+        self._room(total)
+        slot = self._slot
+        valid = self._valid
+        tail = self._tail
         chunk = lines[start:start + size]
-        lines_buf = self._lines[0][tail:tail + total]
-        dirty_buf = self._dirty[0][tail:tail + total]
+        lines_buf = self._lines[tail:tail + total]
+        dirty_buf = self._dirty[tail:tail + total]
         mask = np.ones(total, dtype=bool)
         hits = 0
         for order, (group_start, group_end, parent) in enumerate(parented):
@@ -756,7 +726,7 @@ class LruEngine:
         slot.update(zip(line_list[start:start + size],
                         (np.flatnonzero(mask) + tail).tolist()))
         valid[tail:tail + total] = True
-        self._tail[0] = tail + total
+        self._tail = tail + total
         sink.miss_count += size
         sink.misses.append(chunk)
         if miss_sink is not None:
@@ -770,14 +740,14 @@ class LruEngine:
         count = stop - start
         if count <= 0:
             return
-        self._room(0, count)
-        tail = self._tail[0]
+        self._room(count)
+        tail = self._tail
         chunk = lines[start:stop]
-        self._lines[0][tail:tail + count] = chunk
-        self._dirty[0][tail:tail + count] = dirty
-        self._valid[0][tail:tail + count] = True
-        self._tail[0] = tail + count
-        self._slot[0].update(zip(line_list[start:stop], range(tail, tail + count)))
+        self._lines[tail:tail + count] = chunk
+        self._dirty[tail:tail + count] = dirty
+        self._valid[tail:tail + count] = True
+        self._tail = tail + count
+        self._slot.update(zip(line_list[start:stop], range(tail, tail + count)))
         sink.miss_count += count
         sink.misses.append(chunk)
         if miss_sink is not None:
@@ -787,29 +757,29 @@ class LruEngine:
                              dirty: bool, sink: EventSink) -> None:
         """Every line resident: pure recency (and dirty-bit) refresh."""
         n = len(lines)
-        self._room(0, n)
-        slot = self._slot[0]
+        self._room(n)
+        slot = self._slot
         old = np.fromiter(map(slot.__getitem__, line_list), np.int64, n)
-        tail = self._tail[0]
+        tail = self._tail
         if dirty:
-            self._dirty[0][tail:tail + n] = True
+            self._dirty[tail:tail + n] = True
         else:
-            self._dirty[0][tail:tail + n] = self._dirty[0][old]
-        self._valid[0][old] = False
-        self._lines[0][tail:tail + n] = lines
-        self._valid[0][tail:tail + n] = True
+            self._dirty[tail:tail + n] = self._dirty[old]
+        self._valid[old] = False
+        self._lines[tail:tail + n] = lines
+        self._valid[tail:tail + n] = True
         for offset, line in enumerate(line_list):
             slot[line] = tail + offset
-        self._tail[0] = tail + n
+        self._tail = tail + n
         sink.hits += n
 
-    def probe_range(self, base_line: int, n_lines: int, dirty: bool,
-                    sink: EventSink, miss_sink: list | None = None) -> None:
+    def _probe_range(self, base_line: int, n_lines: int, dirty: bool,
+                     sink: EventSink, miss_sink: list | None = None) -> None:
         """Touch ``n_lines`` consecutive lines starting at ``base_line``."""
         lines = base_line + self.line_bytes * np.arange(n_lines, dtype=np.int64)
-        self.probe_lines(lines, dirty, sink, miss_sink)
+        self._probe_lines(lines, dirty, sink, miss_sink)
 
-    # -- whole-walk and run-batch entry points --------------------------
+    # -- tree walks and run batches -------------------------------------
     def _parent_wave(self, lines: np.ndarray) -> np.ndarray:
         """Deduped stored parents of an ascending node-address column.
 
@@ -820,8 +790,8 @@ class LruEngine:
         parents = self.geometry.parents(lines)
         return dedup_ascending(parents[parents != -1])
 
-    def walk_tree(self, seed_lines: np.ndarray, sink: EventSink,
-                  flood: bool = False) -> None:
+    def _walk_tree(self, seed_lines: np.ndarray, sink: EventSink,
+                   flood: bool = False) -> None:
         """Climb the integrity tree from missed leaves in one call.
 
         ``seed_lines`` are the node addresses (distinct, ascending) that
@@ -829,16 +799,16 @@ class LruEngine:
         parents of the previous wave's *misses* clean, so the walk stops
         at the first fully-cached level and terminates at the top stored
         level (whose parent is the on-chip root) — event- and
-        state-identical to one ``probe_lines`` call per level over the
+        state-identical to one ``_probe_lines`` call per level over the
         missed nodes' unique parents.
 
         ``flood=True`` is the closed form for a flood-adjacent run
         (caller-checked: the resident set is exactly the run's clean
         tail below the tree region): no level probe can hit, chain, or
         stop early, so the waves are pure parent arithmetic and the
-        whole walk is one bulk :meth:`flood_clean` replace.
+        whole walk is one bulk :meth:`_flood_clean` replace.
 
-        Waves longer than ``_SCALAR_RUN`` go through :meth:`probe_lines`;
+        Waves longer than ``_SCALAR_RUN`` go through :meth:`_probe_lines`;
         waves only shrink, so once one is that short the rest of the
         walk runs line by line.
         """
@@ -849,11 +819,11 @@ class LruEngine:
                 chunks.append(wave)
                 wave = self._parent_wave(wave)
             if chunks:
-                self.flood_clean(np.concatenate(chunks), sink)
+                self._flood_clean(np.concatenate(chunks), sink)
             return
         while len(wave) > self._SCALAR_RUN:
             level_misses: list = []
-            self.probe_lines(wave, False, sink, level_misses)
+            self._probe_lines(wave, False, sink, level_misses)
             if not level_misses:
                 return
             wave = self._parent_wave(drain_chunks(level_misses))
@@ -865,7 +835,7 @@ class LruEngine:
         while wave:
             parents: list = []
             for line in wave:
-                if not self.access(line, False, sink):
+                if not self._access(line, False, sink):
                     parent = self._parent(line)
                     if parent is not None and (not parents
                                                or parents[-1] != parent):
@@ -884,7 +854,7 @@ class LruEngine:
         ``vn_count[k]`` consecutive VN lines from ``vn_first[k]`` into
         one ascending run (the VN region sits above the MAC region),
         probed dirty when ``dirty[k]``; when ``walk[k]``, the run's
-        missed VN lines then climb the tree via :meth:`walk_tree`.
+        missed VN lines then climb the tree via :meth:`_walk_tree`.
         ``flood[k]`` (bits :data:`FLOOD_MAC`, :data:`FLOOD_VN`) marks a
         range at least as large as the cache: instead of probing it the
         engine flushes, the dirty lines becoming the row's writebacks,
@@ -927,7 +897,7 @@ class LruEngine:
         """One row of :meth:`probe_run_batch` past its floods."""
         if not vn_lines:
             if mac_lines:
-                self.probe_range(mac_first, mac_lines, run_dirty, sink)
+                self._probe_range(mac_first, mac_lines, run_dirty, sink)
             return
         line_bytes = self.line_bytes
         run_misses: list | None = [] if walk else None
@@ -943,10 +913,10 @@ class LruEngine:
                 vn_first, vn_first + vn_lines * line_bytes,
                 line_bytes, dtype=np.int64,
             )
-            self.probe_lines(lines, run_dirty, sink, run_misses)
+            self._probe_lines(lines, run_dirty, sink, run_misses)
         else:
-            self.probe_range(vn_first, vn_lines, run_dirty, sink,
-                             run_misses)
+            self._probe_range(vn_first, vn_lines, run_dirty, sink,
+                              run_misses)
         if run_misses:
             miss_lines = drain_chunks(run_misses)
             # Flood-adjacent guard: a clean cache-sized (or larger)
@@ -956,65 +926,61 @@ class LruEngine:
             # closed-form (every level misses in full).
             flood = (
                 not run_dirty
-                and self.n_sets == 1
                 and n_run >= self.capacity_lines
                 and sink.writeback_count == writebacks_before
                 and len(miss_lines) == n_run
             )
             seeds = miss_lines[miss_lines >= vn_first]
             if len(seeds):
-                self.walk_tree(seeds, sink, flood=flood)
+                self._walk_tree(seeds, sink, flood=flood)
 
     # -- closed-form flood paths ----------------------------------------
-    def flood_clean(self, lines: np.ndarray, sink: EventSink,
-                    miss_sink: list | None = None) -> None:
+    def _flood_clean(self, lines: np.ndarray, sink: EventSink) -> None:
         """Closed-form all-miss clean probe: one bulk ring replacement.
 
         Preconditions (caller-checked by :meth:`_probe_run`'s
-        flood-adjacent guard before :meth:`walk_tree` takes this path):
-        fully associative, no resident line dirty, and none of ``lines``
+        flood-adjacent guard before :meth:`_walk_tree` takes this path):
+        no resident line dirty, and none of ``lines``
         (distinct, ascending) resident.  Under them the probe is a pure
         conveyor — every line misses and every eviction is clean — so
-        the per-line machinery of :meth:`probe_lines` collapses to a
+        the per-line machinery of :meth:`_probe_lines` collapses to a
         bulk LRU-window eviction plus one bulk append, event- and
         state-identical to probing line by line.
         """
         n = len(lines)
         if n == 0:
             return
-        slot = self._slot[0]
-        cap = self.set_capacity
+        slot = self._slot
+        cap = self.capacity_lines
         if n >= cap:
             # The stream displaces everything, itself included: only the
             # last ``cap`` lines survive the conveyor.
-            window = slice(self._head[0], self._tail[0])
-            self._valid[0][window] = False
+            window = slice(self._head, self._tail)
+            self._valid[window] = False
             slot.clear()
             self._epoch += 1
             chunk = lines[n - cap:]
-            self._lines[0][:cap] = chunk
-            self._dirty[0][:cap] = False
-            self._valid[0][:cap] = True
-            self._head[0] = 0
-            self._tail[0] = cap
+            self._lines[:cap] = chunk
+            self._dirty[:cap] = False
+            self._valid[:cap] = True
+            self._head = 0
+            self._tail = cap
             slot.update(zip(chunk.tolist(), range(cap)))
         else:
             evict = len(slot) + n - cap
             if evict > 0:
-                head, tail = self._head[0], self._tail[0]
-                window = np.nonzero(self._valid[0][head:tail])[0][:evict] + head
-                for line in self._lines[0][window].tolist():
+                head, tail = self._head, self._tail
+                window = np.nonzero(self._valid[head:tail])[0][:evict] + head
+                for line in self._lines[window].tolist():
                     del slot[line]
-                self._valid[0][window] = False
-                self._head[0] = int(window[-1]) + 1
-            self._room(0, n)
-            tail = self._tail[0]
-            self._lines[0][tail:tail + n] = lines
-            self._dirty[0][tail:tail + n] = False
-            self._valid[0][tail:tail + n] = True
+                self._valid[window] = False
+                self._head = int(window[-1]) + 1
+            self._room(n)
+            tail = self._tail
+            self._lines[tail:tail + n] = lines
+            self._dirty[tail:tail + n] = False
+            self._valid[tail:tail + n] = True
             slot.update(zip(lines.tolist(), range(tail, tail + n)))
-            self._tail[0] = tail + n
+            self._tail = tail + n
         sink.miss_count += n
         sink.misses.append(lines)
-        if miss_sink is not None:
-            miss_sink.append(lines)

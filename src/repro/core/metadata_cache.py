@@ -30,16 +30,11 @@ class CacheOutcome:
 
 
 class MetadataCache:
-    """Write-back, write-allocate cache of 64-byte metadata lines.
+    """Fully-associative write-back, write-allocate LRU cache of 64-byte
+    metadata lines."""
 
-    Fully-associative LRU by default (``ways=None``); pass ``ways`` for a
-    set-associative organization with LRU within each set — closer to
-    what an MEE implements in hardware.  The protection engine treats
-    both identically.
-    """
-
-    def __init__(self, capacity_bytes: int = 32 * 1024, line_bytes: int = CACHE_BLOCK,
-                 ways: int | None = None) -> None:
+    def __init__(self, capacity_bytes: int = 32 * 1024,
+                 line_bytes: int = CACHE_BLOCK) -> None:
         if capacity_bytes <= 0 or capacity_bytes % line_bytes != 0:
             raise ConfigError(
                 f"cache capacity {capacity_bytes} must be a positive multiple "
@@ -47,29 +42,12 @@ class MetadataCache:
             )
         self.capacity_lines = capacity_bytes // line_bytes
         self.line_bytes = line_bytes
-        if ways is not None:
-            if ways <= 0 or self.capacity_lines % ways != 0:
-                raise ConfigError(
-                    f"ways ({ways}) must divide the line capacity "
-                    f"({self.capacity_lines})"
-                )
-        self.ways = ways
-        self._n_sets = 1 if ways is None else self.capacity_lines // ways
-        #: per set: line_address -> dirty flag; ordering is recency.
-        self._sets: list["OrderedDict[int, bool]"] = [
-            OrderedDict() for _ in range(self._n_sets)
-        ]
+        #: line_address -> dirty flag; ordering is recency (LRU first).
+        self._lines: "OrderedDict[int, bool]" = OrderedDict()
         self.stats = StatsGroup("metadata_cache")
 
     def _align(self, address: int) -> int:
         return address - (address % self.line_bytes)
-
-    def _set_of(self, line: int) -> "OrderedDict[int, bool]":
-        index = (line // self.line_bytes) % self._n_sets
-        return self._sets[index]
-
-    def _set_capacity(self) -> int:
-        return self.capacity_lines if self.ways is None else self.ways
 
     def access(self, address: int, dirty: bool = False) -> CacheOutcome:
         """Touch the line containing ``address``; allocate on miss.
@@ -78,7 +56,7 @@ class MetadataCache:
         dirty lines cost a writeback when evicted.
         """
         line = self._align(address)
-        lines = self._set_of(line)
+        lines = self._lines
         if line in lines:
             lines[line] = lines[line] or dirty
             lines.move_to_end(line)
@@ -87,7 +65,7 @@ class MetadataCache:
 
         self.stats.add("misses")
         writeback = None
-        if len(lines) >= self._set_capacity():
+        if len(lines) >= self.capacity_lines:
             victim, victim_dirty = lines.popitem(last=False)
             if victim_dirty:
                 writeback = victim
@@ -97,36 +75,26 @@ class MetadataCache:
 
     def contains(self, address: int) -> bool:
         """Non-mutating lookup (no recency update); used by tests."""
-        line = self._align(address)
-        return line in self._set_of(line)
+        return self._align(address) in self._lines
 
-    def contents(self) -> list["OrderedDict[int, bool]"]:
-        """The per-set ``{line: dirty}`` maps, recency-ordered (LRU first).
+    def contents(self) -> "OrderedDict[int, bool]":
+        """The ``{line: dirty}`` map, recency-ordered (LRU first).
 
         This is the state the reuse-distance engine loads before pricing
         a trace; treat it as read-only.
         """
-        return self._sets
+        return self._lines
 
-    def set_contents(self, sets: list) -> None:
-        """Replace the cache contents (stats untouched).
-
-        ``sets`` holds one ``(line, dirty)`` sequence per set in recency
-        order — the engine's exported state after a priced trace.
-        """
-        if len(sets) != self._n_sets:
-            raise ConfigError(
-                f"{len(sets)} sets supplied for a {self._n_sets}-set cache"
-            )
-        self._sets = [OrderedDict(pairs) for pairs in sets]
+    def set_contents(self, pairs: list) -> None:
+        """Replace the cache contents (stats untouched) with ``(line,
+        dirty)`` pairs in recency order — the engine's exported state
+        after a priced trace."""
+        self._lines = OrderedDict(pairs)
 
     def flush(self) -> list[int]:
         """Evict everything, returning dirty line addresses (end of run)."""
-        dirty = [
-            line for lines in self._sets for line, d in lines.items() if d
-        ]
-        for lines in self._sets:
-            lines.clear()
+        dirty = [line for line, d in self._lines.items() if d]
+        self._lines.clear()
         # Count only real events, like the engine's ``add_counts``.
         self.stats.add_counts({"writebacks": len(dirty)})
         return dirty
@@ -137,4 +105,4 @@ class MetadataCache:
         return self.stats.get("hits") / total if total else 0.0
 
     def __len__(self) -> int:
-        return sum(len(lines) for lines in self._sets)
+        return len(self._lines)

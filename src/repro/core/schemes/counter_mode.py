@@ -40,12 +40,12 @@ access, so their session evaluates the same arithmetic as
 Cached/tree configurations (BP, MGX_MAC) are order-dependent through the
 LRU metadata cache — but only their *sequential* accesses mutate it:
 gathers and per-access-MAC transfers price with closed-form arithmetic
-that never touches LRU state.  Their session therefore decomposes every
-batch — a chunk of contiguous phases — into its pure component (data
-amplification, gather MAC/VN/tree costs — evaluated as NumPy columns)
-and the ordered sequence of *sequential runs*, and hands the runs —
-each touching its metadata lines exactly once in ascending order, per
-the stream-buffer guarantee — to the
+that never touches LRU state.  Their session therefore decomposes each
+priced batch — in ``perf.run``, the whole trace — into its pure
+component (data amplification, gather MAC/VN/tree costs — evaluated as
+NumPy columns) and the ordered sequence of *sequential runs*, and hands
+the runs — each touching its metadata lines exactly once in ascending
+order, per the stream-buffer guarantee — to the
 :class:`~repro.core.lru_engine.LruEngine` in one ``probe_run_batch``
 call, integrity-tree walks and write-back chains included.  A MAC or VN
 range at least as large as the cache is a *flood* row: the engine
@@ -167,7 +167,6 @@ class CounterModeProtection(ProtectionScheme):
         protected_bytes: int,
         cache_bytes: int = 0,
         tree_arity: int = 8,
-        cache_ways: int | None = None,
     ) -> None:
         if protected_bytes <= 0:
             raise ConfigError("protected_bytes must be positive")
@@ -178,7 +177,6 @@ class CounterModeProtection(ProtectionScheme):
         self.mac_policy = mac_policy
         self.protected_bytes = protected_bytes
         self.cache_bytes = cache_bytes
-        self.cache_ways = cache_ways
         self.stats = StatsGroup(name)
 
         # ---- metadata address layout -------------------------------------
@@ -194,10 +192,7 @@ class CounterModeProtection(ProtectionScheme):
             if not vn_onchip
             else None
         )
-        self._cache = (
-            MetadataCache(cache_bytes, ways=cache_ways) if cache_bytes
-            else None
-        )
+        self._cache = MetadataCache(cache_bytes) if cache_bytes else None
         #: Reuse-distance engine for batched pricing; created lazily on
         #: the ``REPRO_ENGINE``-selected backend and kept across resets
         #: (its tree-parent tables depend only on the metadata layout,
@@ -210,8 +205,7 @@ class CounterModeProtection(ProtectionScheme):
     # ------------------------------------------------------------------
     def reset(self) -> None:
         if self._cache is not None:
-            self._cache = MetadataCache(self.cache_bytes,
-                                        ways=self.cache_ways)
+            self._cache = MetadataCache(self.cache_bytes)
         self.stats.reset()
         self._finished = False
 
@@ -384,7 +378,6 @@ class CounterModeProtection(ProtectionScheme):
             self._engine = create_engine(
                 self._cache.capacity_lines,
                 line_bytes=self._cache.line_bytes,
-                ways=self._cache.ways,
                 geometry=self._tree_geometry(),
             )
         return self._engine
@@ -928,10 +921,12 @@ class _EngineSession(PricingSession):
     """Engine-backed pricing session for cached/tree configurations.
 
     Loads the metadata cache's LRU state into the reuse-distance engine
-    once, prices every batch of the stream against it, and writes state
-    and hit/miss/writeback counts back on :meth:`close`, so a list of
-    batches and a generator of batches price byte-identically and the
-    per-access reference continues from the same cache contents.
+    once, prices each ``price`` call's batch against it (``perf.run``
+    makes one call per trace), and writes state and hit/miss/writeback
+    counts back on :meth:`close`, so the per-access reference continues
+    from the same cache contents.  Those three engine calls —
+    ``load_state``, ``probe_run_batch`` and ``export_state`` — are the
+    engine's whole public surface.
     """
 
     def __init__(self, scheme: CounterModeProtection) -> None:

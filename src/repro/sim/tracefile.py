@@ -84,8 +84,6 @@ def _parse_access(raw: dict) -> MemAccess:
     if not isinstance(raw, dict):
         raise ConfigError(f"an access must be a JSON object, got {raw!r}")
     vn = _int_field(raw, "vn")
-    if vn is not None and not 0 <= vn < 1 << 64:
-        raise ConfigError(f"'vn' must be in [0, 2**64), got {vn}")
     sequential = raw.get("sequential", True)
     if not isinstance(sequential, bool):
         raise ConfigError(

@@ -122,16 +122,13 @@ def _cut_trace(draw) -> list[list[list[MemAccess]]]:
 
 
 def _differential_schemes() -> dict:
-    """The five suite schemes plus a tiny stored-VN cache at every
-    associativity: small enough that runs flood and chains climb."""
+    """The five suite schemes plus a tiny stored-VN cache: small enough
+    that runs flood and chains climb."""
     schemes = scheme_suite(_SMALL_PROTECTED)
-    for ways in (None, 2, 4):
-        name = f"tiny-{ways or 'full'}"
-        schemes[name] = CounterModeProtection(
-            name=name, vn_onchip=False, mac_policy=FINE_MAC_POLICY,
-            protected_bytes=_SMALL_PROTECTED, cache_bytes=1024,
-            cache_ways=ways,
-        )
+    schemes["tiny"] = CounterModeProtection(
+        name="tiny", vn_onchip=False, mac_policy=FINE_MAC_POLICY,
+        protected_bytes=_SMALL_PROTECTED, cache_bytes=1024,
+    )
     return schemes
 
 
@@ -141,7 +138,7 @@ def _scheme_state(scheme) -> tuple:
     if cache is None:
         return (scheme.stats.as_dict(),)
     return (scheme.stats.as_dict(), cache.stats.as_dict(),
-            [list(lines.items()) for lines in cache.contents()])
+            list(cache.contents().items()))
 
 
 def _price_calls(session, calls) -> list[list[tuple]]:
@@ -283,9 +280,8 @@ class TestBatchPricingEquivalence:
     def test_run_prices_through_one_session(self, monkeypatch):
         """``PerformanceModel.run`` opens exactly one pricing session per
         scheme, prices the whole trace with one ``price`` call and at
-        most one engine ``probe_run_batch`` call (floods included: the
-        engine's ``flush`` is never called), and never takes the
-        per-access reference walk."""
+        most one engine ``probe_run_batch`` call (floods are rows of that
+        call), and never takes the per-access reference walk."""
         from repro.core.engine_backend import native_available
 
         workload = dnn_workload("AlexNet", "Cloud")
@@ -309,9 +305,9 @@ class TestBatchPricingEquivalence:
             from repro.core.lru_native import NativeLruEngine
             engines.append(NativeLruEngine)
         for engine in engines:
-            for attr in ("probe_run_batch", "flush"):
-                monkeypatch.setattr(engine, attr,
-                                    counted(attr, getattr(engine, attr)))
+            monkeypatch.setattr(engine, "probe_run_batch",
+                                counted("probe_run_batch",
+                                        engine.probe_run_batch))
         floods = 0
         for name, scheme in scheme_suite(workload.protected_bytes).items():
             opened = []
@@ -329,11 +325,10 @@ class TestBatchPricingEquivalence:
             assert len(opened) == 1, name
             assert calls.get("price") == 1, name
             assert calls.get("probe_run_batch", 0) <= 1, name
-            assert "flush" not in calls, name
             assert result.traffic.data_bytes > 0, name
             floods += calls.get("flood rows", 0)
-        # The cached schemes' runs really flood: every flush is a flood
-        # row executed inside the engine call.
+        # The cached schemes' runs really flood, as rows executed inside
+        # the engine call.
         assert floods > 0
 
     @pytest.mark.parametrize("seed", range(6))
@@ -360,38 +355,6 @@ class TestBatchPricingEquivalence:
         expected = _price_per_access(make(), accesses)
         actual = _price_batched(make(), AccessBatch.from_accesses(accesses))
         assert astuple(actual) == astuple(expected)
-
-    @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("ways", [2, 4])
-    def test_set_associative_caches_price_on_the_engine(self, seed, ways):
-        """Set-associative configs ride the engine (native when built —
-        no scalar fallback) and still match per-access pricing."""
-        from repro.core.engine_backend import active_backend
-        from repro.core.schemes.counter_mode import (
-            FINE_MAC_POLICY,
-            CounterModeProtection,
-        )
-
-        def make():
-            return CounterModeProtection(
-                name="assoc",
-                vn_onchip=False,
-                mac_policy=FINE_MAC_POLICY,
-                protected_bytes=_PROTECTED,
-                cache_bytes=32 * 1024,
-                cache_ways=ways,
-            )
-
-        accesses = _random_accesses(seed, n=80)
-        batched = make()
-        expected = _price_per_access(make(), accesses)
-        actual = _price_batched(batched, AccessBatch.from_accesses(accesses))
-        assert astuple(actual) == astuple(expected)
-        assert batched.cache.ways == ways
-        # Whatever backend is active prices the set-associative config:
-        # native when the compiled engine is available, never a scalar
-        # per-access fallback.
-        assert batched.engine_backend == active_backend()
 
     @pytest.mark.parametrize("name", ["BP", "MGX_MAC"])
     def test_cached_schemes_on_dnn_trace(self, name):

@@ -102,7 +102,11 @@ class TestSelection:
         engine = create_engine(2, line_bytes=32, geometry=geometry,
                                backend=backend)
         sink = EventSink()
-        engine.probe_range(0, 12, True, sink)
+        # One row: 12 dirty 32-byte MAC lines from address 0.
+        zero = np.zeros(1, dtype=np.int64)
+        engine.probe_run_batch(zero, np.array([12]), zero, zero,
+                               np.ones(1, dtype=bool), np.zeros(1, dtype=bool),
+                               np.zeros(1, dtype=np.uint8), sink)
         assert sink.drain_parent_misses().tolist() == [4096, 4128]
 
 
@@ -313,24 +317,24 @@ class TestClosedFormWalk:
 
         fast = self._scheme(monkeypatch, backend)
         if backend == "python":
-            # The flood-adjacent guard lives in the engine now: spy on
-            # walk_tree to see the closed-form path engage, then force
+            # The flood-adjacent guard lives in the engine: spy on
+            # _walk_tree to see the closed-form path engage, then force
             # every walk probed and demand identical results.
             flood_flags = []
-            orig_walk = LruEngine.walk_tree
+            orig_walk = LruEngine._walk_tree
 
             def spying_walk(self, seed_lines, sink, flood=False):
                 flood_flags.append(flood)
                 return orig_walk(self, seed_lines, sink, flood=flood)
 
-            monkeypatch.setattr(LruEngine, "walk_tree", spying_walk)
+            monkeypatch.setattr(LruEngine, "_walk_tree", spying_walk)
             fast_results = self._price(fast, batches)
             assert any(flood_flags), "closed-form walk never engaged"
 
             def never_flood(self, seed_lines, sink, flood=False):
                 return orig_walk(self, seed_lines, sink, flood=False)
 
-            monkeypatch.setattr(LruEngine, "walk_tree", never_flood)
+            monkeypatch.setattr(LruEngine, "_walk_tree", never_flood)
             probed = self._scheme(monkeypatch, backend)
             assert self._price(probed, batches) == fast_results
         else:

@@ -5,16 +5,20 @@ stretches, dirty-streak grouping and spliced parent re-touches; every
 one of those fast paths must be *event- and state-identical* to the
 sequential ``MetadataCache.access`` walk with write-back chains.  The
 Hypothesis models here drive both models with the same randomized
-streams — including tiny caches where every run evicts, dirty runs whose
-chains climb a two- or three-level parent geometry, and set-associative
-organizations — and require identical miss/writeback/parent-miss event
-lists, identical LRU state (order and dirty bits), and identical
-hit/miss/writeback counters after every probe.
+streams — including tiny caches where every run evicts, and dirty runs
+whose chains climb a two- or three-level parent geometry — and require
+identical miss/writeback/parent-miss event lists, identical LRU state
+(order and dirty bits), and identical hit/miss/writeback counters after
+every probe.
 
-Every model test runs once per available *backend* (``python`` always;
+Every model test drives the engines' one pricing entry point,
+``probe_run_batch`` (consecutive-line probes are one-row batches, see
+:func:`probe_range`), once per available *backend* (``python`` always;
 ``native`` whenever the compiled engine builds), so the pure-Python
 reference and the C implementation are pinned to the same ground truth
-— and, transitively, to each other.  Both backends take the tree-parent
+— and, transitively, to each other.  Only the python engine's private
+bulk paths (sparse columns, the closed-form walk flood) are tested
+directly, on that backend alone.  Both backends take the tree-parent
 geometry as the same :class:`TreeGeometry` region table; the reference
 drivers use plain parent callables, pinned equal to the tables.
 """
@@ -40,6 +44,7 @@ from repro.core.lru_engine import (
     _RunContext,
     drain_chunks,
 )
+from repro.core.lru_native import NativeLruEngine
 from repro.core.metadata_cache import MetadataCache
 
 LINE = 64
@@ -86,10 +91,20 @@ needs_native = pytest.mark.skipif(
 )
 
 
-def make_engine(backend, capacity, geometry="none", ways=None):
+def make_engine(backend, capacity, geometry="none"):
     """One engine on the requested backend over a named test geometry."""
-    return create_engine(capacity, line_bytes=LINE, ways=ways,
+    return create_engine(capacity, line_bytes=LINE,
                          geometry=GEOMETRY_TABLES[geometry], backend=backend)
+
+
+def test_backends_expose_exactly_the_pricing_surface():
+    """Both engine classes' public callables are the three calls a
+    pricing session makes, so neither surface regrows on one side."""
+    for cls in (LruEngine, NativeLruEngine):
+        public = sorted(attr for attr, value in vars(cls).items()
+                        if not attr.startswith("_") and callable(value))
+        assert public == ["export_state", "load_state", "probe_run_batch"], \
+            cls.__name__
 
 
 def test_geometry_tables_match_callables():
@@ -182,10 +197,15 @@ _FLOOD_FLAGS = st.sampled_from([0, 0, 0, FLOOD_MAC, FLOOD_VN,
                                 FLOOD_MAC | FLOOD_VN])
 
 
+def probe_range(engine, first, n, dirty, sink):
+    """Probe ``n`` consecutive lines from address ``first``: a one-row
+    ``probe_run_batch`` with an unflooded MAC range only."""
+    engine.probe_run_batch(
+        *_run_batch_columns([(first, n, 0, 0, dirty, False)]), sink)
+
+
 def _assert_state_equal(engine, cache):
-    reference = [[(line, bool(dirty)) for line, dirty in lines.items()]
-                 for lines in cache.contents()]
-    assert engine.export_state() == reference
+    assert engine.export_state() == list(cache.contents().items())
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -211,30 +231,7 @@ class TestModelEquivalence:
         for start, n_lines, dirty in segments:
             expected = _drive_reference(cache, start, n_lines, dirty, parent_of)
             sink = EventSink()
-            engine.probe_range(start * LINE, n_lines, dirty, sink)
-            assert sink.drain_misses().tolist() == expected[0]
-            assert sink.drain_writebacks().tolist() == expected[1]
-            assert sink.drain_parent_misses().tolist() == expected[2]
-            _assert_state_equal(engine, cache)
-
-    @given(
-        segments=st.lists(
-            st.tuples(st.integers(min_value=0, max_value=39),
-                      st.integers(min_value=1, max_value=10),
-                      st.booleans()),
-            min_size=1, max_size=40,
-        ),
-        ways=st.sampled_from([1, 2, 4]),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_set_associative_matches(self, backend, segments, ways):
-        cache = MetadataCache(8 * LINE, ways=ways)
-        engine = make_engine(backend, 8, "two", ways=ways)
-        for start, n_lines, dirty in segments:
-            expected = _drive_reference(cache, start, n_lines, dirty,
-                                        _parent_two_level)
-            sink = EventSink()
-            engine.probe_range(start * LINE, n_lines, dirty, sink)
+            probe_range(engine, start * LINE, n_lines, dirty, sink)
             assert sink.drain_misses().tolist() == expected[0]
             assert sink.drain_writebacks().tolist() == expected[1]
             assert sink.drain_parent_misses().tolist() == expected[2]
@@ -252,21 +249,19 @@ class TestModelEquivalence:
             min_size=1, max_size=25,
         ),
         capacity=st.sampled_from([2, 4, 8]),
-        ways=st.sampled_from([0, 1, 2]),
         geometry=st.sampled_from(sorted(GEOMETRIES)),
         head=st.integers(min_value=0, max_value=3),
     )
     @settings(max_examples=80, deadline=None)
     def test_run_batch_matches_access_walk(self, backend, rows, capacity,
-                                           ways, geometry, head):
+                                           geometry, head):
         """Whole batches of fused MAC/VN runs with tree walks and flood
-        rows ≡ the per-line walk with flushes, across geometries and set
-        organizations — and each row's events end where the walk's do,
-        even in a sink that already holds events."""
+        rows ≡ the per-line walk with flushes, across geometries — and
+        each row's events end where the walk's do, even in a sink that
+        already holds events."""
         parent_of = GEOMETRIES[geometry]
-        ways = ways or None
-        cache = MetadataCache(capacity * LINE, ways=ways)
-        engine = make_engine(backend, capacity, geometry, ways=ways)
+        cache = MetadataCache(capacity * LINE)
+        engine = make_engine(backend, capacity, geometry)
         byte_rows = [(mac_start * LINE, mac_n, vn_start * LINE, vn_n,
                       dirty, walk, flood)
                      for mac_start, mac_n, vn_start, vn_n, dirty, walk, flood
@@ -286,70 +281,6 @@ class TestModelEquivalence:
              cache.stats.get("writebacks"))
         _assert_state_equal(engine, cache)
 
-    @given(
-        rows=st.lists(
-            st.tuples(st.integers(min_value=0, max_value=4),
-                      st.integers(min_value=0, max_value=4),
-                      st.integers(min_value=8, max_value=30),
-                      st.integers(min_value=1, max_value=8),
-                      st.booleans(),
-                      st.booleans()),
-            min_size=1, max_size=20,
-        ),
-        ways=st.sampled_from([1, 2, 4]),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_set_associative_run_batches_match(self, backend, rows, ways):
-        """Set-associative run batches stay native — no scalar-path
-        fallback — and still track the reference walk exactly."""
-        cache = MetadataCache(8 * LINE, ways=ways)
-        engine = make_engine(backend, 8, "two", ways=ways)
-        assert engine.backend_name == backend
-        byte_rows = [(mac_start * LINE, mac_n, vn_start * LINE, vn_n,
-                      dirty, walk)
-                     for mac_start, mac_n, vn_start, vn_n, dirty, walk
-                     in rows]
-        expected = _drive_reference_runs(cache, byte_rows,
-                                         _parent_two_level)
-        sink = EventSink()
-        engine.probe_run_batch(*_run_batch_columns(byte_rows), sink)
-        assert sink.drain_misses().tolist() == expected[0]
-        assert sink.drain_writebacks().tolist() == expected[1]
-        assert sink.drain_parent_misses().tolist() == expected[2]
-        _assert_state_equal(engine, cache)
-
-    @given(
-        runs=st.lists(
-            st.tuples(
-                st.lists(st.integers(min_value=0, max_value=63),
-                         min_size=1, max_size=12, unique=True),
-                st.booleans(),
-            ),
-            min_size=1, max_size=30,
-        ),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_sparse_ascending_runs_match(self, backend, runs):
-        """Walk-shaped probes: distinct ascending but not consecutive."""
-        cache = MetadataCache(4 * LINE)
-        engine = make_engine(backend, 4, "two")
-        for lines, dirty in runs:
-            ordered = sorted(lines)
-            expected_misses, expected_wb, expected_pm = [], [], []
-            for index in ordered:
-                partial = _drive_reference(cache, index, 1, dirty,
-                                           _parent_two_level)
-                expected_misses += partial[0]
-                expected_wb += partial[1]
-                expected_pm += partial[2]
-            sink = EventSink()
-            engine.probe_lines(np.array(ordered, dtype=np.int64) * LINE,
-                               dirty, sink)
-            assert sink.drain_misses().tolist() == expected_misses
-            assert sink.drain_writebacks().tolist() == expected_wb
-            assert sink.drain_parent_misses().tolist() == expected_pm
-            _assert_state_equal(engine, cache)
-
     def test_stats_counters_match(self, backend):
         """hit/miss/writeback counters track the reference exactly."""
         cache = MetadataCache(4 * LINE)
@@ -358,7 +289,7 @@ class TestModelEquivalence:
         for start, n_lines, dirty in [(0, 8, True), (2, 6, False),
                                       (60, 10, True), (0, 8, True)]:
             _drive_reference(cache, start, n_lines, dirty, _parent_two_level)
-            engine.probe_range(start * LINE, n_lines, dirty, sink)
+            probe_range(engine, start * LINE, n_lines, dirty, sink)
         assert sink.hits == cache.stats.get("hits")
         assert sink.miss_count == cache.stats.get("misses")
         assert sink.writeback_count == cache.stats.get("writebacks")
@@ -374,7 +305,7 @@ class TestModelEquivalence:
                                       (16, 16, False), (0, 32, False)]:
             expected = _drive_reference(cache, start, n_lines, dirty,
                                         _parent_three_level)
-            engine.probe_range(start * LINE, n_lines, dirty, sink)
+            probe_range(engine, start * LINE, n_lines, dirty, sink)
             assert sink.drain_misses().tolist() == expected[0]
             assert sink.drain_writebacks().tolist() == expected[1]
             assert sink.drain_parent_misses().tolist() == expected[2]
@@ -391,7 +322,7 @@ class TestModelEquivalence:
             for start in (0, 24, 48):
                 expected = _drive_reference(cache, start, 16, True,
                                             _parent_two_level)
-                engine.probe_range(start * LINE, 16, True, sink)
+                probe_range(engine, start * LINE, 16, True, sink)
                 assert sink.drain_writebacks().tolist() == expected[1]
                 assert sink.drain_parent_misses().tolist() == expected[2]
         _assert_state_equal(engine, cache)
@@ -401,50 +332,21 @@ class TestModelEquivalence:
 class TestBackendParity:
     """Python and native engines, driven side by side, never diverge."""
 
-    @given(
-        runs=st.lists(
-            st.tuples(
-                st.lists(st.integers(min_value=0, max_value=99),
-                         min_size=1, max_size=20, unique=True),
-                st.booleans(),
-            ),
-            min_size=1, max_size=40,
-        ),
-        capacity=st.sampled_from([2, 4, 8]),
-        geometry=st.sampled_from(sorted(GEOMETRIES)),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_event_and_state_parity(self, runs, capacity, geometry):
-        python = make_engine("python", capacity, geometry)
-        native = make_engine("native", capacity, geometry)
-        for lines, dirty in runs:
-            column = np.array(sorted(lines), dtype=np.int64) * LINE
-            sink_py, sink_nat = EventSink(), EventSink()
-            python.probe_lines(column, dirty, sink_py)
-            native.probe_lines(column, dirty, sink_nat)
-            assert sink_py.drain_misses().tolist() == \
-                sink_nat.drain_misses().tolist()
-            assert sink_py.drain_writebacks().tolist() == \
-                sink_nat.drain_writebacks().tolist()
-            assert sink_py.drain_parent_misses().tolist() == \
-                sink_nat.drain_parent_misses().tolist()
-            assert (sink_py.hits, sink_py.miss_count,
-                    sink_py.writeback_count) == \
-                (sink_nat.hits, sink_nat.miss_count, sink_nat.writeback_count)
-            assert python.export_state() == native.export_state()
-
     def test_cross_backend_state_round_trip(self):
         """State exported from one backend loads into the other."""
         python = make_engine("python", 4, "two")
         native = make_engine("native", 4, "two")
         sink = EventSink()
-        python.probe_range(0, 3, True, sink)
+        probe_range(python, 0, 3, True, sink)
         state = python.export_state()
-        native.load_state([dict(pairs) for pairs in state])
+        native.load_state(dict(state))
         assert native.export_state() == state
-        assert len(native) == 3
-        assert native.contains(0) and not native.contains(5 * LINE)
-        assert native.flush().tolist() == [0, LINE, 2 * LINE]
+        # A flood row flushes the adopted lines: all three dirty.
+        native.probe_run_batch(
+            *_run_batch_columns([(0, 0, 0, 0, False, False, FLOOD_MAC)]),
+            sink)
+        assert sink.drain_writebacks().tolist() == [0, LINE, 2 * LINE]
+        assert native.export_state() == []
 
     def test_event_buffer_pause_resume(self):
         """Runs far larger than the native event buffers stay exact."""
@@ -452,11 +354,10 @@ class TestBackendParity:
         python = make_engine("python", capacity, "two")
         native = make_engine("native", capacity, "two")
         native._ev_cap = 16  # force many pause/resume round trips
-        lines = np.arange(0, 60, dtype=np.int64) * LINE
         for dirty in (True, True, False):
             sink_py, sink_nat = EventSink(), EventSink()
-            python.probe_lines(lines, dirty, sink_py)
-            native.probe_lines(lines, dirty, sink_nat)
+            probe_range(python, 0, 60, dirty, sink_py)
+            probe_range(native, 0, 60, dirty, sink_nat)
             assert sink_py.drain_misses().tolist() == \
                 sink_nat.drain_misses().tolist()
             assert sink_py.drain_writebacks().tolist() == \
@@ -477,19 +378,17 @@ class TestBackendParity:
             min_size=1, max_size=25,
         ),
         capacity=st.sampled_from([2, 4, 8]),
-        ways=st.sampled_from([0, 2]),
         geometry=st.sampled_from(sorted(GEOMETRIES)),
         ev_cap=st.sampled_from([1, 2, 3, 16384]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_run_batch_parity(self, rows, capacity, ways, geometry, ev_cap):
+    def test_run_batch_parity(self, rows, capacity, geometry, ev_cap):
         """Run batches with flood rows: identical events, per-row end
         offsets, counters and state on both backends, with the native
         event buffers small enough to pause mid-probe, mid-chain,
         mid-walk and mid-flush."""
-        ways = ways or None
-        python = make_engine("python", capacity, geometry, ways=ways)
-        native = make_engine("native", capacity, geometry, ways=ways)
+        python = make_engine("python", capacity, geometry)
+        native = make_engine("native", capacity, geometry)
         native._ev_cap = ev_cap
         byte_rows = [(mac_start * LINE, mac_n, vn_start * LINE, vn_n,
                       dirty, walk, flood)
@@ -574,45 +473,79 @@ class TestBackendParity:
         cache = MetadataCache(capacity * LINE)
         engine = make_engine("native", capacity, "two")
         sink = EventSink()
-        rounds = int(engine._hdr[3]) // 2 + 200  # > ring size touches
+        rounds = int(engine._hdr[2]) // 2 + 200  # > ring size touches
         for round_index in range(rounds):
             start = (round_index * 3) % 60
             _drive_reference(cache, start, 4, bool(round_index % 2),
                              _parent_two_level)
-            engine.probe_range(start * LINE, 4, bool(round_index % 2), sink)
+            probe_range(engine, start * LINE, 4, bool(round_index % 2),
+                        sink)
         _assert_state_equal(engine, cache)
         assert sink.miss_count == cache.stats.get("misses")
 
     def test_invalid_configurations_rejected(self):
-        from repro.core.lru_native import NativeLruEngine
-
         with pytest.raises(ConfigError):
             NativeLruEngine(0)
-        with pytest.raises(ConfigError):
-            NativeLruEngine(8, ways=3)
         engine = make_engine("native", 4)
         with pytest.raises(ConfigError):
-            engine.load_state([{}, {}])  # one set expected
+            engine.load_state({line * LINE: False for line in range(5)})
+
+
+class TestPythonProbes:
+    """The python engine's private sparse-column probe ≡ the per-line
+    walk (only that engine has one: run rows are consecutive ranges)."""
+
+    @given(
+        runs=st.lists(
+            st.tuples(
+                st.lists(st.integers(min_value=0, max_value=63),
+                         min_size=1, max_size=12, unique=True),
+                st.booleans(),
+            ),
+            min_size=1, max_size=30,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sparse_ascending_runs_match(self, runs):
+        """Walk-shaped probes: distinct ascending but not consecutive."""
+        cache = MetadataCache(4 * LINE)
+        engine = make_engine("python", 4, "two")
+        for lines, dirty in runs:
+            ordered = sorted(lines)
+            expected_misses, expected_wb, expected_pm = [], [], []
+            for index in ordered:
+                partial = _drive_reference(cache, index, 1, dirty,
+                                           _parent_two_level)
+                expected_misses += partial[0]
+                expected_wb += partial[1]
+                expected_pm += partial[2]
+            sink = EventSink()
+            engine._probe_lines(np.array(ordered, dtype=np.int64) * LINE,
+                                dirty, sink)
+            assert sink.drain_misses().tolist() == expected_misses
+            assert sink.drain_writebacks().tolist() == expected_wb
+            assert sink.drain_parent_misses().tolist() == expected_pm
+            _assert_state_equal(engine, cache)
 
 
 class TestClosedFormHooks:
-    """`walk_tree(flood=True)` / `flood_clean` ≡ the probed path they replace."""
+    """The python engine's `_walk_tree(flood=True)` / `_flood_clean` ≡
+    the probed path they replace."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_walk_tree_flood_matches_probed(self, backend):
+    def test_walk_tree_flood_matches_probed(self):
         """The closed-form flood walk ≡ the probed walk it replaces."""
         capacity = 4
-        flooded = make_engine(backend, capacity, "three")
-        probed = make_engine(backend, capacity, "three")
+        flooded = make_engine("python", capacity, "three")
+        probed = make_engine("python", capacity, "three")
         seeds = np.arange(capacity, dtype=np.int64) * LINE
         warm_f, warm_p = EventSink(), EventSink()
-        flooded.probe_lines(seeds, False, warm_f)
-        probed.probe_lines(seeds, False, warm_p)
+        flooded._probe_lines(seeds, False, warm_f)
+        probed._probe_lines(seeds, False, warm_p)
         # Flood-adjacent precondition holds: the resident set is exactly
         # the clean all-miss run below the tree region.
         sink_f, sink_p = EventSink(), EventSink()
-        flooded.walk_tree(seeds, sink_f, flood=True)
-        probed.walk_tree(seeds, sink_p, flood=False)
+        flooded._walk_tree(seeds, sink_f, flood=True)
+        probed._walk_tree(seeds, sink_p, flood=False)
         assert sink_f.drain_misses().tolist() == \
             sink_p.drain_misses().tolist()
         assert sink_f.drain_writebacks().tolist() == \
@@ -625,27 +558,25 @@ class TestClosedFormHooks:
     @pytest.mark.parametrize("n_lines", [2, 4, 7])
     def test_flood_clean_matches_probe_lines(self, backend, n_lines):
         """The python engine's bulk replace ≡ probing the same all-miss
-        clean stream on each backend (the compiled walk needs no bulk
-        replace: its per-level probe already is one)."""
+        clean stream as a run row on each backend (the compiled walk
+        needs no bulk replace: its per-level probe already is one)."""
         capacity = 4
         reference = make_engine(backend, capacity, "two")
         flooded = make_engine("python", capacity, "two")
         warm = EventSink()
-        reference.probe_range(0, 3, False, warm)
-        flooded.probe_range(0, 3, False, warm)
-        lines = (64 + np.arange(n_lines, dtype=np.int64)) * LINE
+        probe_range(reference, 0, 3, False, warm)
+        probe_range(flooded, 0, 3, False, warm)
+        first = 64 * LINE
         sink_ref, sink_flood = EventSink(), EventSink()
-        miss_ref, miss_flood = [], []
-        reference.probe_lines(lines, False, sink_ref, miss_ref)
-        flooded.flood_clean(lines, sink_flood, miss_flood)
+        probe_range(reference, first, n_lines, False, sink_ref)
+        flooded._flood_clean(
+            first + np.arange(n_lines, dtype=np.int64) * LINE, sink_flood)
         assert sink_ref.drain_misses().tolist() == \
             sink_flood.drain_misses().tolist()
         assert sink_ref.drain_writebacks().tolist() == \
             sink_flood.drain_writebacks().tolist()
         assert sink_ref.miss_count == sink_flood.miss_count
         assert sink_ref.writeback_count == sink_flood.writeback_count
-        assert drain_chunks(miss_ref).tolist() == \
-            drain_chunks(miss_flood).tolist()
         assert reference.export_state() == flooded.export_state()
 
 
@@ -685,7 +616,7 @@ class TestBulkMachineryStress:
                 expected = _drive_reference(cache, start, n_lines, dirty,
                                             parent_of)
                 sink = EventSink()
-                engine.probe_range(start * LINE, n_lines, dirty, sink)
+                probe_range(engine, start * LINE, n_lines, dirty, sink)
                 assert sink.drain_misses().tolist() == expected[0]
                 assert sink.drain_writebacks().tolist() == expected[1]
                 assert sink.drain_parent_misses().tolist() == expected[2]
@@ -736,21 +667,41 @@ class TestStateAndSink:
     def test_state_round_trip(self, backend):
         engine = make_engine(backend, 4)
         sink = EventSink()
-        engine.probe_range(0, 3, True, sink)
+        probe_range(engine, 0, 3, True, sink)
         state = engine.export_state()
+        assert state == [(0, True), (LINE, True), (2 * LINE, True)]
         other = make_engine(backend, 4)
-        other.load_state([dict(pairs) for pairs in state])
+        other.load_state(dict(state))
         assert other.export_state() == state
-        assert len(other) == 3
-        assert other.contains(0) and not other.contains(5 * LINE)
 
     def test_flush_returns_dirty_in_recency_order(self, backend):
+        """A flood row's writebacks are the dirty residents in recency
+        order, and the cache is empty after it."""
         engine = make_engine(backend, 4)
         sink = EventSink()
-        engine.probe_range(0, 2, True, sink)
-        engine.probe_range(2 * LINE, 1, False, sink)
-        assert engine.flush().tolist() == [0, LINE]
-        assert len(engine) == 0
+        probe_range(engine, 2 * LINE, 1, True, sink)
+        probe_range(engine, 0, 2, True, sink)
+        probe_range(engine, 3 * LINE, 1, False, sink)
+        ends = engine.probe_run_batch(
+            *_run_batch_columns([(0, 0, 0, 0, False, False, FLOOD_MAC)]),
+            sink)
+        assert sink.drain_writebacks().tolist() == [2 * LINE, 0, LINE]
+        assert ends.tolist() == [[4, 3, 0]]
+        assert engine.export_state() == []
+
+    @pytest.mark.parametrize("lines", [5, 4 + LruEngine._RING_SLACK + 1])
+    def test_load_state_rejects_more_lines_than_capacity(self, backend,
+                                                         lines):
+        """An over-full state is a ``ConfigError`` before any engine
+        state changes (it used to be adopted, or written past the native
+        ring)."""
+        engine = make_engine(backend, 4)
+        probe_range(engine, 0, 2, True, EventSink())
+        before = engine.export_state()
+        with pytest.raises(ConfigError,
+                           match=f"{lines} lines supplied for a 4-line"):
+            engine.load_state({line * LINE: False for line in range(lines)})
+        assert engine.export_state() == before
 
 
 class TestRunContext:
@@ -808,11 +759,9 @@ class TestSinkMachinery:
     def test_invalid_configurations_rejected(self):
         with pytest.raises(ConfigError):
             LruEngine(0)
-        with pytest.raises(ConfigError):
-            LruEngine(8, ways=3)
         engine = LruEngine(4)
         with pytest.raises(ConfigError):
-            engine.load_state([{}, {}])  # one set expected
+            engine.load_state({line * LINE: False for line in range(5)})
 
     def test_ring_compaction_preserves_state(self):
         """Touch far more lines than the ring slack to force compaction."""
@@ -824,6 +773,7 @@ class TestSinkMachinery:
             start = (round_index * 3) % 60
             _drive_reference(cache, start, 4, bool(round_index % 2),
                              _parent_two_level)
-            engine.probe_range(start * LINE, 4, bool(round_index % 2), sink)
+            probe_range(engine, start * LINE, 4, bool(round_index % 2),
+                        sink)
         _assert_state_equal(engine, cache)
         assert sink.miss_count == cache.stats.get("misses")

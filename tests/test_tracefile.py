@@ -99,8 +99,8 @@ class TestMalformedInput:
         (_with(access={"sequential": "false"}), "phase 0 access 0: 'sequential'"),
         (_with(access={"vn": 1.9}), "phase 0 access 0: 'vn'"),
         (_with(access={"size": 4096.9}), "phase 0 access 0: 'size'"),
-        (_with(access={"vn": -1}), "phase 0 access 0: 'vn'"),
-        (_with(access={"vn": 2**64}), "phase 0 access 0: 'vn'"),
+        (_with(access={"vn": -1}), "phase 0 access 0: vn"),
+        (_with(access={"vn": 2**64}), "phase 0 access 0: vn"),
         (_with(access={"address": None}), "phase 0 access 0: 'address'"),
         (_with(access={"address": 2**63}), "phase 0 access 0: address"),
         (_with(phase={"accesses": [[0, 4096]]}),

@@ -1,12 +1,9 @@
-"""Trace validator and the set-associative cache option."""
-
-import pytest
+"""Trace validator and the fully-associative metadata cache."""
 
 from repro.core.access import DataClass, Phase, read, write
 from repro.core.counters import VnSpace
 from repro.core.metadata_cache import MetadataCache
 from repro.core.validate import validate_trace
-from repro.common.errors import ConfigError
 
 
 class TestValidateTrace:
@@ -119,48 +116,8 @@ class TestValidateTrace:
 
 
 class TestSetAssociativeCache:
-    def test_ways_must_divide_capacity(self):
-        with pytest.raises(ConfigError):
-            MetadataCache(capacity_bytes=64 * 10, ways=3)
-
-    def test_conflict_misses_within_set(self):
-        """Lines mapping to the same set evict each other even when the
-        cache as a whole has room — unlike fully-associative."""
-        cache = MetadataCache(capacity_bytes=64 * 8, ways=2)  # 4 sets
-        n_sets = 4
-        # Three lines in set 0: the third evicts the first (2 ways).
-        a, b, c = (0, n_sets * 64, 2 * n_sets * 64)
-        cache.access(a)
-        cache.access(b)
-        cache.access(c)
-        assert not cache.contains(a)
-        assert cache.contains(b) and cache.contains(c)
-
     def test_fully_assoc_keeps_all_three(self):
         cache = MetadataCache(capacity_bytes=64 * 8)
         for addr in (0, 4 * 64, 8 * 64):
             cache.access(addr)
         assert all(cache.contains(a) for a in (0, 4 * 64, 8 * 64))
-
-    def test_dirty_writeback_per_set(self):
-        cache = MetadataCache(capacity_bytes=64 * 4, ways=1)  # direct-mapped
-        cache.access(0, dirty=True)
-        outcome = cache.access(4 * 64)  # same set (4 sets, stride 4 lines)
-        assert outcome.writeback_address == 0
-
-    def test_flush_covers_all_sets(self):
-        cache = MetadataCache(capacity_bytes=64 * 4, ways=2)
-        cache.access(0, dirty=True)
-        cache.access(64, dirty=True)
-        assert sorted(cache.flush()) == [0, 64]
-        assert len(cache) == 0
-
-    def test_lru_within_set(self):
-        cache = MetadataCache(capacity_bytes=64 * 4, ways=2)  # 2 sets
-        s = 2 * 64  # set stride
-        cache.access(0)
-        cache.access(s)        # same set as 0
-        cache.access(0)        # refresh 0
-        cache.access(2 * s)    # evicts s, not 0
-        assert cache.contains(0)
-        assert not cache.contains(s)
