@@ -57,7 +57,9 @@ def _price_rows(backend, rows):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_engine_flood(benchmark, backend):
-    """Clean capacity floods: the bulk-replace fast path."""
+    """Clean unflooded ranges four times the cache, three passes, every
+    line a miss: the first pass takes the python engine's conveyor, the
+    later two (whose tails are resident) walk line by line."""
     benchmark.extra_info["engine_backend"] = backend
     rows = _mac_rows([0] * 3, LEAF_LINES, False)
     sink = benchmark.pedantic(_price_rows, args=(backend, rows), rounds=3,

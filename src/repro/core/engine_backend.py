@@ -3,7 +3,7 @@
 The reuse-distance LRU engine has two interchangeable implementations:
 
 * ``python`` — :class:`~repro.core.lru_engine.LruEngine`, the Hypothesis-
-  pinned reference (bulk conveyor stretches over NumPy columns);
+  pinned reference (one line walk over an ``OrderedDict``);
 * ``native`` — :class:`~repro.core.lru_native.NativeLruEngine`, the same
   scalar semantics compiled from ``_lru_native.c`` at first use and
   loaded through :mod:`ctypes` (no third-party build dependency).
@@ -22,8 +22,8 @@ of them, pinned by the backend-parametrized Hypothesis models in
 Tree-aware consumers describe their metadata layout's integrity-tree
 parent function as a :class:`TreeGeometry` — a flat table of ``(base,
 end, parent_base, arity)`` regions.  Both backends take the same table:
-the C code scans it per line, the Python engine gathers a whole column's
-parents with one ``searchsorted`` over the region bounds.
+the C code scans it per line, the Python engine bisects it per chain
+step and once per region of a walk wave.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,7 +64,7 @@ class TreeGeometry:
     ascending and disjoint (adjacent is fine), so an address lies in at
     most one.  This is exactly the shape of
     ``CounterModeProtection._parent_of``, evaluated identically by the C
-    backend's ``parent_of`` and here, per line or per column.
+    backend's ``parent_of`` and here, per line or per walk wave.
     """
 
     regions: tuple[tuple[int, int, int, int], ...] = ()
@@ -80,19 +80,8 @@ class TreeGeometry:
                 f"{self.line_bytes}: regions must be non-empty, ascending "
                 "and disjoint, with arity >= 1 and line_bytes > 0"
             )
-        # The gather's table: the region bounds split the address space
-        # into regions and gaps; a gap (base 0, parent -1, a stride past
-        # any address) yields parent -1 with no mask.
-        gap = (0, -1, 1 << 62)
-        entries = [gap]
-        for base, _, parent_base, arity in self.regions:
-            entries += [(base, parent_base, arity * self.line_bytes), gap]
-        # Not dataclass fields: equality and hashing stay on the table.
+        # Not a dataclass field: equality and hashing stay on the table.
         object.__setattr__(self, "_bounds", bounds)
-        object.__setattr__(self, "_bounds_array",
-                           np.array(bounds, dtype=np.int64))
-        object.__setattr__(self, "_entries",
-                           np.array(entries, dtype=np.int64).T.copy())
 
     def parent_of(self, address: int) -> int | None:
         """The parent line of ``address`` (``None``: no stored parent)."""
@@ -103,14 +92,45 @@ class TreeGeometry:
         line_bytes = self.line_bytes
         return parent_base + (address - base) // (arity * line_bytes) * line_bytes
 
-    def parents(self, lines: np.ndarray) -> np.ndarray:
-        """:meth:`parent_of` over a column of addresses, -1 for none:
-        one ``searchsorted`` over the region bounds, then a gather."""
-        entry = np.searchsorted(self._bounds_array, lines, side="right")
-        bases, parent_bases, strides = self._entries
-        return (parent_bases.take(entry)
-                + (lines - bases.take(entry)) // strides.take(entry)
-                * self.line_bytes)
+    def parents(self, lines: list) -> list[int]:
+        """The stored parents of ascending ``lines``, in order and with
+        adjacent repeats dropped: a tree walk's next wave.
+
+        The parent map is monotone within a region, so each region's
+        lines are one slice, found by ``bisect``; consecutive lines (a
+        wave that missed throughout) have consecutive parents, a
+        ``range``.
+        """
+        bounds = self._bounds
+        line_bytes = self.line_bytes
+        parents: list[int] = []
+        index, n = 0, len(lines)
+        while index < n:
+            line = lines[index]
+            entry = bisect_right(bounds, line)
+            if entry % 2 == 0:  # below, between or above the regions
+                if entry == len(bounds):
+                    break
+                index = bisect_left(lines, bounds[entry], index + 1)
+                continue
+            base, end, parent_base, arity = self.regions[entry // 2]
+            stride = arity * line_bytes
+            stop = bisect_left(lines, end, index + 1)
+            tail = lines[stop - 1]
+            if tail - line == (stop - 1 - index) * line_bytes:
+                level = range(
+                    parent_base + (line - base) // stride * line_bytes,
+                    parent_base + ((tail - base) // stride + 1) * line_bytes,
+                    line_bytes)
+            else:
+                level = list(dict.fromkeys([
+                    parent_base + (x - base) // stride * line_bytes
+                    for x in lines[index:stop]]))
+            if parents and parents[-1] == level[0]:
+                level = level[1:]
+            parents += level
+            index = stop
+        return parents
 
     def encode(self) -> np.ndarray:
         """Flat int64 form consumed by the C backend."""

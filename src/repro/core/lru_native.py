@@ -16,7 +16,9 @@ buffers; whenever one fills, C *pauses* (returning 0, parking a
 mid-flight chain victim in the header) and the wrapper drains the
 buffers into the :class:`~repro.core.lru_engine.EventSink` and resumes,
 so arbitrarily long columns price in bounded memory with event order
-preserved exactly.
+preserved exactly.  A pause that moves neither the resume cursor, the
+parked victim nor the ring is a :class:`RuntimeError`, not an endless
+loop.
 """
 
 from __future__ import annotations
@@ -33,8 +35,9 @@ from repro.core.engine_backend import (
 from repro.core.lru_engine import FLOOD_VN, EventSink, check_state_fits
 
 _NIL = -1
-#: Header slots (mirrors the H_* enum in ``_lru_native.c``).
-_H_HITS, _H_PENDING, _H_SIZE = 4, 7, 12
+#: Header slots (mirrors the H_* enum in ``_lru_native.c``); the ring's
+#: head and tail sit between ``_H_PENDING`` and ``_H_COUNT``.
+_H_HITS, _H_PENDING, _H_COUNT, _H_SIZE = 4, 7, 10, 12
 
 
 def _pow2_at_least(n: int) -> int:
@@ -165,12 +168,22 @@ class NativeLruEngine:
             n_runs, self._wave_buf.ctypes.data, self._next_buf.ctypes.data,
             rstate.ctypes.data, ends.ctypes.data,
         ) + self._ev_args + (self._ev_cap,)
+        stalled = None
         while True:
             fills[:] = 0
             done = runs(*run_args)
             self._drain_events(sink)
             if done:
                 break
+            # Every pause moves the resume cursor, the parked chain
+            # victim or the ring (a walk's next level can repeat the
+            # cursor, but its probes append to the ring); one that
+            # moves none of them would repeat forever.
+            pause = rstate[:8].tobytes() + hdr[_H_PENDING:_H_COUNT].tobytes()
+            if pause == stalled:
+                raise RuntimeError(
+                    f"native engine made no progress at row {int(rstate[0])}")
+            stalled = pause
         hits, misses, writebacks = hdr[_H_HITS:_H_PENDING].tolist()
         sink.hits += hits - before[0]
         sink.miss_count += misses - before[1]

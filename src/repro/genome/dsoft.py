@@ -88,6 +88,8 @@ class SeedIndex:
         keys = _window_keys(reference, seed_length, "reference")
         self._positions = np.argsort(keys, kind="stable")
         self._keys = keys[self._positions]
+        self._positions.flags.writeable = False
+        self._keys.flags.writeable = False
 
     def _runs(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``[start, end)`` of each key's run in the position column."""

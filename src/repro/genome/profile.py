@@ -13,8 +13,24 @@ cache restores it instead of re-running the pipeline.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.genome.dsoft import DsoftConfig, SeedIndex, dsoft_filter
 from repro.genome.sequences import SEQUENCERS, make_reference, simulate_reads
+
+
+@lru_cache(maxsize=4)
+def reference_index(chromosome: str, seed_length: int) -> SeedIndex:
+    """The seed index over ``chromosome``'s synthetic reference.
+
+    A pure function of its arguments, so it is memoized like
+    :func:`~repro.graph.graphlily.tile_edge_counts`: Fig. 16's nine
+    profiles share one index per chromosome.  The reference and the
+    index arrays are read-only.
+    """
+    reference = make_reference(chromosome)
+    reference.flags.writeable = False
+    return SeedIndex(reference, seed_length)
 
 
 def measure_tile_profile(
@@ -33,8 +49,8 @@ def measure_tile_profile(
     :func:`~repro.genome.darwin.simulate_gact_workload`.
     """
     config = config or DsoftConfig()
-    reference = make_reference(chromosome)
-    index = SeedIndex(reference, config.seed_length)
+    index = reference_index(chromosome, config.seed_length)
+    reference = index.reference
     profile = SEQUENCERS[sequencer]
     reads = simulate_reads(reference, profile, n_probe_reads, seed=seed)
     candidates = [len(dsoft_filter(index, read.bases, config)) for read in reads]

@@ -4,13 +4,15 @@
 cached/tree schemes; every backend must be byte-identical, so the tests
 here pin (a) the selection rules themselves, (b) the
 :class:`TreeGeometry` region tables counter-mode schemes hand both
-backends — their validation, and the column gather against the per-line
-parent — (c) whole-suite pricing equality between forced backends, and
-(d) the closed-form flood-adjacent walk against the probed walk it
-replaces.
+backends — their validation, and the walk-wave parents against the
+per-line parent — (c) whole-suite pricing equality between forced
+backends, and (d) cache-sized runs whose tree walks follow a washed-out
+cache against the per-access ``process`` walk.
 """
 
 from __future__ import annotations
+
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -144,10 +146,12 @@ class TestTreeGeometry:
     @settings(max_examples=150, deadline=None)
     def test_parents_gather_matches_parent_of(self, data, line_bytes,
                                               n_regions):
-        """``parents`` over a column ≡ ``parent_of`` per address, -1 for
-        ``None``, on random valid tables at every region boundary ±1
-        line and at random addresses in and between the regions, in any
-        order (victim windows are in recency order, not address order)."""
+        """``parent_of`` ≡ the C backend's region scan on random valid
+        tables, at every region boundary ±1 line and at random addresses
+        in and between the regions; and ``parents`` over ascending lines
+        ≡ ``parent_of`` per line with ``None`` and adjacent repeats
+        dropped (C's walk wave), over consecutive stretches (a wave that
+        missed throughout) and scattered lines alike."""
         regions = []
         cursor = data.draw(st.integers(min_value=0, max_value=8))
         for _ in range(n_regions):
@@ -175,14 +179,26 @@ class TestTreeGeometry:
                   for base, end, parent, arity in regions if base <= a < end),
                  None)
             for a in addresses]
-        gathered = table.parents(np.array(addresses, dtype=np.int64))
-        assert gathered.tolist() == [-1 if p is None else p
-                                     for p in expected]
+        stretches = data.draw(st.lists(
+            st.tuples(st.integers(min_value=0, max_value=cursor + 8),
+                      st.integers(min_value=1, max_value=24)),
+            max_size=3))
+        lines = {a - a % line_bytes for a in addresses
+                 if data.draw(st.booleans())}
+        for first, count in stretches:
+            lines.update(range(first * line_bytes,
+                               (first + count) * line_bytes, line_bytes))
+        lines = sorted(lines)
+        wave = []
+        for line in lines:
+            parent = table.parent_of(line)
+            if parent is not None and (not wave or wave[-1] != parent):
+                wave.append(parent)
+        assert table.parents(lines) == wave
 
     def test_empty_table_gathers_no_parents(self):
         table = TreeGeometry((), 64)
-        assert table.parents(np.array([0, 64], dtype=np.int64)).tolist() \
-            == [-1, -1]
+        assert table.parents([0, 64]) == []
         assert table.parent_of(0) is None
 
     def test_parent_of_outside_regions_is_none(self):
@@ -299,12 +315,12 @@ class TestClosedFormWalk:
             protected_bytes=1 << 20, cache_bytes=8 * 64,
         )
 
-    def _price(self, scheme, batches):
-        traffic = [t.__dict__ for t in _price_session(scheme, batches)]
-        return traffic, scheme._cache.contents(), scheme.stats.as_dict()
-
     def test_flood_adjacent_walk_matches_probed_walk(self, monkeypatch,
                                                      backend):
+        """Rows whose MAC and VN ranges together outrun the cache, so
+        that their tree walks climb a washed-out cache, price as the
+        per-access ``process`` walk does: per-phase traffic, cache
+        contents and stats on each backend."""
         accesses = [
             MemAccess(0, 3 * 1024, AccessKind.READ, DataClass.FEATURE, vn=1),
             MemAccess(8 * 1024, 3 * 1024, AccessKind.READ,
@@ -313,34 +329,15 @@ class TestClosedFormWalk:
             MemAccess(16 * 1024, 2 * 1024, AccessKind.READ,
                       DataClass.FEATURE, vn=1),
         ]
-        batches = [AccessBatch.from_accesses(accesses)]
-
-        fast = self._scheme(monkeypatch, backend)
-        if backend == "python":
-            # The flood-adjacent guard lives in the engine: spy on
-            # _walk_tree to see the closed-form path engage, then force
-            # every walk probed and demand identical results.
-            flood_flags = []
-            orig_walk = LruEngine._walk_tree
-
-            def spying_walk(self, seed_lines, sink, flood=False):
-                flood_flags.append(flood)
-                return orig_walk(self, seed_lines, sink, flood=flood)
-
-            monkeypatch.setattr(LruEngine, "_walk_tree", spying_walk)
-            fast_results = self._price(fast, batches)
-            assert any(flood_flags), "closed-form walk never engaged"
-
-            def never_flood(self, seed_lines, sink, flood=False):
-                return orig_walk(self, seed_lines, sink, flood=False)
-
-            monkeypatch.setattr(LruEngine, "_walk_tree", never_flood)
-            probed = self._scheme(monkeypatch, backend)
-            assert self._price(probed, batches) == fast_results
-        else:
-            # The native walk is always probed (the compiled per-level
-            # probe IS the bulk replace); it must match the python
-            # backend's flood-accelerated results exactly.
-            native_results = self._price(fast, batches)
-            reference = self._scheme(monkeypatch, "python")
-            assert self._price(reference, batches) == native_results
+        batch = AccessBatch.from_accesses(accesses)
+        priced = self._scheme(monkeypatch, backend)
+        with priced.pricing_session() as session:
+            table = session.price(batch, np.arange(len(accesses) + 1)).table
+        reference = self._scheme(monkeypatch, backend)
+        expected = [astuple(reference.process(access)) for access in accesses]
+        assert [tuple(row) for row in table.tolist()] == expected
+        assert list(priced._cache.contents().items()) == \
+            list(reference._cache.contents().items())
+        assert priced._cache.stats.as_dict() == \
+            reference._cache.stats.as_dict()
+        assert priced.stats.as_dict() == reference.stats.as_dict()

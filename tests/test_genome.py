@@ -10,7 +10,7 @@ from repro.common.errors import ConfigError
 from repro.genome.darwin import darwin_vn_state, simulate_gact_workload
 from repro.genome.dsoft import Candidate, DsoftConfig, SeedIndex, dsoft_filter
 from repro.genome.gact import GactConfig, GactTimingModel, align_tile
-from repro.genome.profile import measure_tile_profile
+from repro.genome.profile import measure_tile_profile, reference_index
 from repro.genome.sequences import (
     CHROMOSOMES,
     PACBIO,
@@ -370,3 +370,23 @@ def test_fig16_profile_pinned(chromosome, sequencer):
     assert (profile["candidates_per_read"], profile["tiles_per_read"],
             profile["seed_table_entries"]) == FIG16_PROFILES[
                 (chromosome, sequencer)]
+
+
+def test_fig16_profiles_share_one_index_per_chromosome(monkeypatch):
+    """The nine Fig. 16 profiles build one read-only seed index per
+    (chromosome, seed length), not one per profile."""
+    built = []
+    real_init = SeedIndex.__init__
+
+    def counting_init(self, reference, seed_length):
+        built.append((len(reference), seed_length))
+        real_init(self, reference, seed_length)
+
+    monkeypatch.setattr(SeedIndex, "__init__", counting_init)
+    reference_index.cache_clear()
+    for chromosome, sequencer in FIG16_PROFILES:
+        measure_tile_profile(chromosome, sequencer, 4)
+    assert len(built) == 3
+    index = reference_index("chrY", DsoftConfig().seed_length)
+    for array in (index.reference, index._keys, index._positions):
+        assert not array.flags.writeable

@@ -1,10 +1,11 @@
-"""Reuse-distance LRU engine ≡ ``MetadataCache`` per-line semantics.
+"""Python LRU engine ≡ ``MetadataCache`` per-line semantics, per backend.
 
-The engine prices whole metadata-line streams with bulk conveyor
-stretches, dirty-streak grouping and spliced parent re-touches; every
-one of those fast paths must be *event- and state-identical* to the
-sequential ``MetadataCache.access`` walk with write-back chains.  The
-Hypothesis models here drive both models with the same randomized
+The python engine walks every run line by line over one ``OrderedDict``,
+as ``MetadataCache.access`` does (a clean range longer than the cache
+goes in one bulk step); the compiled engine runs the same steps in C
+over a tombstone ring.  Both must be *event- and state-identical* to
+the sequential ``MetadataCache.access`` walk with write-back chains.
+The Hypothesis models here drive both models with the same randomized
 streams — including tiny caches where every run evicts, and dirty runs
 whose chains climb a two- or three-level parent geometry — and require
 identical miss/writeback/parent-miss event lists, identical LRU state
@@ -16,9 +17,7 @@ Every model test drives the engines' one pricing entry point,
 :func:`probe_range`), once per available *backend* (``python`` always;
 ``native`` whenever the compiled engine builds), so the pure-Python
 reference and the C implementation are pinned to the same ground truth
-— and, transitively, to each other.  Only the python engine's private
-bulk paths (sparse columns, the closed-form walk flood) are tested
-directly, on that backend alone.  Both backends take the tree-parent
+— and, transitively, to each other.  Both backends take the tree-parent
 geometry as the same :class:`TreeGeometry` region table; the reference
 drivers use plain parent callables, pinned equal to the tables.
 """
@@ -36,14 +35,8 @@ from repro.core.engine_backend import (
     native_available,
     native_error,
 )
-from repro.core.lru_engine import (
-    FLOOD_MAC,
-    FLOOD_VN,
-    EventSink,
-    LruEngine,
-    _RunContext,
-    drain_chunks,
-)
+from repro.core import lru_native
+from repro.core.lru_engine import FLOOD_MAC, FLOOD_VN, EventSink, LruEngine
 from repro.core.lru_native import NativeLruEngine
 from repro.core.metadata_cache import MetadataCache
 
@@ -281,6 +274,27 @@ class TestModelEquivalence:
              cache.stats.get("writebacks"))
         _assert_state_equal(engine, cache)
 
+    def test_overlapping_ranges_match_access_walk(self, backend):
+        """A row whose MAC range runs into its VN range probes the shared
+        lines twice, as the per-line walk does: the second probe hits."""
+        capacity = 2
+        cache = MetadataCache(capacity * LINE)
+        engine = make_engine(backend, capacity, "two")
+        rows = [(0, 17, 16 * LINE, 1, False, False),
+                (8 * LINE, 12, 16 * LINE, 4, True, False),
+                (12 * LINE, 6, 10 * LINE, 9, False, False)]
+        sink = EventSink()
+        ends = engine.probe_run_batch(*_run_batch_columns(rows), sink)
+        expected = _drive_reference_runs(cache, rows, _parent_two_level)
+        assert sink.drain_misses().tolist() == expected[0]
+        assert sink.drain_writebacks().tolist() == expected[1]
+        assert sink.drain_parent_misses().tolist() == expected[2]
+        assert ends.tolist() == expected[3]
+        assert (sink.hits, sink.miss_count, sink.writeback_count) == \
+            (cache.stats.get("hits"), cache.stats.get("misses"),
+             cache.stats.get("writebacks"))
+        _assert_state_equal(engine, cache)
+
     def test_stats_counters_match(self, backend):
         """hit/miss/writeback counters track the reference exactly."""
         cache = MetadataCache(4 * LINE)
@@ -491,175 +505,24 @@ class TestBackendParity:
             engine.load_state({line * LINE: False for line in range(5)})
 
 
-class TestPythonProbes:
-    """The python engine's private sparse-column probe ≡ the per-line
-    walk (only that engine has one: run rows are consecutive ranges)."""
+def test_native_wrapper_raises_on_a_pause_without_progress(monkeypatch):
+    """A library whose pauses move neither the resume cursor, the
+    parked chain victim nor the ring is an error naming the row, not an
+    endless re-entry (the stub fails the test on a fourth call)."""
+    calls = []
 
-    @given(
-        runs=st.lists(
-            st.tuples(
-                st.lists(st.integers(min_value=0, max_value=63),
-                         min_size=1, max_size=12, unique=True),
-                st.booleans(),
-            ),
-            min_size=1, max_size=30,
-        ),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_sparse_ascending_runs_match(self, runs):
-        """Walk-shaped probes: distinct ascending but not consecutive."""
-        cache = MetadataCache(4 * LINE)
-        engine = make_engine("python", 4, "two")
-        for lines, dirty in runs:
-            ordered = sorted(lines)
-            expected_misses, expected_wb, expected_pm = [], [], []
-            for index in ordered:
-                partial = _drive_reference(cache, index, 1, dirty,
-                                           _parent_two_level)
-                expected_misses += partial[0]
-                expected_wb += partial[1]
-                expected_pm += partial[2]
-            sink = EventSink()
-            engine._probe_lines(np.array(ordered, dtype=np.int64) * LINE,
-                                dirty, sink)
-            assert sink.drain_misses().tolist() == expected_misses
-            assert sink.drain_writebacks().tolist() == expected_wb
-            assert sink.drain_parent_misses().tolist() == expected_pm
-            _assert_state_equal(engine, cache)
+    class StalledLibrary:
+        def lru_runs(self, *args):
+            calls.append(args)
+            if len(calls) > 3:
+                raise AssertionError("wrapper re-entered a stalled library")
+            return 0  # paused, and nothing moved
 
-
-class TestClosedFormHooks:
-    """The python engine's `_walk_tree(flood=True)` / `_flood_clean` ≡
-    the probed path they replace."""
-
-    def test_walk_tree_flood_matches_probed(self):
-        """The closed-form flood walk ≡ the probed walk it replaces."""
-        capacity = 4
-        flooded = make_engine("python", capacity, "three")
-        probed = make_engine("python", capacity, "three")
-        seeds = np.arange(capacity, dtype=np.int64) * LINE
-        warm_f, warm_p = EventSink(), EventSink()
-        flooded._probe_lines(seeds, False, warm_f)
-        probed._probe_lines(seeds, False, warm_p)
-        # Flood-adjacent precondition holds: the resident set is exactly
-        # the clean all-miss run below the tree region.
-        sink_f, sink_p = EventSink(), EventSink()
-        flooded._walk_tree(seeds, sink_f, flood=True)
-        probed._walk_tree(seeds, sink_p, flood=False)
-        assert sink_f.drain_misses().tolist() == \
-            sink_p.drain_misses().tolist()
-        assert sink_f.drain_writebacks().tolist() == \
-            sink_p.drain_writebacks().tolist()
-        assert sink_f.miss_count == sink_p.miss_count
-        assert sink_f.miss_count > 1  # the walk actually climbed levels
-        assert flooded.export_state() == probed.export_state()
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("n_lines", [2, 4, 7])
-    def test_flood_clean_matches_probe_lines(self, backend, n_lines):
-        """The python engine's bulk replace ≡ probing the same all-miss
-        clean stream as a run row on each backend (the compiled walk
-        needs no bulk replace: its per-level probe already is one)."""
-        capacity = 4
-        reference = make_engine(backend, capacity, "two")
-        flooded = make_engine("python", capacity, "two")
-        warm = EventSink()
-        probe_range(reference, 0, 3, False, warm)
-        probe_range(flooded, 0, 3, False, warm)
-        first = 64 * LINE
-        sink_ref, sink_flood = EventSink(), EventSink()
-        probe_range(reference, first, n_lines, False, sink_ref)
-        flooded._flood_clean(
-            first + np.arange(n_lines, dtype=np.int64) * LINE, sink_flood)
-        assert sink_ref.drain_misses().tolist() == \
-            sink_flood.drain_misses().tolist()
-        assert sink_ref.drain_writebacks().tolist() == \
-            sink_flood.drain_writebacks().tolist()
-        assert sink_ref.miss_count == sink_flood.miss_count
-        assert sink_ref.writeback_count == sink_flood.writeback_count
-        assert reference.export_state() == flooded.export_state()
-
-
-#: Scalar cutoffs the stress tests force onto the python engine: at 0
-#: every run and walk wave goes bulk; at 2 walks start bulk and hand off
-#: to the line-by-line finish mid-walk.
-STRESS_CUTOFFS = (0, 2)
-
-
-def _stress_engine(capacity, geometry, cutoff):
-    engine = make_engine("python", capacity, geometry)
-    engine._SCALAR_RUN = cutoff
-    return engine
-
-
-class TestBulkMachineryStress:
-    """Force the bulk paths onto the tiny runs and walk waves the
-    scalar cutoff would take, at every cutoff in ``STRESS_CUTOFFS``."""
-
-    @given(
-        segments=st.lists(
-            st.tuples(st.integers(min_value=0, max_value=79),
-                      st.integers(min_value=1, max_value=20),
-                      st.booleans()),
-            min_size=1, max_size=50,
-        ),
-        capacity=st.sampled_from([1, 2, 4, 8]),
-        geometry=st.sampled_from(sorted(GEOMETRIES)),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_bulk_paths_match_walk(self, segments, capacity, geometry):
-        parent_of = GEOMETRIES[geometry]
-        for cutoff in STRESS_CUTOFFS:
-            cache = MetadataCache(capacity * LINE)
-            engine = _stress_engine(capacity, geometry, cutoff)
-            for start, n_lines, dirty in segments:
-                expected = _drive_reference(cache, start, n_lines, dirty,
-                                            parent_of)
-                sink = EventSink()
-                probe_range(engine, start * LINE, n_lines, dirty, sink)
-                assert sink.drain_misses().tolist() == expected[0]
-                assert sink.drain_writebacks().tolist() == expected[1]
-                assert sink.drain_parent_misses().tolist() == expected[2]
-                _assert_state_equal(engine, cache)
-
-    @given(
-        rows=st.lists(
-            st.tuples(st.integers(min_value=0, max_value=8),
-                      st.integers(min_value=0, max_value=6),
-                      st.integers(min_value=16, max_value=40),
-                      st.integers(min_value=1, max_value=24),
-                      st.booleans(),
-                      st.booleans(),
-                      _FLOOD_FLAGS),
-            min_size=1, max_size=20,
-        ),
-        capacity=st.sampled_from([2, 4, 8, 16]),
-        geometry=st.sampled_from(["two", "three"]),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_bulk_walks_match_access_walk(self, rows, capacity, geometry):
-        """Run batches whose tree walks probe waves in bulk (and hand
-        off mid-walk) ≡ the per-line walk with flushes."""
-        parent_of = GEOMETRIES[geometry]
-        byte_rows = [(mac_start * LINE, mac_n, vn_start * LINE, vn_n,
-                      dirty, walk, flood)
-                     for mac_start, mac_n, vn_start, vn_n, dirty, walk, flood
-                     in rows]
-        for cutoff in STRESS_CUTOFFS:
-            cache = MetadataCache(capacity * LINE)
-            engine = _stress_engine(capacity, geometry, cutoff)
-            sink = EventSink()
-            ends = engine.probe_run_batch(*_run_batch_columns(byte_rows),
-                                          sink)
-            expected = _drive_reference_runs(cache, byte_rows, parent_of)
-            assert sink.drain_misses().tolist() == expected[0]
-            assert sink.drain_writebacks().tolist() == expected[1]
-            assert sink.drain_parent_misses().tolist() == expected[2]
-            assert ends.tolist() == expected[3]
-            assert (sink.hits, sink.miss_count, sink.writeback_count) == \
-                (cache.stats.get("hits"), cache.stats.get("misses"),
-                 cache.stats.get("writebacks"))
-            _assert_state_equal(engine, cache)
+    monkeypatch.setattr(lru_native, "native_library", StalledLibrary)
+    engine = NativeLruEngine(4, line_bytes=LINE)
+    with pytest.raises(RuntimeError, match="no progress at row 0"):
+        probe_range(engine, 0, 2, True, EventSink())
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -689,7 +552,7 @@ class TestStateAndSink:
         assert ends.tolist() == [[4, 3, 0]]
         assert engine.export_state() == []
 
-    @pytest.mark.parametrize("lines", [5, 4 + LruEngine._RING_SLACK + 1])
+    @pytest.mark.parametrize("lines", [5, 4 + NativeLruEngine._RING_SLACK + 1])
     def test_load_state_rejects_more_lines_than_capacity(self, backend,
                                                          lines):
         """An over-full state is a ``ConfigError`` before any engine
@@ -704,57 +567,18 @@ class TestStateAndSink:
         assert engine.export_state() == before
 
 
-class TestRunContext:
-    @given(
-        run=st.lists(st.integers(min_value=0, max_value=60), min_size=1,
-                     max_size=20, unique=True),
-        flags=st.lists(st.booleans(), min_size=20, max_size=20),
-        position=st.integers(min_value=0, max_value=20),
-        evicted=st.lists(st.integers(min_value=0, max_value=70),
-                         max_size=25, unique=True),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_demote_array_matches_per_line_demote(self, run, flags,
-                                                  position, evicted):
-        """The column demotion (one ``searchsorted``) ≡ demoting each
-        evicted line in turn: only upcoming predicted hits flip."""
-        lines = np.array(sorted(run), dtype=np.int64) * LINE
-        resident = np.array(flags[:len(lines)])
-        position = min(position, len(lines))
-        bulk = _RunContext(lines, lines.tolist(), resident.copy())
-        single = _RunContext(lines, lines.tolist(), resident.copy())
-        bulk.position = single.position = position
-        evicted_lines = np.array(evicted, dtype=np.int64) * LINE
-        bulk.demote_array(evicted_lines)
-        for line in evicted_lines.tolist():
-            single.demote(line)
-        assert bulk.resident.tolist() == single.resident.tolist()
-        assert bulk.pending == single.pending
-        assert bulk.resident[:position].tolist() == \
-            resident[:position].tolist()
-
-
 class TestSinkMachinery:
     def test_sink_drain_batches_scalars_and_arrays(self):
+        """Chunks drain as one array in arrival order, and the running
+        count answers ``len()``."""
         sink = EventSink()
-        sink.misses.push(3)
+        sink.misses.append(np.array([3], dtype=np.int64))
         sink.misses.append(np.array([7, 9], dtype=np.int64))
-        sink.misses.push(11)
+        sink.misses.append(np.array([11], dtype=np.int64))
         assert len(sink.misses) == 4
         assert sink.drain_misses().tolist() == [3, 7, 9, 11]
         assert len(sink.misses) == 0 and not sink.misses
         assert sink.drain_misses().tolist() == []
-
-    def test_sink_scratch_buffer_grows_past_initial_size(self):
-        sink = EventSink()
-        for value in range(1000):
-            sink.misses.push(value)
-        assert sink.drain_misses().tolist() == list(range(1000))
-
-    def test_drain_chunks_handles_mixed_plain_lists(self):
-        chunks = [3, np.array([7, 9], dtype=np.int64), 11]
-        assert drain_chunks(chunks).tolist() == [3, 7, 9, 11]
-        assert drain_chunks([]).tolist() == []
 
     def test_invalid_configurations_rejected(self):
         with pytest.raises(ConfigError):
@@ -763,8 +587,9 @@ class TestSinkMachinery:
         with pytest.raises(ConfigError):
             engine.load_state({line * LINE: False for line in range(5)})
 
-    def test_ring_compaction_preserves_state(self):
-        """Touch far more lines than the ring slack to force compaction."""
+    def test_long_stream_matches_access_walk(self):
+        """Thousands of short overlapping runs, alternately dirty and
+        clean: state and miss count still match the per-line walk."""
         capacity = 4
         cache = MetadataCache(capacity * LINE)
         engine = make_engine("python", capacity, "two")
