@@ -1,7 +1,7 @@
 """Benchmarks: LRU-engine backends.
 
 Three engine microbenchmarks time the stream shapes the pricing core
-sees — capacity floods, dirty chain-heavy conveyors, and short
+sees — capacity floods, dirty chain-heavy streams, and short
 walk-style scalar runs — fed as ``probe_run_batch`` rows (unflooded MAC
 ranges), once per available backend, so the
 ``bench_trend.py`` gate (filter term: ``engine``) tracks the compiled
@@ -58,8 +58,7 @@ def _price_rows(backend, rows):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_engine_flood(benchmark, backend):
     """Clean unflooded ranges four times the cache, three passes, every
-    line a miss: the first pass takes the python engine's conveyor, the
-    later two (whose tails are resident) walk line by line."""
+    line a miss, probed line by line on both backends."""
     benchmark.extra_info["engine_backend"] = backend
     rows = _mac_rows([0] * 3, LEAF_LINES, False)
     sink = benchmark.pedantic(_price_rows, args=(backend, rows), rounds=3,
@@ -69,7 +68,7 @@ def test_engine_flood(benchmark, backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_engine_chain_heavy(benchmark, backend):
-    """Dirty conveyor: every eviction walks a write-back parent chain."""
+    """Dirty streams: every eviction walks a write-back parent chain."""
     benchmark.extra_info["engine_backend"] = backend
     rows = _mac_rows([0] * 2, LEAF_LINES, True)
     sink = benchmark.pedantic(_price_rows, args=(backend, rows), rounds=3,

@@ -1,13 +1,12 @@
-/* Native LRU-engine backend: the scalar core of repro.core.lru_engine
+/* Native LRU-engine backend: the semantics of repro.core.lru_engine
  * compiled to machine code.
  *
- * State layout matches the Python engine's tombstone ring: one fully-
- * associative cache whose `ring_lines`/`ring_dirty`/`ring_valid` window
- * [head, tail) holds the residents in recency order (LRU first); a
- * touched line's old slot is tombstoned, and the ring is compacted in
- * place when it fills.  The resident-line -> slot map is an open-
- * addressing hash table (linear probing, tombstone deletion) sized at
- * >= 4x the capacity.
+ * State layout is a tombstone ring: one fully-associative cache whose
+ * `ring_lines`/`ring_dirty`/`ring_valid` window [head, tail) holds the
+ * residents in recency order (LRU first); a touched line's old slot is
+ * tombstoned, and the ring is compacted in place when it fills.  The
+ * resident-line -> slot map is an open-addressing hash table (linear
+ * probing, tombstone deletion) sized at >= 4x the capacity.
  *
  * All state lives in NumPy arrays owned by the Python wrapper
  * (repro.core.lru_native); this library only mutates them, so the
@@ -230,7 +229,8 @@ static int touch(Eng *g, int64_t line, int dirty, int64_t *victim) {
     return 0;
 }
 
-/* Write back `victim` and update its ancestors (LruEngine._chain).
+/* Write back `victim` and update its ancestors, as
+ * MetadataCache._follow_chain does.
  * Returns 1 when pausing for full event buffers (victim parked in
  * `pending`), 0 when the chain ran to completion. */
 static int chain(Eng *g, int64_t victim) {

@@ -22,8 +22,9 @@ of them, pinned by the backend-parametrized Hypothesis models in
 Tree-aware consumers describe their metadata layout's integrity-tree
 parent function as a :class:`TreeGeometry` — a flat table of ``(base,
 end, parent_base, arity)`` regions.  Both backends take the same table:
-the C code scans it per line, the Python engine bisects it per chain
-step and once per region of a walk wave.
+the C code scans it per line, and so does the Python engine, except that
+a walk level that missed throughout, a range of lines, maps to its
+parents in one step.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -92,45 +93,27 @@ class TreeGeometry:
         line_bytes = self.line_bytes
         return parent_base + (address - base) // (arity * line_bytes) * line_bytes
 
-    def parents(self, lines: list) -> list[int]:
-        """The stored parents of ascending ``lines``, in order and with
-        adjacent repeats dropped: a tree walk's next wave.
-
-        The parent map is monotone within a region, so each region's
-        lines are one slice, found by ``bisect``; consecutive lines (a
-        wave that missed throughout) have consecutive parents, a
-        ``range``.
-        """
-        bounds = self._bounds
+    def parents(self, lines) -> list[int] | range:
+        """C's walk wave over ``lines``: each line's stored parent, with
+        ``None`` and a repeat of the previous parent dropped.  A ``range``
+        of consecutive lines inside one region has a range of parents."""
         line_bytes = self.line_bytes
-        parents: list[int] = []
-        index, n = 0, len(lines)
-        while index < n:
-            line = lines[index]
-            entry = bisect_right(bounds, line)
-            if entry % 2 == 0:  # below, between or above the regions
-                if entry == len(bounds):
-                    break
-                index = bisect_left(lines, bounds[entry], index + 1)
-                continue
-            base, end, parent_base, arity = self.regions[entry // 2]
-            stride = arity * line_bytes
-            stop = bisect_left(lines, end, index + 1)
-            tail = lines[stop - 1]
-            if tail - line == (stop - 1 - index) * line_bytes:
-                level = range(
-                    parent_base + (line - base) // stride * line_bytes,
-                    parent_base + ((tail - base) // stride + 1) * line_bytes,
-                    line_bytes)
-            else:
-                level = list(dict.fromkeys([
-                    parent_base + (x - base) // stride * line_bytes
-                    for x in lines[index:stop]]))
-            if parents and parents[-1] == level[0]:
-                level = level[1:]
-            parents += level
-            index = stop
-        return parents
+        if isinstance(lines, range) and lines and lines.step == line_bytes:
+            entry = bisect_right(self._bounds, lines[0])
+            if entry % 2 and lines[-1] < self._bounds[entry]:
+                base, _, parent_base, arity = self.regions[entry // 2]
+                stride = arity * line_bytes
+                return range(
+                    parent_base + (lines[0] - base) // stride * line_bytes,
+                    parent_base + ((lines[-1] - base) // stride + 1)
+                    * line_bytes, line_bytes)
+        parent_of = self.parent_of
+        wave: list[int] = []
+        for line in lines:
+            parent = parent_of(line)
+            if parent is not None and (not wave or wave[-1] != parent):
+                wave.append(parent)
+        return wave
 
     def encode(self) -> np.ndarray:
         """Flat int64 form consumed by the C backend."""

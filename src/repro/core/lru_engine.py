@@ -15,21 +15,10 @@ Hypothesis models in ``tests/test_lru_engine.py`` and
 ``tests/test_metadata_cache.py``, on this engine and on the compiled
 :class:`~repro.core.lru_native.NativeLruEngine` alike.
 
-One bulk step remains, the *conveyor*: a clean range or walk wave
-longer than the cache, none of whose lines is resident, into a cache
-holding no dirty line, evicts every old line and then its own head, all
-clean, so only its last ``capacity_lines`` lines stay — one
-``OrderedDict.fromkeys`` instead of an insert and a pop per line.
-Pricing never sends such a range (a cache-sized range is a flood row,
-and a walk's waves are shorter than its seeds), but ``probe_run_batch``
-takes any row.  No other bulk step pays: ``OrderedDict.update`` costs
-more per line than the loop's own inserts.
-
 The public surface is what a pricing session calls: ``load_state``,
 ``probe_run_batch`` and ``export_state``.  Tree parents come from the C
-engine's own :class:`~repro.core.engine_backend.TreeGeometry`: its
-``parents`` turns a wave's misses into the next wave, and ``parent_of``
-serves each chain step.
+engine's own :class:`~repro.core.engine_backend.TreeGeometry`: one
+``parent_of`` per chain step, and ``parents`` for each walk wave.
 """
 
 from __future__ import annotations
@@ -161,9 +150,6 @@ class LruEngine:
         self.line_bytes = line_bytes
         self.geometry = engine_geometry(geometry, line_bytes)
         self._parent_of = self.geometry.parent_of
-        #: Lines below the first tree region have no parent.
-        regions = self.geometry.regions
-        self._tree_floor = regions[0][0] if regions else float("inf")
         #: Resident ``{line: dirty}`` in recency order, LRU first.
         self._lines: OrderedDict[int, bool] = OrderedDict()
 
@@ -218,15 +204,14 @@ class LruEngine:
                 vn_n = 0
             if mac_n:
                 hits += self._probe(
-                    list(range(mac_at, mac_at + mac_n * line_bytes,
-                               line_bytes)), run_dirty, events)
+                    range(mac_at, mac_at + mac_n * line_bytes, line_bytes),
+                    run_dirty, events)
             start = len(misses)
             if vn_n:
-                hits += self._probe(
-                    list(range(vn_at, vn_at + vn_n * line_bytes, line_bytes)),
-                    run_dirty, events)
+                vn = range(vn_at, vn_at + vn_n * line_bytes, line_bytes)
+                hits += self._probe(vn, run_dirty, events)
                 if run_walk:
-                    hits += self._walk(misses[start:], events)
+                    hits += self._walk(vn, start, events)
             if flags & FLOOD_VN:
                 self._flush(writebacks)
             ends.append((len(misses), len(writebacks), len(parent_misses)))
@@ -249,52 +234,47 @@ class LruEngine:
         writebacks.extend(compress(lines.keys(), lines.values()))
         lines.clear()
 
-    def _walk(self, seeds: list, events: tuple) -> int:
-        """Climb the integrity tree from a row's missed VN lines, as C's
+    def _walk(self, level, start: int, events: tuple) -> int:
+        """Climb the integrity tree from the misses of ``level``, the
+        row's VN range (probed from ``events[0][start]`` on), as C's
         ``walk_tick`` does; returns the hits.
 
-        Each wave is the stored parents of the previous wave's misses
-        (the seeds first), probed clean; the walk ends at the first
-        level that fully hits, or above the top stored level.
+        Each wave is :meth:`TreeGeometry.parents` of the previous level's
+        misses, probed clean; the walk ends at the first level that
+        fully hits, or above the top stored level.  A level that missed
+        throughout is its own misses, so a range stays a range.
         """
         misses = events[0]
         parents = self.geometry.parents
         hits = 0
-        wave = parents(seeds)
-        while wave:
+        while True:
+            if len(misses) - start == len(level):
+                wave = parents(level)
+            else:
+                wave = parents(misses[start:])
+            if not wave:
+                return hits
             start = len(misses)
             hits += self._probe(wave, False, events)
-            wave = parents(misses[start:])
-        return hits
+            level = wave
 
-    def _probe(self, lines: list, dirty: bool, events: tuple) -> int:
-        """Touch ``lines`` (distinct, ascending) in order; returns the
-        hits.  Misses append to ``events[0]``.
+    def _probe(self, lines, dirty: bool, events: tuple) -> int:
+        """Touch ``lines`` in order; returns the hits.  Misses append to
+        ``events[0]``.
 
         A dirty victim's write-back chain runs before the next line, as
         ``MetadataCache._follow_chain`` does: the victim is written back
         and its parent touched dirty; a missing parent is a parent miss,
         inserted at the cost of the LRU line, and the chain goes on while
-        that line is dirty.  MAC lines lie below the first tree region:
-        their chains end at the write-back, without a lookup.  A
-        conveyor (see the module docstring) goes in one ``fromkeys``.
+        that line is dirty.
         """
         cache = self._lines
         misses, writebacks, parent_misses = events
-        capacity = self.capacity_lines
-        if (len(lines) > capacity and not dirty
-                and cache.keys().isdisjoint(lines)
-                and not any(cache.values())):
-            # Every old line and the range's own head wash out.
-            self._lines = OrderedDict.fromkeys(lines[-capacity:], False)
-            misses += lines
-            return 0
         popitem = cache.popitem
         move_to_end = cache.move_to_end
         miss = misses.append
         parent_of = self._parent_of
-        floor = self._tree_floor
-        room = capacity - len(cache)
+        room = self.capacity_lines - len(cache)
         hits = 0
         for line in lines:
             if line in cache:
@@ -311,8 +291,6 @@ class LruEngine:
             victim, victim_dirty = popitem(False)
             while victim_dirty:
                 writebacks.append(victim)
-                if victim < floor:
-                    break
                 parent = parent_of(victim)
                 if parent is None:
                     break

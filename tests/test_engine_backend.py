@@ -148,10 +148,11 @@ class TestTreeGeometry:
                                               n_regions):
         """``parent_of`` ≡ the C backend's region scan on random valid
         tables, at every region boundary ±1 line and at random addresses
-        in and between the regions; and ``parents`` over ascending lines
-        ≡ ``parent_of`` per line with ``None`` and adjacent repeats
-        dropped (C's walk wave), over consecutive stretches (a wave that
-        missed throughout) and scattered lines alike."""
+        in and between the regions; and ``parents`` ≡ C's walk wave,
+        ``parent_of`` per line with ``None`` and a repeat of the previous
+        parent dropped, over lines in any order and over ranges of
+        consecutive lines (a walk's seeds when its VN range missed
+        throughout) in, across and outside the regions."""
         regions = []
         cursor = data.draw(st.integers(min_value=0, max_value=8))
         for _ in range(n_regions):
@@ -179,26 +180,30 @@ class TestTreeGeometry:
                   for base, end, parent, arity in regions if base <= a < end),
                  None)
             for a in addresses]
+
+        def wave(lines):
+            out = []
+            for line in lines:
+                parent = table.parent_of(line)
+                if parent is not None and (not out or out[-1] != parent):
+                    out.append(parent)
+            return out
+
+        lines = [a - a % line_bytes for a in addresses]
+        assert table.parents(lines) == wave(lines)
         stretches = data.draw(st.lists(
             st.tuples(st.integers(min_value=0, max_value=cursor + 8),
                       st.integers(min_value=1, max_value=24)),
-            max_size=3))
-        lines = {a - a % line_bytes for a in addresses
-                 if data.draw(st.booleans())}
+            min_size=1, max_size=4))
         for first, count in stretches:
-            lines.update(range(first * line_bytes,
-                               (first + count) * line_bytes, line_bytes))
-        lines = sorted(lines)
-        wave = []
-        for line in lines:
-            parent = table.parent_of(line)
-            if parent is not None and (not wave or wave[-1] != parent):
-                wave.append(parent)
-        assert table.parents(lines) == wave
+            stretch = range(first * line_bytes, (first + count) * line_bytes,
+                            line_bytes)
+            assert list(table.parents(stretch)) == wave(stretch)
 
     def test_empty_table_gathers_no_parents(self):
         table = TreeGeometry((), 64)
         assert table.parents([0, 64]) == []
+        assert not table.parents(range(0, 128, 64))
         assert table.parent_of(0) is None
 
     def test_parent_of_outside_regions_is_none(self):

@@ -1,9 +1,8 @@
 """Python LRU engine ≡ ``MetadataCache`` per-line semantics, per backend.
 
 The python engine walks every run line by line over one ``OrderedDict``,
-as ``MetadataCache.access`` does (a clean range longer than the cache
-goes in one bulk step); the compiled engine runs the same steps in C
-over a tombstone ring.  Both must be *event- and state-identical* to
+as ``MetadataCache.access`` does; the compiled engine runs the same
+steps in C over a tombstone ring.  Both must be *event- and state-identical* to
 the sequential ``MetadataCache.access`` walk with write-back chains.
 The Hypothesis models here drive both models with the same randomized
 streams — including tiny caches where every run evicts, and dirty runs
@@ -327,7 +326,7 @@ class TestModelEquivalence:
 
     def test_forced_chain_thrash_matches(self, backend):
         """A write stream larger than a tiny cache: every eviction is a
-        dirty self-conveyor whose chain touches the parent level."""
+        dirty line whose chain touches the parent level."""
         capacity = 8
         cache = MetadataCache(capacity * LINE)
         engine = make_engine(backend, capacity, "two")
