@@ -1,12 +1,15 @@
 """Benchmarks: LRU-engine backends.
 
-Three engine microbenchmarks time the stream shapes the pricing core
-sees — capacity floods, dirty chain-heavy streams, and short
-walk-style scalar runs — fed as ``probe_run_batch`` rows (unflooded MAC
-ranges), once per available backend, so the
-``bench_trend.py`` gate (filter term: ``engine``) tracks the compiled
-and reference implementations separately (each entry records its
-backend in ``extra_info``).  ``test_engine_suite_trace`` times one
+Three engine microbenchmarks time the row shapes the pricing core
+sends — floods between dirty fills, dirty chain-heavy streams, and
+short walk-style scalar runs — fed as ``probe_run_batch`` rows, once per
+available backend, so the ``bench_trend.py`` gate (filter term:
+``engine``) tracks the compiled and reference implementations
+separately (each entry records its backend in ``extra_info``).  Pricing
+flags every MAC/VN range of at least the cache's size as a flood
+(``core/schemes/counter_mode.py``), so every unflooded range here is
+shorter than the cache and every flood row is a cache-sized range
+flagged :data:`FLOOD_MAC`.  ``test_engine_suite_trace`` times one
 full-size BP pricing session over a suite trace — a DNN training step,
 whose run rows mix floods, dirty write-back streaks and tree walks — so
 the per-row cost of the no-compiler path is tracked too.
@@ -38,14 +41,16 @@ def _geometry() -> TreeGeometry:
                          (leaf_end, l1_end, l1_end, 8)), LINE)
 
 
-def _mac_rows(firsts, count: int, dirty: bool) -> tuple:
-    """Run columns of unflooded ``count``-line MAC ranges from each of
-    ``firsts`` (line addresses), probed dirty or clean, no walks."""
+def _mac_rows(firsts, count, dirty: bool, flood=0) -> tuple:
+    """Run columns of ``count``-line MAC ranges (one count per row, or
+    one for all) from each of ``firsts`` (line addresses), probed dirty
+    or clean, flagged ``flood``, no walks."""
     n = len(firsts)
     zeros = np.zeros(n, dtype=np.int64)
-    return (np.asarray(firsts, dtype=np.int64), np.full(n, count), zeros,
-            zeros, np.full(n, dirty), np.zeros(n, dtype=bool),
-            np.zeros(n, dtype=np.uint8))
+    return (np.asarray(firsts, dtype=np.int64),
+            np.broadcast_to(np.asarray(count, dtype=np.int64), n).copy(),
+            zeros, zeros, np.full(n, dirty), np.zeros(n, dtype=bool),
+            np.broadcast_to(np.asarray(flood, dtype=np.uint8), n).copy())
 
 
 def _price_rows(backend, rows):
@@ -55,22 +60,38 @@ def _price_rows(backend, rows):
     return sink
 
 
+#: Dirty fill rows per flood in ``test_engine_flood_rows``, each half the
+#: cache, and the number of fill-then-flood groups.
+FILLS, GROUPS = 3, 4
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_engine_flood(benchmark, backend):
-    """Clean unflooded ranges four times the cache, three passes, every
-    line a miss, probed line by line on both backends."""
+def test_engine_flood_rows(benchmark, backend):
+    """Floods as pricing sends them: groups of dirty half-cache fills
+    (evicting, with write-back chains, once the cache is full), each
+    group closed by a cache-sized row flagged FLOOD_MAC that flushes
+    every resident line."""
     benchmark.extra_info["engine_backend"] = backend
-    rows = _mac_rows([0] * 3, LEAF_LINES, False)
+    half = CAPACITY // 2
+    rows = _mac_rows(([i * half * LINE for i in range(FILLS)] + [0]) * GROUPS,
+                     ([half] * FILLS + [CAPACITY]) * GROUPS, True,
+                     ([0] * FILLS + [FLOOD_MAC]) * GROUPS)
     sink = benchmark.pedantic(_price_rows, args=(backend, rows), rounds=3,
                               iterations=1, warmup_rounds=1)
-    assert sink.miss_count == 3 * LEAF_LINES  # every pass floods
+    # Every fill line misses (each group starts from a flushed cache),
+    # and each flood writes back a full cache of dirty lines.
+    assert sink.miss_count >= GROUPS * FILLS * half
+    assert sink.writeback_count >= GROUPS * CAPACITY
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_engine_chain_heavy(benchmark, backend):
-    """Dirty streams: every eviction walks a write-back parent chain."""
+def test_engine_chain_rows(benchmark, backend):
+    """Dirty streams cut into half-cache rows, twice over four times the
+    cache: every eviction walks a write-back parent chain."""
     benchmark.extra_info["engine_backend"] = backend
-    rows = _mac_rows([0] * 2, LEAF_LINES, True)
+    half = CAPACITY // 2
+    rows = _mac_rows([i * half * LINE for i in range(LEAF_LINES // half)] * 2,
+                     half, True)
     sink = benchmark.pedantic(_price_rows, args=(backend, rows), rounds=3,
                               iterations=1, warmup_rounds=1)
     assert sink.writeback_count > LEAF_LINES

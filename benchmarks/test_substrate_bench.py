@@ -10,7 +10,8 @@ from repro.dram.model import DramConfig, DramModel, TrafficProfile
 
 
 def test_batch_aes_throughput(benchmark):
-    """Vectorized AES keystream generation (functional-engine hot path)."""
+    """Byte-sliced AES over 4,096 blocks in one call: the functional
+    engines' keystream path (``batch_aes`` in the trend gate's filter)."""
     cipher = AesBatch(bytes(16))
     blocks = np.random.default_rng(0).integers(0, 256, size=(4096, 16),
                                                dtype=np.uint8)

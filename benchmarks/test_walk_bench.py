@@ -5,9 +5,11 @@ lines, and the lines that miss seed a climb of the tree, level by level,
 until a level fully hits.  Two microbenchmarks time that shape on a
 six-level tree, once per available backend — thousands of one-leaf rows
 on a warm tree (each walk hits at the first level), and cold cascades
-that climb to the top.  Entries record their backend in ``extra_info``
-so ``bench_trend.py`` (filter term: ``walk_``) tracks each
-implementation separately and treats backend changes as record-only.
+of half-cache rows that climb towards the root.  Pricing floods any VN
+range of at least the cache's size, so no row here is that long.
+Entries record their backend in ``extra_info`` so ``bench_trend.py``
+(filter term: ``walk_``) tracks each implementation separately and
+treats backend changes as record-only.
 """
 
 from __future__ import annotations
@@ -73,13 +75,17 @@ def test_walk_rows_warm_tree(benchmark, backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_walk_rows_deep_miss_cascade(benchmark, backend):
-    """Cold cascades: every walk climbs all six levels to the root."""
+def test_walk_rows_cold_cascade(benchmark, backend):
+    """Cold cascades in rows pricing sends: three passes over the leaves
+    in unflooded rows of half the cache, each row's walk climbing until
+    a level fully hits."""
     benchmark.extra_info["engine_backend"] = backend
-    rows = _vn_rows([0] * 3, LEAF_LINES)
+    capacity = LEAF_LINES // 8
+    row = capacity // 2
+    rows = _vn_rows([i * row * LINE for i in range(LEAF_LINES // row)] * 3, row)
 
     def cascades():
-        engine = create_engine(LEAF_LINES // 8, geometry=_deep_geometry(),
+        engine = create_engine(capacity, geometry=_deep_geometry(),
                                backend=backend)
         sink = EventSink()
         engine.probe_run_batch(*rows, sink)
@@ -87,4 +93,6 @@ def test_walk_rows_deep_miss_cascade(benchmark, backend):
 
     sink = benchmark.pedantic(cascades, rounds=3, iterations=1,
                               warmup_rounds=1)
-    assert sink.miss_count > LEAF_LINES // ARITY
+    # Every pass misses every leaf (the cache holds an eighth of them),
+    # and every walk misses at least its row's level-1 parents.
+    assert sink.miss_count >= 3 * (LEAF_LINES + LEAF_LINES // ARITY)

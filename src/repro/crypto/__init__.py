@@ -7,7 +7,10 @@ latency analytically — but the functional protection engine
 (:mod:`repro.core.functional`) uses them to demonstrate end-to-end
 confidentiality and integrity on real bytes, and every record of the
 host↔accelerator channel (:mod:`repro.host.channel`, which
-:mod:`repro.serve` runs on) is sealed with :class:`AesGcm`.
+:mod:`repro.serve` runs on) is sealed with :class:`AesGcm`.  Every
+multi-block keystream is one call of the byte-sliced :class:`AesBatch`;
+the scalar T-table :class:`AES` encrypts single blocks and is the
+reference the batch is pinned against.
 """
 
 from repro.crypto.aes import AES

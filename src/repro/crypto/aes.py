@@ -9,16 +9,17 @@ counter mode (decryption XORs the same keystream), but the byte-wise
 inverse cipher is included for completeness and is exercised by the
 round-trip tests against the FIPS-197 known-answer vectors.
 
-Performance note: every record of the host↔accelerator channel
-(:mod:`repro.host.channel`, and so every request and reply ``repro.serve``
-handles) is sealed with this cipher through :class:`repro.crypto.AesGcm`,
-one :meth:`AES.encrypt_int` call per 16 bytes plus one per tag.  The
-T-table rounds take ~10 µs per AES-128 block (CPython 3.11, one core of a
-2-core VM), where the per-byte MixColumns they replace took ~180 µs.
-Channel records are a few hundred bytes, too small for
-:class:`repro.crypto.AesBatch`'s ~1 ms fixed cost per NumPy call, so
-this scalar path is the one that matters for them.  The timing
-simulators never call it: they model the AES pipeline analytically.
+Performance note: the T-table rounds take ~10 µs per AES-128 block
+(CPython 3.11, one core of a 2-core VM), where a per-byte MixColumns
+took ~180 µs.  This is the single-block cipher: :class:`GcmMac` tags
+one block at a time with it, and it is the FIPS-197-pinned oracle the
+byte-sliced :class:`repro.crypto.AesBatch` is property-tested against.
+Every multi-block keystream (GCM records of the host↔accelerator
+channel, CTR regions, the functional engines) goes through
+:class:`~repro.crypto.AesBatch` in one call instead, which costs ~3×
+this cipher for one block but ~1.4 µs for each further block.  The
+timing simulators never call either: they model the AES pipeline
+analytically.
 
 Side channels: T-table lookups index memory with secret-dependent bytes,
 exactly as the plain ``SBOX[...]`` lookups of a byte-wise AES do, and

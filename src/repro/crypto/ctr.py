@@ -9,15 +9,16 @@ physical address and a version number (VN); see
 This module only deals with the keystream mechanics: given a 16-byte
 counter block for the *first* AES block of a region, produce the keystream
 for an arbitrary number of bytes, incrementing the per-16-byte lane index
-in the low bits.  The same function both encrypts and decrypts.
+in the low bits.  The same function both encrypts and decrypts.  A
+region's lanes are independent, so all of them go through one
+:class:`~repro.crypto.aes_batch.AesBatch` call, as a hardware engine
+streams a burst's lanes through its pipeline.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 from repro.common.errors import ConfigError
-from repro.crypto.aes import AES
+from repro.crypto.aes_batch import AesBatch
 
 _BLOCK_MASK = (1 << 128) - 1
 
@@ -27,17 +28,6 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     if len(a) != len(b):
         raise ConfigError(f"xor_bytes length mismatch: {len(a)} vs {len(b)}")
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
-
-
-def _keystream(aes: AES, counters: Iterable[int], nbytes: int) -> bytes:
-    """The first ``nbytes`` of ``AES(c)`` for each counter block ``c``.
-
-    ``counters`` yields ⌈nbytes/16⌉ counter blocks as 128-bit integers,
-    each encrypted by one :meth:`AES.encrypt_int` call.
-    """
-    encrypt = aes.encrypt_int
-    stream = b"".join([encrypt(counter).to_bytes(16, "big") for counter in counters])
-    return stream[:nbytes]
 
 
 class CtrMode:
@@ -52,7 +42,7 @@ class CtrMode:
     """
 
     def __init__(self, key: bytes) -> None:
-        self._aes = AES(key)
+        self._cipher = AesBatch(key)
 
     def keystream(self, counter_block: bytes, nbytes: int) -> bytes:
         """Generate ``nbytes`` of keystream starting at ``counter_block``."""
@@ -61,8 +51,9 @@ class CtrMode:
         if nbytes < 0:
             raise ConfigError(f"nbytes must be non-negative, got {nbytes}")
         base = int.from_bytes(counter_block, "big")
-        lanes = range(-(-nbytes // 16))
-        return _keystream(self._aes, ((base + lane) & _BLOCK_MASK for lane in lanes), nbytes)
+        counters = b"".join([((base + lane) & _BLOCK_MASK).to_bytes(16, "big")
+                             for lane in range(-(-nbytes // 16))])
+        return self._cipher.encrypt(counters)[:nbytes]
 
     def transform(self, counter_block: bytes, data: bytes) -> bytes:
         """Encrypt or decrypt ``data`` (XOR with the keystream)."""

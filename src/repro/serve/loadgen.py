@@ -15,7 +15,11 @@ mix (seeded RNG over the registered catalog):
 The report carries everything the CI smoke gate asserts: nothing lost
 (every request answered ``ok``/``busy``/``error``), every reply
 MAC-verified under its tenant's key, and identical (name, scheme)
-requests answered with byte-identical payloads.  The bench suite
+requests answered with byte-identical payloads.  A reply that fails
+verification (:class:`~repro.common.errors.IntegrityError`, or its
+:class:`~repro.common.errors.ReplayError` subclass) leaves its request
+unanswered, so it counts in ``lost``; after one, that tenant's channel
+refuses every later record, whose requests are lost too.  The bench suite
 (``benchmarks/test_serve_bench.py``) re-exports the same numbers as
 ``serve_`` entries for ``bench_trend.py``.
 """
@@ -28,6 +32,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
+from repro.common.errors import IntegrityError
 from repro.host.attestation import ManufacturerCa
 from repro.serve.protocol import (
     STATUS_BUSY,
@@ -145,7 +150,10 @@ async def _run_async(config: LoadConfig) -> LoadReport:
 
         async def issue(tenant: int, name: str, scheme: str | None) -> None:
             started = time.perf_counter()
-            reply = await clients[tenant].request(name, scheme)
+            try:
+                reply = await clients[tenant].request(name, scheme)
+            except IntegrityError:  # failed verification: counts as lost
+                return
             if reply.status == STATUS_OK:
                 latencies.append((time.perf_counter() - started) * 1e3)
             replies.append((name, scheme, reply))

@@ -1,10 +1,11 @@
-"""AES cipher: FIPS-197 known answers, inverse cipher, batch equivalence."""
+"""AES cipher: FIPS-197 known answers, inverse cipher, and the byte-sliced
+batch cipher pinned against the scalar one."""
 
 import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.common.errors import ConfigError
 from repro.crypto.aes import AES, INV_SBOX, SBOX
@@ -102,18 +103,60 @@ class TestValidation:
             AES(bytes(16)).decrypt_block(bytes(17))
 
 
+def _scalar_blocks(key: bytes, data: bytes) -> bytes:
+    aes = AES(key)
+    return b"".join(aes.encrypt_block(data[i : i + 16]) for i in range(0, len(data), 16))
+
+
 class TestBatchEquivalence:
     @pytest.mark.parametrize("key_len", [16, 24, 32])
-    def test_batch_matches_scalar(self, key_len):
-        """The T-table scalar cipher against the byte-wise NumPy one."""
-        key = bytes(range(key_len))
-        rng = np.random.default_rng(1)
-        blocks = rng.integers(0, 256, size=(32, 16), dtype=np.uint8)
+    @given(key=st.binary(min_size=32, max_size=32),
+           nblocks=st.integers(min_value=0, max_value=300),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @example(key=bytes(range(32)), nblocks=0, seed=1)
+    @example(key=bytes(range(32)), nblocks=1, seed=1)
+    @example(key=bytes(range(32)), nblocks=2, seed=1)
+    @example(key=bytes(range(32)), nblocks=255, seed=1)
+    @example(key=bytes(range(32)), nblocks=256, seed=1)
+    @example(key=bytes(range(32)), nblocks=257, seed=1)
+    @settings(max_examples=20, deadline=None)
+    def test_batch_matches_scalar(self, key_len, key, nblocks, seed):
+        """The byte-sliced batch against the T-table scalar cipher, block
+        by block, for every key size and batch sizes around 256."""
+        key = key[:key_len]
+        blocks = np.random.default_rng(seed).integers(0, 256, size=(nblocks, 16),
+                                                      dtype=np.uint8)
         batch = AesBatch(key).encrypt_blocks(blocks)
-        scalar = np.array(
-            [list(AES(key).encrypt_block(bytes(b))) for b in blocks], dtype=np.uint8
-        )
-        assert np.array_equal(batch, scalar)
+        assert batch.shape == (nblocks, 16) and batch.dtype == np.uint8
+        assert batch.tobytes() == _scalar_blocks(key, blocks.tobytes())
+
+    @given(key=st.sampled_from([16, 24, 32]).flatmap(
+               lambda n: st.binary(min_size=n, max_size=n)),
+           iv=st.binary(min_size=12, max_size=12),
+           first=st.integers(min_value=0, max_value=2**32 - 1),
+           count=st.integers(min_value=0, max_value=40))
+    @settings(max_examples=30, deadline=None)
+    def test_counters_match_scalar(self, key, iv, first, count):
+        """Block i of ``encrypt_counters`` is E(iv ‖ be32(first + i mod 2³²))."""
+        counters = b"".join(iv + ((first + i) % 2**32).to_bytes(4, "big")
+                            for i in range(count))
+        assert AesBatch(key).encrypt_counters(iv, first, count) == (
+            _scalar_blocks(key, counters))
+
+    def test_counter_wraps_at_32_bits(self):
+        """Five blocks from 2³² − 2: the counter wraps to 0 and never
+        carries into the IV bytes."""
+        key, iv = bytes(range(16)), bytes.fromhex("cafebabefacedbaddecaf8ff")
+        aes = AES(key)
+        stream = AesBatch(key).encrypt_counters(iv, 2**32 - 2, 5)
+        expected = [iv + bytes.fromhex(c) for c in
+                    ("fffffffe", "ffffffff", "00000000", "00000001", "00000002")]
+        assert [stream[16 * i : 16 * i + 16] for i in range(5)] == [
+            aes.encrypt_block(block) for block in expected]
+
+    def test_counter_iv_validation(self):
+        with pytest.raises(ConfigError):
+            AesBatch(bytes(16)).encrypt_counters(bytes(16), 0, 1)
 
     def test_batch_shape_validation(self):
         with pytest.raises(ConfigError):

@@ -1,7 +1,6 @@
 """AES-GCM AEAD against the NIST / McGrew-Viega test vectors and a
-byte-wise reference GCM built from :class:`AesBatch` and ``gf128_mul``."""
+reference GCM built from the scalar :class:`AES` and ``gf128_mul``."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -92,14 +91,13 @@ class TestAeadProperties:
 
 def _reference_gcm(key: bytes, iv: bytes, plaintext: bytes,
                    aad: bytes) -> tuple[bytes, bytes]:
-    """GCM from the byte-wise NumPy AES and the bit-serial GF multiply."""
-    cipher = AesBatch(key)
+    """GCM from the scalar T-table AES, one block per call, and the
+    bit-serial GF multiply: independent of the byte-sliced batch cipher
+    :class:`AesGcm` runs on."""
+    cipher = AES(key)
 
     def encrypt(blocks: list[int]) -> list[int]:
-        rows = np.frombuffer(b"".join(b.to_bytes(16, "big") for b in blocks),
-                             dtype=np.uint8).reshape(-1, 16)
-        return [int.from_bytes(row.tobytes(), "big")
-                for row in cipher.encrypt_blocks(rows)]
+        return [cipher.encrypt_int(block) for block in blocks]
 
     def padded_blocks(data: bytes) -> list[int]:
         data = data + bytes(-len(data) % 16)
@@ -156,21 +154,28 @@ class TestBlockCount:
     @pytest.mark.parametrize("nbytes", [0, 1, 16, 17, 174, 2307])
     def test_seal_runs_one_block_per_16_bytes_plus_tag(self, monkeypatch,
                                                        nbytes):
-        """Sealing n bytes encrypts ⌈n/16⌉ counter blocks and J0, and
-        never re-derives the hash subkey H = AES(0^128)."""
+        """Sealing or opening n bytes is one cipher call over ⌈n/16⌉ + 1
+        counter blocks starting at J0, and never re-derives the hash
+        subkey H = AES(0^128)."""
         gcm = AesGcm(_KEY3)
-        inputs = []
-        original = AES.encrypt_int
+        calls = []
+        original = AesBatch.encrypt
 
-        def counting(self, block):
-            inputs.append(block)
-            return original(self, block)
+        def counting(self, blocks):
+            calls.append(blocks)
+            return original(self, blocks)
 
-        monkeypatch.setattr(AES, "encrypt_int", counting)
+        def scalar(self, block):
+            raise AssertionError("the record path ran the scalar cipher")
+
+        monkeypatch.setattr(AesBatch, "encrypt", counting)
+        monkeypatch.setattr(AES, "encrypt_int", scalar)
+        counters = b"".join(_IV3 + (1 + i).to_bytes(4, "big")
+                            for i in range(-(-nbytes // 16) + 1))
         ct, tag = gcm.encrypt(_IV3, bytes(nbytes), b"aad")
-        assert len(inputs) == -(-nbytes // 16) + 1
-        assert 0 not in inputs
-        inputs.clear()
+        assert calls == [counters]
+        assert bytes(16) not in {counters[i:i + 16]
+                                 for i in range(0, len(counters), 16)}
+        calls.clear()
         assert gcm.decrypt(_IV3, ct, tag, b"aad") == bytes(nbytes)
-        assert len(inputs) == -(-nbytes // 16) + 1
-        assert 0 not in inputs
+        assert calls == [counters]

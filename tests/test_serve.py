@@ -6,18 +6,22 @@ clear the process-wide trace cache first so they are order-independent.
 """
 
 import asyncio
+import itertools
 
 import pytest
 
 from repro.common.errors import IntegrityError, ReplayError
 from repro.experiments.registry import resolve_request
 from repro.host.attestation import ManufacturerCa
+from repro.host.channel import SecureChannel
+from repro.serve.__main__ import main as serve_main
 from repro.serve.loadgen import (
     SERVE_KERNEL,
     LoadConfig,
     run_load,
 )
 from repro.serve.protocol import (
+    REPLY_AAD,
     STATUS_BUSY,
     STATUS_ERROR,
     STATUS_OK,
@@ -277,6 +281,39 @@ class TestLoadgen:
         assert report.busy >= 1
         assert report.mac_verified == 30
         assert report.server_stats["busy"] == report.busy
+
+    @staticmethod
+    def _corrupt_fifth_reply_tag(monkeypatch):
+        """Flip one bit of the tag of the fifth reply record sealed."""
+        original = SecureChannel.send
+        replies = itertools.count()
+
+        def send(self, plaintext, aad=b""):
+            sequence, ciphertext, tag = original(self, plaintext, aad)
+            if aad == REPLY_AAD and next(replies) == 4:
+                tag = bytes([tag[0] ^ 1]) + tag[1:]
+            return sequence, ciphertext, tag
+
+        monkeypatch.setattr(SecureChannel, "send", send)
+
+    @pytest.mark.parametrize("mode", ["closed", "open"])
+    def test_bad_reply_is_lost_not_fatal(self, monkeypatch, mode):
+        """A reply failing verification costs its request (and, with the
+        tenant's receive sequence stuck, that tenant's later ones), never
+        the report."""
+        self._corrupt_fifth_reply_tag(monkeypatch)
+        report = run_load(LoadConfig(tenants=2, requests=20, mode=mode,
+                                     rate=500.0, seed=7))
+        assert report.sent == 20
+        assert report.lost >= 1
+        assert report.ok + report.busy + report.errors + report.lost == 20
+        assert report.mac_verified == report.ok + report.busy + report.errors
+
+    def test_bad_reply_fails_the_cli(self, monkeypatch, capsys):
+        self._corrupt_fifth_reply_tag(monkeypatch)
+        assert serve_main(["--tenants", "2", "--requests", "20",
+                           "--seed", "7"]) == 1
+        assert "requests lost" in capsys.readouterr().err
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
